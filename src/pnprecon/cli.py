@@ -66,12 +66,6 @@ def _osem_config(cfg):
     return recon.OsemConfig(n_iterations=o["n_iterations"], n_subsets=n_sub)
 
 
-def _build_model(cfg, activity, mu):
-    model = sim.build_system_model(_geometry(cfg), mu, norm_seed=_norm_seed(cfg))
-    return sim.with_background(model, activity,
-                               cfg["simulation"]["background_fraction"])
-
-
 def _arch(cfg):
     n = cfg["net"]
     return net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
@@ -87,22 +81,15 @@ def cmd_simulate(cfg, out_dir):
         n_test_phantoms=cfg["phantoms"]["n_test"],
         background_fraction=cfg["simulation"]["background_fraction"],
         norm_seed=_norm_seed(cfg))
-    models = {}
-    activities = {}
     for p, spec in enumerate(specs):
         activity, mu = sim.make_phantom(spec)
-        models[p] = _build_model(cfg, activity, mu)
-        activities[p] = activity
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_activity.img"), activity)
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_mu.img"), mu)
         sim.write_pgm(os.path.join(out_dir, f"phantom{p:02d}_activity.pgm"), activity)
     rows = []
     for i, item in enumerate(dataset.items):
-        counts = sim.simulate_counts(models[item.phantom_id],
-                                     activities[item.phantom_id],
-                                     item.dose_scale, item.seed)
         sim.write_image(os.path.join(out_dir, f"item{i:03d}_counts.img"),
-                        counts.astype(float))
+                        item.counts.astype(float))
         sim.write_image(os.path.join(out_dir, f"item{i:03d}_osem.img"), item.x_noisy)
         sim.write_pgm(os.path.join(out_dir, f"item{i:03d}_osem.pgm"), item.x_noisy)
         rows.append([i, item.phantom_id, item.dose_scale, item.seed, item.split])
@@ -124,13 +111,13 @@ def _load_dataset(cfg, data_dir):
             raise ConfigError(f"{manifest}: unexpected header")
         for line in fh:
             i, p, dose, seed, split = line.strip().split(",")
-            i = int(i)
-            dose = float(dose)
+            i, p, dose, seed = int(i), int(p), float(dose), int(seed)
+            counts = sim.read_image(os.path.join(data_dir, f"item{i:03d}_counts.img"))
             x_noisy = sim.read_image(os.path.join(data_dir, f"item{i:03d}_osem.img"))
             activity = sim.read_image(
-                os.path.join(data_dir, f"phantom{int(p):02d}_activity.img"))
+                os.path.join(data_dir, f"phantom{p:02d}_activity.img"))
             items.append(train.DatasetItem(
-                phantom_id=int(p), dose_scale=dose, seed=int(seed),
+                phantom_id=p, dose_scale=dose, seed=seed, counts=counts,
                 x_noisy=x_noisy, x_ref=dose * activity, split=split))
     return train.Dataset(items=tuple(items))
 
@@ -176,15 +163,16 @@ def _select_test_sims(cfg, dataset):
     return [test[i] for i in picks]
 
 
-def _likelihood_for_item(cfg, data_dir, item_idx, item):
+def _likelihood_for_item(cfg, item):
+    data_dir = cfg.path("data")
     mu = sim.read_image(
         os.path.join(data_dir, f"phantom{item.phantom_id:02d}_mu.img"))
     activity = sim.read_image(
         os.path.join(data_dir, f"phantom{item.phantom_id:02d}_activity.img"))
-    model = _build_model(cfg, activity, mu)
-    counts = sim.read_image(os.path.join(data_dir, f"item{item_idx:03d}_counts.img"))
+    model = sim.phantom_model(_geometry(cfg), activity, mu, _norm_seed(cfg),
+                              cfg["simulation"]["background_fraction"])
     return recon.LikelihoodModel(model=train.item_model(model, item.dose_scale),
-                                 y=counts)
+                                 y=item.counts)
 
 
 def cmd_reconstruct(cfg, checkpoint, rho, iters, out_dir):
@@ -199,7 +187,7 @@ def cmd_reconstruct(cfg, checkpoint, rho, iters, out_dir):
                                 record_t_residual=cfg["admm"]["record_t_residual"])
     summary = []
     for item_idx, item in _select_test_sims(cfg, dataset):
-        lm = _likelihood_for_item(cfg, cfg.path("data"), item_idx, item)
+        lm = _likelihood_for_item(cfg, item)
         x, hist = admm.admm_pnp(lm, params, acfg, z0=item.x_noisy, x_ref=item.x_ref)
         tag = f"item{item_idx:03d}"
         write_csv(os.path.join(out_dir, f"{tag}_history.csv"),
@@ -231,7 +219,7 @@ def cmd_sweep(cfg, checkpoint, out_dir):
     dataset = _load_dataset(cfg, cfg.path("data"))
     params = net.load_checkpoint(checkpoint)
     item_idx, item = _select_test_sims(cfg, dataset)[0]
-    lm = _likelihood_for_item(cfg, cfg.path("data"), item_idx, item)
+    lm = _likelihood_for_item(cfg, item)
     s = cfg["sweep"]
     if s["rhos"] == "auto":
         rhos = admm.default_rho_grid(lm, params, z0=item.x_noisy,

@@ -72,22 +72,9 @@ def prox_neg_ll(lm, v, cfg, x_init, callback=None):
     x[~mask] = 0.0
     shape = (lm.model.grid_size, lm.model.grid_size)
 
-    A = lm.model.weights
-    At = lm.model.weights_t
-    mult = lm.model.mult_factors
-    bg = lm.model.background
-    y = lm.y.ravel()
-    counts = y > 0
     sm, vm = sens[mask], v[mask]
     for it in range(cfg.n_inner):
-        ybar = mult * (A @ x) + bg
-        if np.any(ybar[counts] == 0):
-            bad = counts & (ybar == 0)
-            raise ZeroDivisionError(
-                f"expected counts vanish at bin {int(np.argmax(bad))} "
-                "with observed counts")
-        ratio = np.divide(y, ybar, out=np.zeros_like(ybar), where=ybar > 0)
-        b = x * (At @ (mult * ratio))
+        b = x * recon._em_ratio_backproj(lm, x).ravel()
         x_new = np.zeros_like(x)
         x_new[mask] = surrogate_root(sm, b[mask], vm, cfg.rho)
         delta = np.linalg.norm(x_new - x)

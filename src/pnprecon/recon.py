@@ -85,33 +85,28 @@ def log_likelihood(lm, x):
     return float(np.sum(y[pos] * np.log(ybar[pos])) - np.sum(ybar))
 
 
-def ll_gradient(lm, x):
-    """Gradient A^T mult (y/ybar - 1); masked pixels get 0."""
+def _count_ratio(lm, x):
+    """y / ybar at x, 0 where ybar = 0; a bin with counts but ybar = 0 is
+    an error, since the likelihood is -inf there."""
     ybar = _expected(lm, x)
     y = lm.y.ravel()
     bad = (ybar == 0) & (y > 0)
     if np.any(bad):
         raise ZeroDivisionError(
             f"expected counts vanish at bin {int(np.argmax(bad))} with observed counts")
-    ratio = np.zeros_like(ybar)
-    pos = ybar > 0
-    ratio[pos] = y[pos] / ybar[pos]
-    grad = sim.back_project(lm.model, ratio - 1.0)
+    return np.divide(y, ybar, out=np.zeros_like(ybar), where=ybar > 0)
+
+
+def ll_gradient(lm, x):
+    """Gradient A^T mult (y/ybar - 1); masked pixels get 0."""
+    grad = sim.back_project(lm.model, _count_ratio(lm, x) - 1.0)
     grad.ravel()[~lm.mask.ravel()] = 0.0
     return grad
 
 
 def _em_ratio_backproj(lm, x, rows=None):
     """A^T mult (y/ybar) restricted to the given sinogram rows."""
-    ybar = _expected(lm, x)
-    y = lm.y.ravel()
-    bad = (ybar == 0) & (y > 0)
-    if np.any(bad):
-        raise ZeroDivisionError(
-            f"expected counts vanish at bin {int(np.argmax(bad))} with observed counts")
-    ratio = np.zeros_like(ybar)
-    pos = ybar > 0
-    ratio[pos] = y[pos] / ybar[pos]
+    ratio = _count_ratio(lm, x)
     if rows is not None:
         keep = np.zeros_like(ratio)
         keep[rows] = ratio[rows]
@@ -119,15 +114,21 @@ def _em_ratio_backproj(lm, x, rows=None):
     return sim.back_project(lm.model, ratio)
 
 
+def _em_update(lm, x, sens, rows):
+    """x * A^T mult (y/ybar) / sens over the given rows, flat; pixels with
+    zero sensitivity become 0."""
+    x = np.asarray(x, dtype=float).ravel()
+    mask = sens > 0
+    num = _em_ratio_backproj(lm, x, rows).ravel()
+    out = np.zeros_like(x)
+    out[mask] = x[mask] * num[mask] / sens[mask]
+    return out
+
+
 def mlem_step(lm, x):
     """One multiplicative EM update; zero-sensitivity pixels stay 0."""
     x = np.asarray(x, dtype=float)
-    sens = lm.sensitivity.ravel()
-    mask = sens > 0
-    num = _em_ratio_backproj(lm, x).ravel()
-    out = np.zeros_like(x.ravel())
-    out[mask] = x.ravel()[mask] * num[mask] / sens[mask]
-    return out.reshape(x.shape)
+    return _em_update(lm, x, lm.sensitivity.ravel(), None).reshape(x.shape)
 
 
 def _subset_rows(geom, n_subsets):
@@ -155,10 +156,6 @@ def osem_reconstruct(lm, cfg, x0=None):
     if geom.n_angles % cfg.n_subsets != 0:
         raise ValueError("n_subsets must divide n_angles")
     x = uniform_start(lm.model) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if cfg.n_subsets == 1:
-        for _ in range(cfg.n_iterations):
-            x = mlem_step(lm, x)
-        return x
     rows = _subset_rows(geom, cfg.n_subsets)
     sub_sens = []
     for r in rows:
@@ -168,11 +165,7 @@ def osem_reconstruct(lm, cfg, x0=None):
     xf = x.ravel()
     for _ in range(cfg.n_iterations):
         for r, sens in zip(rows, sub_sens):
-            mask = sens > 0
-            num = _em_ratio_backproj(lm, xf, rows=r).ravel()
-            new = np.zeros_like(xf)
-            new[mask] = xf[mask] * num[mask] / sens[mask]
-            xf = new
+            xf = _em_update(lm, xf, sens, r)
     return xf.reshape(x.shape)
 
 

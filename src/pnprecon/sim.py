@@ -1,14 +1,15 @@
 """Phantoms, parallel-beam system model and Poisson data simulation.
 
 Everything here is deterministic given its inputs and seeds.  The forward
-projector is assembled once as a sparse matrix so that back-projection is
-its exact transpose; adjointness therefore holds to machine precision,
-which every gradient in the package relies on.
+projector is assembled once per geometry as a sparse matrix, shared
+read-only by every model of that geometry, so that back-projection is its
+exact transpose; adjointness therefore holds to machine precision, which
+every gradient in the package relies on.
 """
 
 import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,6 +25,7 @@ __all__ = [
     "random_phantom_spec",
     "build_system_model",
     "with_background",
+    "phantom_model",
     "forward_project",
     "back_project",
     "simulate_counts",
@@ -199,12 +201,14 @@ class SystemModel:
 _RAY_STEP = 0.5   # sample spacing along rays, in pixel units
 
 
+@lru_cache(maxsize=4)
 def _assemble_projector(geom, grid_size):
     """Ray-driven matrix: march each ray, bilinearly interpolating pixels.
 
     Row (angle, bin) approximates the line integral along the ray through
     the bin center: step * sum of bilinear image samples.  Samples outside
-    the grid contribute nothing.
+    the grid contribute nothing.  Memoized per (geometry, grid_size); the
+    returned matrix is shared, so its arrays are made read-only.
     """
     n = grid_size
     half = (n - 1) / 2.0
@@ -241,7 +245,10 @@ def _assemble_projector(geom, grid_size):
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(geom.n_angles * geom.n_bins, n * n))
     A.sum_duplicates()
-    return A.tocsr()
+    A = A.tocsr()
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A
 
 
 def build_system_model(geom, mu_map, norm_seed=None):
@@ -278,6 +285,13 @@ def with_background(model, x_true, fraction):
     level = fraction * trues.mean()
     return dataclasses.replace(
         model, background=np.full(model.n_rows, level))
+
+
+def phantom_model(geom, activity, mu, norm_seed, background_fraction):
+    """System model of one phantom: attenuation and normalization from
+    :func:`build_system_model`, background from :func:`with_background`."""
+    model = build_system_model(geom, mu, norm_seed=norm_seed)
+    return with_background(model, activity, background_fraction)
 
 
 def forward_project(model, x):

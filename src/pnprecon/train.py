@@ -36,7 +36,8 @@ class DatasetItem:
     phantom_id: int
     dose_scale: float
     seed: int
-    x_noisy: np.ndarray     # OSEM reconstruction of the simulated counts
+    counts: np.ndarray      # simulated Poisson counts, sinogram shape
+    x_noisy: np.ndarray     # OSEM reconstruction of the counts
     x_ref: np.ndarray       # noise-free reference (dose-scaled activity)
     split: str              # "train" | "test"
 
@@ -100,8 +101,8 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
     items = []
     for p, spec in enumerate(phantom_specs):
         activity, mu = sim.make_phantom(spec)
-        model = sim.build_system_model(geom, mu, norm_seed=norm_seed)
-        model = sim.with_background(model, activity, background_fraction)
+        model = sim.phantom_model(geom, activity, mu, norm_seed,
+                                  background_fraction)
         split = "test" if p >= n_phantoms - n_test_phantoms else "train"
         for d, dose in enumerate(doses[p]):
             seed = derive_seed(base_seed, p, d)
@@ -109,7 +110,7 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
             lm = recon.LikelihoodModel(model=item_model(model, dose), y=counts)
             x_noisy = recon.osem_reconstruct(lm, osem_cfg)
             items.append(DatasetItem(
-                phantom_id=p, dose_scale=float(dose), seed=seed,
+                phantom_id=p, dose_scale=float(dose), seed=seed, counts=counts,
                 x_noisy=x_noisy, x_ref=dose * activity, split=split))
     return Dataset(items=tuple(items))
 

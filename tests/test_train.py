@@ -93,8 +93,8 @@ def test_loss_identity_denoiser_noise_free_inputs():
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     params = net.identity_params(arch)
     items = [train.DatasetItem(phantom_id=i.phantom_id, dose_scale=i.dose_scale,
-                               seed=i.seed, x_noisy=i.x_ref, x_ref=i.x_ref,
-                               split=i.split)
+                               seed=i.seed, counts=i.counts, x_noisy=i.x_ref,
+                               x_ref=i.x_ref, split=i.split)
              for i in ds.items[:3]]
     rng = np.random.default_rng(2)
     cfg = _jac_cfg(epsilon=0.05, alpha=0.1)
