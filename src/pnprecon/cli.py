@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from . import __version__, admm, net, recon, sim, train
-from .config import ConfigError, config_hash, load_config
+from .config import ConfigError, FileFormatError, config_hash, load_config
 from .util import NumericalAbort, atomic_write_text, derive_seed, write_csv
 
 __all__ = ["main"]
@@ -109,9 +109,13 @@ def _load_dataset(cfg, data_dir):
         header = fh.readline()
         if not header.startswith("item,"):
             raise ConfigError(f"{manifest}: unexpected header")
-        for line in fh:
-            i, p, dose, seed, split = line.strip().split(",")
-            i, p, dose, seed = int(i), int(p), float(dose), int(seed)
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                i, p, dose, seed, split = line.strip().split(",")
+                i, p, dose, seed = int(i), int(p), float(dose), int(seed)
+            except ValueError as exc:
+                raise FileFormatError(
+                    f"{manifest}: line {lineno}: malformed row") from exc
             counts = sim.read_image(os.path.join(data_dir, f"item{i:03d}_counts.img"))
             x_noisy = sim.read_image(os.path.join(data_dir, f"item{i:03d}_osem.img"))
             activity = sim.read_image(

@@ -10,12 +10,16 @@ import hashlib
 import os
 from dataclasses import dataclass
 
-__all__ = ["ConfigError", "ExperimentConfig", "parse_config", "load_config",
-           "canonical_text", "config_hash"]
+__all__ = ["ConfigError", "FileFormatError", "ExperimentConfig",
+           "parse_config", "load_config", "canonical_text", "config_hash"]
 
 
 class ConfigError(ValueError):
     """Malformed or unknown configuration content."""
+
+
+class FileFormatError(ConfigError):
+    """A data, image or checkpoint file that is malformed or truncated."""
 
 
 def _floats(text):
@@ -167,7 +171,36 @@ def parse_config(text, base_dir="."):
                 if default is _REQUIRED:
                     raise ConfigError(f"missing required key {key!r} in [{sec}]")
                 values[sec][key] = default if not isinstance(default, list) else list(default)
+    _check_cross_keys(values)
     return ExperimentConfig(values=values, base_dir=base_dir)
+
+
+def _check_cross_keys(values):
+    """Reject values that are only invalid together with other keys."""
+    ph = values["phantoms"]
+    if not 1 <= ph["n_test"] < ph["count"]:
+        raise ConfigError(
+            f"[phantoms] count = {ph['count']} and n_test = {ph['n_test']}: "
+            f"need 1 <= n_test < count, so that both splits have phantoms")
+    subsets = values["osem"]["n_subsets"]
+    n_angles = values["geometry"]["n_angles"]
+    if subsets != "auto":
+        try:
+            n_sub = int(subsets)
+        except ValueError:
+            n_sub = 0
+        if n_sub < 1 or n_angles % n_sub != 0:
+            raise ConfigError(
+                f"[osem] n_subsets = {subsets!r} must be 'auto' or a positive "
+                f"integer dividing [geometry] n_angles = {n_angles}")
+    rhos = values["sweep"]["rhos"]
+    if rhos != "auto":
+        try:
+            [float(tok) for tok in rhos.split(",")]
+        except ValueError as exc:
+            raise ConfigError(
+                f"[sweep] rhos = {rhos!r} must be 'auto' or a comma-separated "
+                f"list of floats") from exc
 
 
 def load_config(path):

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FileFormatError
 from .util import atomic_write_bytes
 
 __all__ = [
@@ -551,13 +552,22 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != _NET_MAGIC:
-        raise ValueError(f"{path}: not a PNPNET1 checkpoint")
-    fields = np.frombuffer(raw[8:28], dtype="<u4")
+        raise FileFormatError(f"{path}: not a PNPNET1 checkpoint")
+    if len(raw) < 28:
+        raise FileFormatError(f"{path}: truncated header")
+    fields = [int(v) for v in np.frombuffer(raw[8:28], dtype="<u4")]
     names = {v: k for k, v in _ACTIVATIONS.items()}
-    arch = ArchConfig(n_layers=int(fields[0]), channels=int(fields[1]),
-                      kernel=int(fields[2]), activation=names[int(fields[3])],
-                      global_skip=bool(fields[4]))
-    vec = np.frombuffer(raw[28:], dtype="<f8")
-    if vec.size != n_params(arch):
-        raise ValueError(f"{path}: parameter payload does not match header")
-    return vector_to_params(arch, vec)
+    if fields[3] not in names:
+        raise FileFormatError(f"{path}: unknown activation code {fields[3]}")
+    try:
+        arch = ArchConfig(n_layers=fields[0], channels=fields[1],
+                          kernel=fields[2], activation=names[fields[3]],
+                          global_skip=bool(fields[4]))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    if len(raw) - 28 != 8 * n_params(arch):
+        raise FileFormatError(f"{path}: parameter payload does not match header")
+    try:
+        return vector_to_params(arch, np.frombuffer(raw[28:], dtype="<f8"))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

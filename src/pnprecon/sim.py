@@ -14,6 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 import scipy.sparse as sp
 
+from .config import FileFormatError
 from .util import atomic_write_bytes, atomic_write_text
 
 __all__ = [
@@ -317,15 +318,19 @@ def _poisson_counter(lam, seed):
 
     Counter-based: bin i's draw depends only on (seed, i, lam_i), so the
     result is identical no matter how bins are partitioned across workers.
+    One generator is rewound to counter (0, 0, 0, i) before each draw,
+    which is the state of a fresh Philox(key=seed, counter=[0, 0, 0, i]).
     """
     lam = np.asarray(lam, dtype=float).ravel()
-    out = np.empty(lam.size, dtype=np.int64)
-    for i in range(lam.size):
-        if lam[i] == 0.0:
-            out[i] = 0
-            continue
-        bitgen = np.random.Philox(key=int(seed), counter=[0, 0, 0, i])
-        out[i] = np.random.Generator(bitgen).poisson(lam[i])
+    out = np.zeros(lam.size, dtype=np.int64)
+    bitgen = np.random.Philox(key=int(seed))
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    for i in np.flatnonzero(lam):
+        counter[3] = i
+        bitgen.state = state
+        out[i] = gen.poisson(lam[i])
     return out
 
 
@@ -355,11 +360,13 @@ def read_image(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != _IMG_MAGIC:
-        raise ValueError(f"{path}: not a PNPIMG1 file")
-    width, height = np.frombuffer(raw[8:16], dtype="<u4")
+        raise FileFormatError(f"{path}: not a PNPIMG1 file")
+    if len(raw) < 16:
+        raise FileFormatError(f"{path}: truncated header")
+    width, height = (int(v) for v in np.frombuffer(raw[8:16], dtype="<u4"))
+    if len(raw) - 16 != 8 * width * height:
+        raise FileFormatError(f"{path}: payload size mismatch")
     data = np.frombuffer(raw[16:], dtype="<f8")
-    if data.size != width * height:
-        raise ValueError(f"{path}: payload size mismatch")
     return data.reshape((height, width)).copy()
 
 

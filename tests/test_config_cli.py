@@ -1,8 +1,12 @@
 """Config parsing/diagnostics and the five CLI commands end to end."""
 
+import collections
+import re
+
+import numpy as np
 import pytest
 
-from pnprecon import cli, net
+from pnprecon import cli, net, recon, sim
 from pnprecon.config import (ConfigError, canonical_text, config_hash,
                              load_config, parse_config)
 
@@ -203,3 +207,85 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     assert all(l.endswith(",60") for l in admm_rows)
     name = next(p for p in out.iterdir() if "history" in p.name)
     assert len(name.read_text().splitlines()) - 1 == 2
+
+
+@pytest.mark.parametrize("line, bad, needle", [
+    ("n_subsets = 4", "n_subsets = 5", r"\[osem\] n_subsets"),
+    ("n_subsets = 4", "n_subsets = abc", r"\[osem\] n_subsets"),
+    ("rhos = 10.0,300.0", "rhos = 1,x", r"\[sweep\] rhos"),
+    ("count = 3", "count = 1", r"\[phantoms\] count"),
+])
+def test_cli_bad_config_value_exit_code(tmp_path, capsys, line, bad, needle):
+    assert line in TINY_CFG
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_text(TINY_CFG.replace(line, bad))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 2
+    assert not (tmp_path / "runs").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert re.search(needle, err)
+
+
+def test_simulate_computes_each_thing_once(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CFG)
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    for module, name in ((sim, "build_system_model"), (sim, "simulate_counts"),
+                         (recon, "osem_reconstruct")):
+        count(module, name)
+    sim._assemble_projector.cache_clear()
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    # 3 phantoms x 2 doses, one geometry
+    assert sim._assemble_projector.cache_info().misses == 1
+    assert calls == {"build_system_model": 3, "simulate_counts": 6,
+                     "osem_reconstruct": 6}
+
+    cfg = load_config(str(cfg_path))
+    data = tmp_path / "runs" / "data"
+    rows = (data / "manifest.csv").read_text().splitlines()[1:]
+    for row in rows:
+        i, p, dose, seed, _ = row.split(",")
+        activity = sim.read_image(data / f"phantom{int(p):02d}_activity.img")
+        mu = sim.read_image(data / f"phantom{int(p):02d}_mu.img")
+        model = sim.with_background(
+            sim.build_system_model(cli._geometry(cfg), mu,
+                                   norm_seed=cli._norm_seed(cfg)),
+            activity, cfg["simulation"]["background_fraction"])
+        want = sim.simulate_counts(model, activity, float(dose), int(seed))
+        got = sim.read_image(data / f"item{int(i):03d}_counts.img")
+        np.testing.assert_array_equal(got, want)
+
+
+def _truncate(path):
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+
+
+@pytest.mark.parametrize("case", ["checkpoint-bad-magic", "checkpoint-truncated",
+                                  "osem-image-truncated"])
+def test_cli_file_error_exit_code(tmp_path, capsys, case):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CFG)
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    ckpt = tmp_path / "net.ckpt"
+    net.save_checkpoint(ckpt, net.identity_params(
+        net.ArchConfig(n_layers=2, channels=3, kernel=3)))
+    if case == "checkpoint-bad-magic":
+        ckpt.write_bytes(b"WRONGMAG" + ckpt.read_bytes()[8:])
+    elif case == "checkpoint-truncated":
+        _truncate(ckpt)
+    else:
+        _truncate(tmp_path / "runs" / "data" / "item000_osem.img")
+    capsys.readouterr()
+    assert cli.main(["certify", "--config", str(cfg_path), "--checkpoint",
+                     str(ckpt), "--n-samples", "2"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pnprecon import net
+from pnprecon.config import FileFormatError
 from oracles import dense_jacobian_l, naive_net_forward
 
 ARCH2 = net.ArchConfig(n_layers=2, channels=3, kernel=3)
@@ -251,6 +252,19 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"WRONGMAG" + b"\0" * 40)
     with pytest.raises(ValueError, match="PNPNET1"):
         net.load_checkpoint(path)
+
+
+def test_checkpoint_corruption_rejected(tmp_path):
+    path = tmp_path / "net.ckpt"
+    net.save_checkpoint(path, random_params(ARCH2, 3))
+    raw = path.read_bytes()
+    bad_code = raw[:20] + np.array([7], dtype="<u4").tobytes() + raw[24:]
+    for payload, needle in ((raw[:20], "truncated header"),
+                            (raw[:-3], "payload"),
+                            (bad_code, "activation code 7")):
+        path.write_bytes(payload)
+        with pytest.raises(FileFormatError, match=needle):
+            net.load_checkpoint(path)
 
 
 def test_arch_validation():

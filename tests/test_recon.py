@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from pnprecon import recon, sim
+from pnprecon import prox, recon, sim
 from oracles import make_test_problem, scalar_model
 
 
@@ -76,6 +77,19 @@ def test_ll_gradient_names_bad_bin():
     lm = scalar_model(y_value=2.0, background=0.0)
     with pytest.raises(ZeroDivisionError, match="bin 0"):
         recon.ll_gradient(lm, np.array([[0.0]]))
+    # bin 0 has counts but an empty detector row, so its expectation is 0
+    # at every x, also at the positive start the prox floors x to; every
+    # caller of the shared y/ybar ratio must name it
+    model = sim.SystemModel(geometry=sim.GeometryConfig(n_angles=2, n_bins=1),
+                            grid_size=1, weights=sp.csr_matrix([[0.0], [1.0]]),
+                            mult_factors=np.ones(2), background=np.zeros(2))
+    dead = recon.LikelihoodModel(model=model, y=np.array([[2.0], [1.0]]))
+    x = np.array([[1.0]])
+    for step in (lambda: recon.ll_gradient(dead, x),
+                 lambda: recon.mlem_step(dead, x),
+                 lambda: prox.prox_neg_ll(dead, x, prox.ProxConfig(rho=1.0), x)):
+        with pytest.raises(ZeroDivisionError, match="bin 0"):
+            step()
 
 
 def test_mlem_fixed_point_of_exact_data():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pnprecon import sim
+from pnprecon.config import FileFormatError
 from oracles import make_test_problem
 
 
@@ -172,6 +173,26 @@ def test_poisson_moments_of_single_bin():
     assert abs(draws.var() - 5.0) < 5 * se_var
 
 
+def test_poisson_counter_matches_fresh_per_bin_philox():
+    # lam = 0 bins draw nothing; lam < 10 and lam >= 10 take different
+    # numpy Poisson samplers; one seed is above 2**32
+    lam = np.array([0.0, 0.3, 4.5, 9.99, 10.0, 37.0, 0.0, 2500.0, 1e-9])
+    for seed in (1, 2**40 + 7, 123456789):
+        want = [0 if value == 0 else np.random.Generator(
+                    np.random.Philox(key=seed, counter=[0, 0, 0, i])).poisson(value)
+                for i, value in enumerate(lam)]
+        np.testing.assert_array_equal(sim._poisson_counter(lam, seed), want)
+
+
+def test_projector_shared_per_geometry_and_read_only():
+    geom = sim.GeometryConfig(n_angles=8, n_bins=26, bin_width=1.0)
+    a = sim.build_system_model(geom, np.zeros((16, 16)), norm_seed=1)
+    b = sim.build_system_model(geom, np.full((16, 16), 0.01), norm_seed=2)
+    assert a.weights is b.weights
+    with pytest.raises(ValueError):
+        a.weights.data[0] = 1.0
+
+
 def test_image_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.standard_normal((13, 9))
@@ -186,6 +207,16 @@ def test_image_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 24)
     with pytest.raises(ValueError, match="PNPIMG1"):
         sim.read_image(path)
+
+
+def test_image_truncation_rejected(tmp_path):
+    path = tmp_path / "img.img"
+    sim.write_image(path, np.ones((3, 4)))
+    raw = path.read_bytes()
+    for cut, needle in ((12, "truncated header"), (len(raw) - 8, "payload")):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(FileFormatError, match=needle):
+            sim.read_image(path)
 
 
 def test_pgm_header_and_scaling(tmp_path):
