@@ -6,9 +6,15 @@ all derivatives).  Because s cancels in the input Jacobian, jvp and vjp
 are exactly the Jacobian products of the unnormalized residual stack
 evaluated at w.
 
+Parameters live in one float64 vector in checkpoint order (per layer, the
+kernel (c_out, c_in, k, k) then the bias (c_out,)); DenoiserParams.kernels
+and .biases are views into it.  A parameter gradient is a DenoiserParams of
+the same layout.
+
 Implemented products:
   jvp / vjp            first-order input derivatives,
-  param_grad_mse       d ||D(x) - target||^2 / d theta,
+  param_grad_mse       d ||D(x) - target||^2 / d theta, returned together
+                       with D(x) from the same primal pass,
   param_grad_penalty   d h(||2 jvp(u) - u||) / d theta for a frozen unit u,
                        which differentiates through the jvp graph (the
                        mixed second-order path needed by the hinge loss),
@@ -30,7 +36,6 @@ from .util import atomic_write_bytes
 __all__ = [
     "ArchConfig",
     "DenoiserParams",
-    "ParamGradient",
     "init_params",
     "identity_params",
     "input_scale",
@@ -83,50 +88,43 @@ class ArchConfig:
 @dataclass
 class DenoiserParams:
     arch: ArchConfig
-    kernels: list       # per layer (c_out, c_in, k, k)
-    biases: list        # per layer (c_out,)
+    vec: np.ndarray     # flat, checkpoint order; kernels/biases are views
 
     def __post_init__(self):
-        shapes = self.arch.layer_shapes()
-        if len(self.kernels) != self.arch.n_layers or len(self.biases) != self.arch.n_layers:
-            raise ValueError("parameter count does not match architecture")
+        self.vec = np.asarray(self.vec, dtype=float)
+        if self.vec.shape != (n_params(self.arch),):
+            raise ValueError("parameter vector length does not match architecture")
+        if not np.all(np.isfinite(self.vec)):
+            raise ValueError("parameters must be finite")
+        self.kernels = []   # per layer (c_out, c_in, k, k)
+        self.biases = []    # per layer (c_out,)
         k = self.arch.kernel
-        for (co, ci), ker, b in zip(shapes, self.kernels, self.biases):
-            if ker.shape != (co, ci, k, k) or b.shape != (co,):
-                raise ValueError("parameter shapes do not match architecture")
-            if not (np.all(np.isfinite(ker)) and np.all(np.isfinite(b))):
-                raise ValueError("parameters must be finite")
+        pos = 0
+        for co, ci in self.arch.layer_shapes():
+            nk = co * ci * k * k
+            self.kernels.append(self.vec[pos:pos + nk].reshape(co, ci, k, k))
+            self.biases.append(self.vec[pos + nk:pos + nk + co])
+            pos += nk + co
 
 
-@dataclass
-class ParamGradient:
-    kernels: list
-    biases: list
+def n_params(arch):
+    k = arch.kernel
+    return sum(co * ci * k * k + co for co, ci in arch.layer_shapes())
+
+
+def identity_params(arch):
+    """All-zero parameters: the residual branch vanishes and D = Id."""
+    return DenoiserParams(arch=arch, vec=np.zeros(n_params(arch)))
 
 
 def init_params(arch, seed, scale=0.1):
     """Small random hidden layers, zero last layer: D starts as identity."""
     rng = np.random.default_rng(seed)
-    kernels = []
-    biases = []
-    k = arch.kernel
-    for i, (co, ci) in enumerate(arch.layer_shapes()):
-        fan_in = ci * k * k
-        if i == arch.n_layers - 1:
-            ker = np.zeros((co, ci, k, k))
-        else:
-            ker = rng.normal(0.0, scale / math.sqrt(fan_in), size=(co, ci, k, k))
-        kernels.append(ker)
-        biases.append(np.zeros(co))
-    return DenoiserParams(arch=arch, kernels=kernels, biases=biases)
-
-
-def identity_params(arch):
-    """All-zero parameters: the residual branch vanishes and D = Id."""
-    kernels = [np.zeros((co, ci, arch.kernel, arch.kernel))
-               for co, ci in arch.layer_shapes()]
-    biases = [np.zeros(co) for co, _ in arch.layer_shapes()]
-    return DenoiserParams(arch=arch, kernels=kernels, biases=biases)
+    params = identity_params(arch)
+    for ker in params.kernels[:-1]:
+        fan_in = ker[0].size
+        ker[...] = rng.normal(0.0, scale / math.sqrt(fan_in), size=ker.shape)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -273,16 +271,20 @@ def _stack_eval(params, w):
     return z_list[-1][0]
 
 
-def forward(params, x):
-    """Apply the denoiser: scale-normalize, residual CNN, rescale."""
+def _primal(params, x):
+    """(D(x), s, pre-activations, padded inputs) of one pass at finite x."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("denoiser input must be finite")
     s = input_scale(x)
-    w = x / s
-    z_list, _ = _stack_forward(params, w)
+    z_list, in_list = _stack_forward(params, x / s)
     # algebraically s * (w + z_L); written so zero residual returns x exactly
-    return x + s * z_list[-1][0]
+    return x + s * z_list[-1][0], s, z_list, in_list
+
+
+def forward(params, x):
+    """Apply the denoiser: scale-normalize, residual CNN, rescale."""
+    return _primal(params, x)[0]
 
 
 def linearization_cache(params, x):
@@ -292,23 +294,29 @@ def linearization_cache(params, x):
     power iteration reuses the cache across all of its products.
     """
     x = np.asarray(x, dtype=float)
-    s = input_scale(x)
-    z_list, _ = _stack_forward(params, x / s)
-    act = params.arch.activation
-    return [_act_d(act, z) for z in z_list[:-1]]
+    z_list, _ = _stack_forward(params, x / input_scale(x))
+    return [_act_d(params.arch.activation, z) for z in z_list[:-1]]
 
 
-def _jvp_cached(params, dacts, tan):
+def _tangent_chain(params, dacts, tan):
+    """Padded tangent inputs and tangent pre-activations of every layer."""
     arch = params.arch
     h, wd = tan.shape
     t = tan[None, :, :]
+    in_t = []
+    zt_list = []
     for layer in range(arch.n_layers):
-        zt = _conv(_pad_flat(t, arch.kernel), params.kernels[layer], None, h, wd)
+        xp = _pad_flat(t, arch.kernel)
+        zt = _conv(xp, params.kernels[layer], None, h, wd)
+        in_t.append(xp)
+        zt_list.append(zt)
         if layer < arch.n_layers - 1:
             t = dacts[layer] * zt
-        else:
-            t = zt
-    return tan + t[0]
+    return in_t, zt_list
+
+
+def _jvp_cached(params, dacts, tan):
+    return tan + _tangent_chain(params, dacts, tan)[1][-1][0]
 
 
 def _vjp_cached(params, dacts, cot):
@@ -386,35 +394,26 @@ def spectral_norm_l(params, x, max_iters=10, tol=1e-7, seed=0, u0=None):
 # parameter gradients
 
 
-def _zero_grad(params):
-    return ParamGradient(kernels=[np.zeros_like(k) for k in params.kernels],
-                         biases=[np.zeros_like(b) for b in params.biases])
-
-
 def param_grad_mse(params, x, target):
-    """Gradient of ||forward(x) - target||^2 w.r.t. every parameter."""
-    x = np.asarray(x, dtype=float)
+    """Gradient of ||forward(x) - target||^2 w.r.t. every parameter.
+
+    Returns (grad, out) with out = forward(params, x), from one primal pass.
+    """
+    out, s, z_list, in_list = _primal(params, x)
     target = np.asarray(target, dtype=float)
-    if target.shape != x.shape:
+    if target.shape != out.shape:
         raise ValueError("target shape mismatch")
     arch = params.arch
-    act = arch.activation
-    s = input_scale(x)
-    w = x / s
-    z_list, in_list = _stack_forward(params, w)
-    h, wd = w.shape
-    out = x + s * z_list[-1][0]
-    grad = _zero_grad(params)
+    h, wd = out.shape
+    grad = identity_params(arch)
     g = (s * 2.0 * (out - target))[None, :, :]
     for layer in range(arch.n_layers - 1, -1, -1):
-        dk, db = _conv_param_grad(in_list[layer], g,
-                                  params.kernels[layer].shape)
-        grad.kernels[layer] += dk
-        grad.biases[layer] += db
+        grad.kernels[layer][...], grad.biases[layer][...] = _conv_param_grad(
+            in_list[layer], g, params.kernels[layer].shape)
         if layer > 0:
             g = _conv_adjoint(g, params.kernels[layer], h, wd)
-            g = _act_d(act, z_list[layer - 1]) * g
-    return grad
+            g = _act_d(arch.activation, z_list[layer - 1]) * g
+    return grad, out
 
 
 def hinge(sigma, epsilon, alpha):
@@ -441,97 +440,57 @@ def param_grad_penalty(params, x_tilde, u_fixed, epsilon=0.05, alpha=0.1):
         raise ValueError("u_fixed must be a unit vector")
     arch = params.arch
     act = arch.activation
-    n_layers = arch.n_layers
-    k = arch.kernel
     s = input_scale(x_tilde)
     w = x_tilde / s
     h, wd = w.shape
 
     # primal + tangent forward, caching everything the reverse sweep needs
     z_list, in_a = _stack_forward(params, w)
-    t = u[None, :, :]
-    zt_list = []
-    in_t = []
-    for layer in range(n_layers):
-        xp = _pad_flat(t, k)
-        zt = _conv(xp, params.kernels[layer], None, h, wd)
-        in_t.append(xp)
-        zt_list.append(zt)
-        if layer < n_layers - 1:
-            t = _act_d(act, z_list[layer]) * zt
+    dacts = [_act_d(act, z) for z in z_list[:-1]]
+    in_t, zt_list = _tangent_chain(params, dacts, u)
 
     g_vec = u + 2.0 * zt_list[-1][0]
     sigma = float(np.linalg.norm(g_vec))
-    value, slope = hinge(sigma, epsilon, alpha)
-    grad = _zero_grad(params)
+    _, slope = hinge(sigma, epsilon, alpha)
+    grad = identity_params(arch)
     if slope == 0.0 or sigma == 0.0:
         return grad, sigma
 
     gbar = (g_vec / sigma)[None, :, :]
     zt_bar = 2.0 * gbar                     # d sigma / d zt_L
     z_bar = np.zeros_like(z_list[-1])       # last layer has no activation
-    for layer in range(n_layers - 1, -1, -1):
+    for layer in range(arch.n_layers - 1, -1, -1):
         dk_t, _ = _conv_param_grad(in_t[layer], zt_bar,
                                    params.kernels[layer].shape)
         dk_a, db_a = _conv_param_grad(in_a[layer], z_bar,
                                       params.kernels[layer].shape)
-        grad.kernels[layer] += dk_t + dk_a
-        grad.biases[layer] += db_a
+        grad.kernels[layer][...] = dk_t + dk_a
+        grad.biases[layer][...] = db_a
         if layer == 0:
             break
         t_bar = _conv_adjoint(zt_bar, params.kernels[layer], h, wd)
         a_bar = _conv_adjoint(z_bar, params.kernels[layer], h, wd)
-        zp = z_list[layer - 1]
-        d1 = _act_d(act, zp)
+        d1 = dacts[layer - 1]
         zt_bar = d1 * t_bar
-        z_bar = _act_dd(act, zp) * zt_list[layer - 1] * t_bar + d1 * a_bar
-
-    for layer in range(n_layers):
-        grad.kernels[layer] *= slope
-        grad.biases[layer] *= slope
+        z_bar = (_act_dd(act, z_list[layer - 1]) * zt_list[layer - 1] * t_bar
+                 + d1 * a_bar)
+    grad.vec *= slope
     return grad, sigma
 
 
 # ---------------------------------------------------------------------------
-# flattening helpers (Adam and checkpoints operate on one vector)
+# flat-vector access (Adam and checkpoints operate on one vector)
 
 
 def params_to_vector(params):
-    parts = []
-    for ker, b in zip(params.kernels, params.biases):
-        parts.append(ker.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+    return params.vec
 
 
-def grad_to_vector(grad):
-    parts = []
-    for ker, b in zip(grad.kernels, grad.biases):
-        parts.append(ker.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
+grad_to_vector = params_to_vector
 
 
 def vector_to_params(arch, vec):
-    vec = np.asarray(vec, dtype=float)
-    kernels = []
-    biases = []
-    pos = 0
-    k = arch.kernel
-    for co, ci in arch.layer_shapes():
-        nk = co * ci * k * k
-        kernels.append(vec[pos:pos + nk].reshape(co, ci, k, k).copy())
-        pos += nk
-        biases.append(vec[pos:pos + co].copy())
-        pos += co
-    if pos != vec.size:
-        raise ValueError("parameter vector length does not match architecture")
-    return DenoiserParams(arch=arch, kernels=kernels, biases=biases)
-
-
-def n_params(arch):
-    k = arch.kernel
-    return sum(co * ci * k * k + co for co, ci in arch.layer_shapes())
+    return DenoiserParams(arch=arch, vec=vec)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +527,6 @@ def load_checkpoint(path):
     if len(raw) - 28 != 8 * n_params(arch):
         raise FileFormatError(f"{path}: parameter payload does not match header")
     try:
-        return vector_to_params(arch, np.frombuffer(raw[28:], dtype="<f8"))
+        return vector_to_params(arch, np.frombuffer(raw[28:], dtype="<f8").copy())
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc

@@ -137,11 +137,10 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
     gvec = np.zeros(net.n_params(params.arch))
     with_penalty = cfg.phase == "jac" and cfg.beta > 0
     for item in batch:
-        out = net.forward(params, item.x_noisy)
+        grad, out = net.param_grad_mse(params, item.x_noisy, item.x_ref)
         diff = out - item.x_ref
         loss_mse += float(np.sum(diff * diff))
-        gvec += net.grad_to_vector(net.param_grad_mse(params, item.x_noisy,
-                                                      item.x_ref))
+        gvec += grad.vec
         if not with_penalty:
             continue
         kappa = float(rng.uniform())
@@ -157,7 +156,7 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
             params, x_tilde, u, epsilon=cfg.epsilon, alpha=cfg.alpha)
         value, _ = net.hinge(sigma_hat, cfg.epsilon, cfg.alpha)
         loss_pen += value
-        gvec += cfg.beta * net.grad_to_vector(pen_grad)
+        gvec += cfg.beta * pen_grad.vec
     loss_total = loss_mse + cfg.beta * loss_pen
     return loss_total, loss_mse, loss_pen, gvec
 

@@ -152,7 +152,7 @@ def test_criterion_04_differentiation_engine():
     vec = net.params_to_vector(params)
     h = 1e-6
 
-    grad_mse = net.grad_to_vector(net.param_grad_mse(params, x, target))
+    grad_mse = net.grad_to_vector(net.param_grad_mse(params, x, target)[0])
 
     def loss_mse(v):
         out = net.forward(net.vector_to_params(arch, v), x)

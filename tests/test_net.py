@@ -1,5 +1,7 @@
 """Denoiser forward, JVP/VJP, power iteration, parameter gradients."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,9 +19,8 @@ def random_params(arch, seed, scale=0.5, zero_bias=False):
     vec = rng.normal(0.0, scale, net.n_params(arch))
     params = net.vector_to_params(arch, vec)
     if zero_bias:
-        params = net.DenoiserParams(arch=arch,
-                                    kernels=params.kernels,
-                                    biases=[np.zeros_like(b) for b in params.biases])
+        for b in params.biases:
+            b[:] = 0.0
     return params
 
 
@@ -134,7 +135,7 @@ def test_spectral_norm_deterministic():
 def test_param_grad_mse_zero_at_fit():
     params = net.identity_params(ARCH3)
     x = random_image((8, 8), 19)
-    grad = net.param_grad_mse(params, x, x)
+    grad, _ = net.param_grad_mse(params, x, x)
     assert all(np.all(k == 0) for k in grad.kernels)
     assert all(np.all(b == 0) for b in grad.biases)
 
@@ -144,7 +145,7 @@ def test_param_grad_mse_matches_finite_differences():
     params = random_params(arch, 20, scale=0.3)
     x = random_image((8, 8), 21)
     target = random_image((8, 8), 22)
-    grad = net.grad_to_vector(net.param_grad_mse(params, x, target))
+    grad = net.grad_to_vector(net.param_grad_mse(params, x, target)[0])
     vec = net.params_to_vector(params)
 
     def loss(v):
@@ -167,10 +168,25 @@ def test_param_grad_mse_unused_bias_is_zero():
     params.biases[0][:] = 0.7
     params.biases[1][:] = -0.3
     x = random_image((8, 8), 24)
-    grad = net.param_grad_mse(params, x, x + 1.0)
+    grad, _ = net.param_grad_mse(params, x, x + 1.0)
     assert np.all(grad.biases[0] == 0.0)
     assert np.all(grad.biases[1] == 0.0)
     assert np.any(grad.biases[2] != 0.0)
+
+
+def test_param_grad_mse_output_is_forward_bit_for_bit():
+    params = random_params(ARCH3, 38)
+    x = random_image((8, 8), 39)
+    _, out = net.param_grad_mse(params, x, random_image((8, 8), 40))
+    np.testing.assert_array_equal(out, net.forward(params, x))
+
+
+def test_param_grad_mse_rejects_nonfinite():
+    params = net.identity_params(ARCH2)
+    x = random_image((8, 8), 41)
+    x[3, 4] = np.nan
+    with pytest.raises(ValueError, match="denoiser input must be finite"):
+        net.param_grad_mse(params, x, np.ones((8, 8)))
 
 
 def test_penalty_dead_hinge_gives_zero_gradient():
@@ -287,3 +303,46 @@ def test_relu_variant_runs():
     lhs = np.sum(net.jvp(params, x, t) * c)
     rhs = np.sum(t * net.vjp(params, x, c))
     assert abs(lhs - rhs) / abs(lhs) < 1e-10
+
+
+def test_init_params_matches_per_layer_draws():
+    # the construction before the flat vector: one normal draw per hidden
+    # layer, in layer order, and a zero last layer; all biases zero
+    arch = ARCH3
+    params = net.init_params(arch, seed=42, scale=0.2)
+    rng = np.random.default_rng(42)
+    k = arch.kernel
+    for i, (co, ci) in enumerate(arch.layer_shapes()):
+        if i == arch.n_layers - 1:
+            want = np.zeros((co, ci, k, k))
+        else:
+            want = rng.normal(0.0, 0.2 / math.sqrt(ci * k * k),
+                              size=(co, ci, k, k))
+        np.testing.assert_array_equal(params.kernels[i], want)
+        np.testing.assert_array_equal(params.biases[i], np.zeros(co))
+
+
+def test_kernels_and_biases_alias_vec_in_checkpoint_order(tmp_path):
+    params = net.identity_params(ARCH3)
+    params.vec[:] = np.arange(params.vec.size)
+    parts = []
+    for ker, b in zip(params.kernels, params.biases):
+        assert np.shares_memory(ker, params.vec)
+        assert np.shares_memory(b, params.vec)
+        parts += [ker.ravel(), b.ravel()]
+    np.testing.assert_array_equal(np.concatenate(parts), params.vec)
+    path = tmp_path / "net.ckpt"
+    net.save_checkpoint(path, params)
+    np.testing.assert_array_equal(
+        np.frombuffer(path.read_bytes()[28:], dtype="<f8"), params.vec)
+
+
+def test_params_vector_validation():
+    n = net.n_params(ARCH2)
+    with pytest.raises(ValueError, match="length"):
+        net.vector_to_params(ARCH2, np.zeros(n + 1))
+    for bad_value in (np.nan, np.inf):
+        vec = np.zeros(n)
+        vec[5] = bad_value
+        with pytest.raises(ValueError, match="finite"):
+            net.vector_to_params(ARCH2, vec)

@@ -82,7 +82,7 @@ def test_loss_beta_zero_equals_mse_and_gradient():
     want = np.zeros_like(gvec)
     for item in batch:
         want += net.grad_to_vector(net.param_grad_mse(params, item.x_noisy,
-                                                      item.x_ref))
+                                                      item.x_ref)[0])
     np.testing.assert_array_equal(gvec, want)
 
 
@@ -114,6 +114,26 @@ def test_loss_decomposition_exact():
     total, mse_part, pen, _ = train.loss_and_grad(params, list(ds.items[:3]),
                                                   cfg, rng)
     assert total == mse_part + 7.0 * pen
+
+
+@pytest.mark.parametrize("phase, passes_per_item", [("pre", 1), ("jac", 3)])
+def test_loss_and_grad_primal_passes(monkeypatch, phase, passes_per_item):
+    # one pass on x_noisy (loss, output and MSE gradient); in JAC two more
+    # on x_tilde (power iteration, penalty gradient)
+    ds = tiny_dataset()
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    params = net.init_params(arch, seed=0, scale=0.3)
+    batch = list(ds.items[:3])
+    cfg = _pre_cfg(batch_size=3) if phase == "pre" else _jac_cfg(batch_size=3)
+    calls = [0]
+    original = net._stack_forward
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(net, "_stack_forward", counted)
+    train.loss_and_grad(params, batch, cfg, np.random.default_rng(16))
+    assert calls[0] == passes_per_item * len(batch)
 
 
 def test_full_loss_gradient_matches_finite_differences():
@@ -151,7 +171,7 @@ def test_full_loss_gradient_matches_finite_differences():
         return mse_part + beta * value
 
     grad = net.grad_to_vector(net.param_grad_mse(params0, item.x_noisy,
-                                                 item.x_ref))
+                                                 item.x_ref)[0])
     pen_grad, sigma = net.param_grad_penalty(params0, x_tilde0, u,
                                              epsilon=eps, alpha=alpha)
     assert sigma + eps > 1.0
