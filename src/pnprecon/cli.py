@@ -72,6 +72,34 @@ def _arch(cfg):
                           kernel=n["kernel"], activation=n["activation"])
 
 
+def _train_config(cfg, phase):
+    sec = cfg[f"train.{phase}"]
+    return train.TrainConfig(
+        phase=phase, epochs=sec["epochs"], learning_rate=sec["learning_rate"],
+        batch_size=sec["batch_size"],
+        beta=sec.get("beta", 0.0), alpha=sec.get("alpha", 0.1),
+        epsilon=sec.get("epsilon", 0.05), power_iters=sec["power_iters"],
+        seed=derive_seed(cfg.seed, 301 if phase == "pre" else 302),
+        sigma_eval_samples=sec["sigma_eval_samples"])
+
+
+def _check_domain(cfg):
+    """Build every domain object once, so that a value the parser accepts
+    but a command would reject fails before any output is written."""
+    builders = (
+        ("net", _arch),
+        ("geometry",
+         lambda c: _geometry(c).check_covers(c["phantoms"]["grid_size"])),
+        ("osem", _osem_config),
+        ("train.pre", lambda c: _train_config(c, "pre")),
+        ("train.jac", lambda c: _train_config(c, "jac")))
+    for section, build in builders:
+        try:
+            build(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+
+
 def cmd_simulate(cfg, out_dir):
     out_dir = _ensure_dir(out_dir or cfg.path("data"))
     specs = _phantom_specs(cfg)
@@ -129,14 +157,7 @@ def _load_dataset(cfg, data_dir):
 def cmd_train(cfg, phase, out_dir):
     out_dir = _ensure_dir(out_dir or cfg.path("train"))
     dataset = _load_dataset(cfg, cfg.path("data"))
-    sec = cfg[f"train.{phase}"]
-    tc = train.TrainConfig(
-        phase=phase, epochs=sec["epochs"], learning_rate=sec["learning_rate"],
-        batch_size=sec["batch_size"],
-        beta=sec.get("beta", 0.0), alpha=sec.get("alpha", 0.1),
-        epsilon=sec.get("epsilon", 0.05), power_iters=sec["power_iters"],
-        seed=derive_seed(cfg.seed, 301 if phase == "pre" else 302),
-        sigma_eval_samples=sec["sigma_eval_samples"])
+    tc = _train_config(cfg, phase)
     if phase == "pre":
         params0 = net.init_params(_arch(cfg), seed=derive_seed(cfg.seed, 300),
                                   scale=cfg["net"]["init_scale"])
@@ -252,14 +273,15 @@ def cmd_certify(cfg, checkpoint, n_samples, out_dir):
     test_items = dataset.split("test")
     if not test_items:
         raise ConfigError("dataset has no test items")
+    outs = [net.forward(params, item.x_noisy) for item in test_items]
     rng = np.random.default_rng(derive_seed(cfg.seed, 401))
     rows = []
     sigmas = []
     for j in range(n_samples):
-        item = test_items[j % len(test_items)]
+        idx = j % len(test_items)
+        item = test_items[idx]
         kappa = float(rng.uniform())
-        x_tilde = train.sample_tilde(item.x_ref, net.forward(params, item.x_noisy),
-                                     kappa)
+        x_tilde = train.sample_tilde(item.x_ref, outs[idx], kappa)
         sigma, _ = net.spectral_norm_l(
             params, x_tilde, max_iters=cfg["net"]["certify_power_iters"],
             seed=int(rng.integers(2 ** 62)))
@@ -305,6 +327,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        _check_domain(cfg)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "train":

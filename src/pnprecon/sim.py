@@ -367,6 +367,8 @@ def read_image(path):
     if len(raw) - 16 != 8 * width * height:
         raise FileFormatError(f"{path}: payload size mismatch")
     data = np.frombuffer(raw[16:], dtype="<f8")
+    if not np.all(np.isfinite(data)):
+        raise FileFormatError(f"{path}: non-finite pixel values")
     return data.reshape((height, width)).copy()
 
 

@@ -214,6 +214,11 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("n_subsets = 4", "n_subsets = abc", r"\[osem\] n_subsets"),
     ("rhos = 10.0,300.0", "rhos = 1,x", r"\[sweep\] rhos"),
     ("count = 3", "count = 1", r"\[phantoms\] count"),
+    ("kernel = 3", "kernel = 3\nactivation = tanh", r"\[net\] unknown activation"),
+    ("kernel = 3", "kernel = 4", r"\[net\] kernel size"),
+    ("learning_rate = 0.005", "learning_rate = -1", r"\[train\.pre\]"),
+    ("n_bins = 26", "n_bins = 10", r"\[geometry\] detector"),
+    ("power_iters = 5", "power_iters = 5\nepsilon = 1.5", r"\[train\.jac\]"),
 ])
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, line, bad, needle):
     assert line in TINY_CFG
@@ -271,7 +276,7 @@ def _truncate(path):
 
 
 @pytest.mark.parametrize("case", ["checkpoint-bad-magic", "checkpoint-truncated",
-                                  "osem-image-truncated"])
+                                  "osem-image-truncated", "osem-image-nan-pixel"])
 def test_cli_file_error_exit_code(tmp_path, capsys, case):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CFG)
@@ -283,8 +288,13 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
         ckpt.write_bytes(b"WRONGMAG" + ckpt.read_bytes()[8:])
     elif case == "checkpoint-truncated":
         _truncate(ckpt)
-    else:
+    elif case == "osem-image-truncated":
         _truncate(tmp_path / "runs" / "data" / "item000_osem.img")
+    else:
+        osem = tmp_path / "runs" / "data" / "item000_osem.img"
+        raw = bytearray(osem.read_bytes())
+        raw[16:24] = np.array([np.nan], dtype="<f8").tobytes()
+        osem.write_bytes(bytes(raw))
     capsys.readouterr()
     assert cli.main(["certify", "--config", str(cfg_path), "--checkpoint",
                      str(ckpt), "--n-samples", "2"]) == 2
