@@ -405,7 +405,7 @@ def param_grad_mse(params, x, target):
         raise ValueError("target shape mismatch")
     arch = params.arch
     h, wd = out.shape
-    grad = identity_params(arch)
+    grad = identity_params(arch)     # zeros in the parameter layout
     g = (s * 2.0 * (out - target))[None, :, :]
     for layer in range(arch.n_layers - 1, -1, -1):
         grad.kernels[layer][...], grad.biases[layer][...] = _conv_param_grad(
@@ -452,7 +452,7 @@ def param_grad_penalty(params, x_tilde, u_fixed, epsilon=0.05, alpha=0.1):
     g_vec = u + 2.0 * zt_list[-1][0]
     sigma = float(np.linalg.norm(g_vec))
     _, slope = hinge(sigma, epsilon, alpha)
-    grad = identity_params(arch)
+    grad = identity_params(arch)     # zeros in the parameter layout
     if slope == 0.0 or sigma == 0.0:
         return grad, sigma
 
