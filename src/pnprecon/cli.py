@@ -6,6 +6,9 @@ seeds.  Exit codes: 0 success, 2 config error, 3 numerical abort.
 """
 
 import argparse
+import collections
+import contextlib
+import dataclasses
 import os
 import sys
 
@@ -23,93 +26,131 @@ def _ensure_dir(path):
     return path
 
 
-def _write_provenance(out_dir, cfg, **extras):
-    lines = [f"config_hash = {config_hash(cfg)}",
-             f"seed = {cfg.seed}",
+def _write_provenance(out_dir, exp, **extras):
+    lines = [f"config_hash = {config_hash(exp.cfg)}",
+             f"seed = {exp.cfg.seed}",
              f"version = pnprecon {__version__}"]
     lines += [f"{key} = {value}" for key, value in extras.items()]
     atomic_write_text(os.path.join(out_dir, "provenance.txt"),
                       "\n".join(lines) + "\n")
 
 
-def _phantom_specs(cfg):
-    pc = cfg["phantoms"]
-    return [sim.random_phantom_spec(pc["grid_size"], pc["family_seed"] + p)
-            for p in range(pc["count"])]
+# Every config value and command-line flag in the typed form the commands
+# use (admm with --rho and --iters applied, train configs by phase, sweep
+# rhos as floats or "auto"), built once by build_experiment.
+Experiment = collections.namedtuple("Experiment", (
+    "cfg paths specs n_test doses geometry norm_seed background_fraction osem "
+    "arch init_scale train certify_power_iters certify_margin n_samples admm "
+    "n_test_sims filter_sigmas sweep_rhos sweep_iterations sweep_n_values "
+    "sweep_decades"))
 
 
-def _geometry(cfg):
-    g = cfg["geometry"]
-    return sim.GeometryConfig(n_angles=g["n_angles"], n_bins=g["n_bins"],
-                              bin_width=g["bin_width"])
+@contextlib.contextmanager
+def _naming(where):
+    """Re-raise a ValueError as a ConfigError that names its section or flag."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where} {exc}") from exc
 
 
-def _doses(cfg, phantom_id):
-    s = cfg["simulation"]
-    rng = np.random.default_rng(derive_seed(cfg.seed, 202, phantom_id))
-    half = s["dose_decades"] / 2.0
-    return sorted(s["dose_center"] * 10.0 ** rng.uniform(-half, half)
-                  for _ in range(s["n_doses"]))
+def _require(ok, message):
+    if not ok:
+        raise ValueError(message)
 
 
-def _norm_seed(cfg):
-    return derive_seed(cfg.seed, 101) if cfg["simulation"]["normalization"] else None
-
-
-def _osem_config(cfg):
-    o = cfg["osem"]
-    subsets = o["n_subsets"]
-    if subsets == "auto":
-        n_sub = recon.default_n_subsets(cfg["geometry"]["n_angles"])
-    else:
-        n_sub = int(subsets)
-    return recon.OsemConfig(n_iterations=o["n_iterations"], n_subsets=n_sub)
-
-
-def _arch(cfg):
-    n = cfg["net"]
-    return net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
-                          kernel=n["kernel"], activation=n["activation"])
-
-
-def _train_config(cfg, phase):
-    sec = cfg[f"train.{phase}"]
-    return train.TrainConfig(
-        phase=phase, epochs=sec["epochs"], learning_rate=sec["learning_rate"],
-        batch_size=sec["batch_size"],
-        beta=sec.get("beta", 0.0), alpha=sec.get("alpha", 0.1),
-        epsilon=sec.get("epsilon", 0.05), power_iters=sec["power_iters"],
-        seed=derive_seed(cfg.seed, 301 if phase == "pre" else 302),
-        sigma_eval_samples=sec["sigma_eval_samples"])
-
-
-def _check_domain(cfg):
-    """Build every domain object once, so that a value the parser accepts
-    but a command would reject fails before any output is written."""
-    builders = (
-        ("net", _arch),
-        ("geometry",
-         lambda c: _geometry(c).check_covers(c["phantoms"]["grid_size"])),
-        ("osem", _osem_config),
-        ("train.pre", lambda c: _train_config(c, "pre")),
-        ("train.jac", lambda c: _train_config(c, "jac")))
-    for section, build in builders:
+def build_experiment(cfg, flags):
+    """Turn each value of cfg, and the flags (a dict from argument names),
+    into its typed form once, through the constructor that validates it,
+    so that a bad value exits 2 before any command writes output."""
+    ph, s, n, a, sw = (cfg[sec] for sec in
+                       ("phantoms", "simulation", "net", "admm", "sweep"))
+    with _naming("[phantoms]"):
+        _require(1 <= ph["n_test"] < ph["count"], f"count = {ph['count']} and "
+                 f"n_test = {ph['n_test']}: need 1 <= n_test < count")
+        specs = tuple(sim.random_phantom_spec(ph["grid_size"], ph["family_seed"] + p)
+                      for p in range(ph["count"]))
+    with _naming("[geometry]"):
+        geometry = sim.GeometryConfig(**cfg["geometry"])
+        geometry.check_covers(ph["grid_size"])
+    with _naming("[simulation]"):
+        _require(s["n_doses"] >= 1 and s["dose_center"] > 0
+                 and s["background_fraction"] >= 0,
+                 "need n_doses >= 1, dose_center > 0 and background_fraction >= 0")
+        half = s["dose_decades"] / 2.0
+        rngs = [np.random.default_rng(derive_seed(cfg.seed, 202, p))
+                for p in range(ph["count"])]
+        doses = tuple(tuple(sorted(s["dose_center"] * 10.0 ** rng.uniform(-half, half)
+                                   for _ in range(s["n_doses"]))) for rng in rngs)
+    with _naming("[osem]"):
+        subsets, n_angles = cfg["osem"]["n_subsets"], geometry.n_angles
         try:
-            build(cfg)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
+            n_sub = (recon.default_n_subsets(n_angles) if subsets == "auto"
+                     else int(subsets))
+        except ValueError:
+            n_sub = 0
+        _require(n_sub >= 1 and n_angles % n_sub == 0, f"n_subsets = {subsets!r} "
+                 f"must be 'auto' or a divisor of n_angles = {n_angles}")
+        osem = recon.OsemConfig(n_iterations=cfg["osem"]["n_iterations"],
+                                n_subsets=n_sub)
+    with _naming("[net]"):
+        arch = net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
+                              kernel=n["kernel"], activation=n["activation"])
+        _require(n["init_scale"] >= 0 and n["certify_power_iters"] >= 1,
+                 "need init_scale >= 0 and certify_power_iters >= 1")
+    phases = {}
+    for phase, key in (("pre", 301), ("jac", 302)):
+        with _naming(f"[train.{phase}]"):
+            phases[phase] = train.TrainConfig(
+                phase=phase, seed=derive_seed(cfg.seed, key), **cfg[f"train.{phase}"])
+    with _naming("[admm]"):
+        acfg = admm.AdmmConfig.make(
+            a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"],
+            tol=a["prox_tol"], record_t_residual=a["record_t_residual"])
+        _require(a["n_test_sims"] >= 1 and a["filter_sigmas"],
+                 "need n_test_sims >= 1 and at least one filter sigma")
+    with _naming("--rho:"):
+        if flags.get("rho") is not None:
+            acfg = dataclasses.replace(
+                acfg, prox=dataclasses.replace(acfg.prox, rho=flags["rho"]))
+    with _naming("--iters:"):
+        if flags.get("iters") is not None:
+            acfg = dataclasses.replace(acfg, n_iterations=flags["iters"])
+    with _naming("--n-samples:"):
+        _require(flags.get("n_samples", 1) >= 1, "need at least one sample")
+    with _naming("[sweep]"):
+        rhos = sw["rhos"]
+        if rhos != "auto":
+            try:
+                rhos = tuple(float(tok) for tok in rhos.split(","))
+            except ValueError:
+                rhos = ()
+            _require(rhos and min(rhos) > 0, f"rhos = {sw['rhos']!r} must be "
+                     f"'auto' or a comma-separated list of positive floats")
+        _require(sw["iterations"] >= 1 and sw["n_values"] >= 1,
+                 "need iterations >= 1 and n_values >= 1")
+    return Experiment(
+        cfg=cfg, paths={name: os.path.normpath(os.path.join(cfg.base_dir, path))
+                        for name, path in cfg["paths"].items()},
+        specs=specs, n_test=ph["n_test"], doses=doses, geometry=geometry,
+        norm_seed=derive_seed(cfg.seed, 101) if s["normalization"] else None,
+        background_fraction=s["background_fraction"], osem=osem, arch=arch,
+        init_scale=n["init_scale"], train=phases,
+        certify_power_iters=n["certify_power_iters"],
+        certify_margin=n["certify_margin"], n_samples=flags.get("n_samples"),
+        admm=acfg, n_test_sims=a["n_test_sims"],
+        filter_sigmas=tuple(a["filter_sigmas"]), sweep_rhos=rhos,
+        sweep_iterations=sw["iterations"], sweep_n_values=sw["n_values"],
+        sweep_decades=sw["decades"])
 
 
-def cmd_simulate(cfg, out_dir):
-    out_dir = _ensure_dir(out_dir or cfg.path("data"))
-    specs = _phantom_specs(cfg)
-    doses = [_doses(cfg, p) for p in range(len(specs))]
+def cmd_simulate(exp, out_dir):
+    out_dir = _ensure_dir(out_dir or exp.paths["data"])
     dataset = train.build_dataset(
-        specs, _geometry(cfg), doses, cfg.seed, _osem_config(cfg),
-        n_test_phantoms=cfg["phantoms"]["n_test"],
-        background_fraction=cfg["simulation"]["background_fraction"],
-        norm_seed=_norm_seed(cfg))
-    for p, spec in enumerate(specs):
+        exp.specs, exp.geometry, exp.doses, exp.cfg.seed, exp.osem,
+        n_test_phantoms=exp.n_test,
+        background_fraction=exp.background_fraction, norm_seed=exp.norm_seed)
+    for p, spec in enumerate(exp.specs):
         activity, mu = sim.make_phantom(spec)
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_activity.img"), activity)
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_mu.img"), mu)
@@ -123,12 +164,12 @@ def cmd_simulate(cfg, out_dir):
         rows.append([i, item.phantom_id, item.dose_scale, item.seed, item.split])
     write_csv(os.path.join(out_dir, "manifest.csv"),
               ("item", "phantom", "dose_scale", "seed", "split"), rows)
-    _write_provenance(out_dir, cfg)
-    print(f"simulate: wrote {len(rows)} items for {len(specs)} phantoms to {out_dir}")
+    _write_provenance(out_dir, exp)
+    print(f"simulate: wrote {len(rows)} items for {len(exp.specs)} phantoms to {out_dir}")
     return 0
 
 
-def _load_dataset(cfg, data_dir):
+def _load_dataset(data_dir):
     manifest = os.path.join(data_dir, "manifest.csv")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest at {manifest}; run simulate first")
@@ -154,13 +195,13 @@ def _load_dataset(cfg, data_dir):
     return train.Dataset(items=tuple(items))
 
 
-def cmd_train(cfg, phase, out_dir):
-    out_dir = _ensure_dir(out_dir or cfg.path("train"))
-    dataset = _load_dataset(cfg, cfg.path("data"))
-    tc = _train_config(cfg, phase)
+def cmd_train(exp, phase, out_dir):
+    out_dir = _ensure_dir(out_dir or exp.paths["train"])
+    dataset = _load_dataset(exp.paths["data"])
+    tc = exp.train[phase]
     if phase == "pre":
-        params0 = net.init_params(_arch(cfg), seed=derive_seed(cfg.seed, 300),
-                                  scale=cfg["net"]["init_scale"])
+        params0 = net.init_params(exp.arch, seed=derive_seed(exp.cfg.seed, 300),
+                                  scale=exp.init_scale)
     else:
         pre_path = os.path.join(out_dir, "pre.ckpt")
         if not os.path.exists(pre_path):
@@ -170,57 +211,53 @@ def cmd_train(cfg, phase, out_dir):
     net.save_checkpoint(os.path.join(out_dir, f"{phase}.ckpt"), params)
     write_csv(os.path.join(out_dir, f"train_{phase}.csv"),
               train.TrainingLog.HEADER, log.as_rows(), comment=log.adam_constants)
-    _write_provenance(out_dir, cfg)
+    _write_provenance(out_dir, exp)
     last = log.rows[-1]
     print(f"train {phase}: {tc.epochs} epochs, final loss {last['loss_total']:.6g}, "
           f"test mse {last['test_mse']:.6g}, checkpoint {phase}.ckpt")
     return 0
 
 
-def _select_test_sims(cfg, dataset):
+def _select_test_sims(exp, dataset):
     """n_test_sims items evenly spaced over the dose-sorted test split."""
     test = sorted(((i, it) for i, it in enumerate(dataset.items)
                    if it.split == "test"), key=lambda t: t[1].dose_scale)
     if not test:
         raise ConfigError("dataset has no test items")
-    n = min(cfg["admm"]["n_test_sims"], len(test))
+    n = min(exp.n_test_sims, len(test))
     picks = np.unique(np.linspace(0, len(test) - 1, n).round().astype(int))
     return [test[i] for i in picks]
 
 
-def _likelihood_for_item(cfg, item):
-    data_dir = cfg.path("data")
+def _likelihood_for_item(exp, item):
+    data_dir = exp.paths["data"]
     mu = sim.read_image(
         os.path.join(data_dir, f"phantom{item.phantom_id:02d}_mu.img"))
     activity = sim.read_image(
         os.path.join(data_dir, f"phantom{item.phantom_id:02d}_activity.img"))
-    model = sim.phantom_model(_geometry(cfg), activity, mu, _norm_seed(cfg),
-                              cfg["simulation"]["background_fraction"])
+    model = sim.phantom_model(exp.geometry, activity, mu, exp.norm_seed,
+                              exp.background_fraction)
     return recon.LikelihoodModel(model=train.item_model(model, item.dose_scale),
                                  y=item.counts)
 
 
-def cmd_reconstruct(cfg, checkpoint, rho, iters, out_dir):
-    out_dir = _ensure_dir(out_dir or cfg.path("recon"))
-    dataset = _load_dataset(cfg, cfg.path("data"))
+def cmd_reconstruct(exp, checkpoint, out_dir):
+    out_dir = _ensure_dir(out_dir or exp.paths["recon"])
+    dataset = _load_dataset(exp.paths["data"])
     params = net.load_checkpoint(checkpoint)
-    rho = rho if rho is not None else cfg["admm"]["rho"]
-    iters = iters if iters is not None else cfg["admm"]["iterations"]
-    acfg = admm.AdmmConfig.make(rho, n_iterations=iters,
-                                n_inner=cfg["admm"]["prox_inner"],
-                                tol=cfg["admm"]["prox_tol"],
-                                record_t_residual=cfg["admm"]["record_t_residual"])
+    rho, iters = exp.admm.rho, exp.admm.n_iterations
     summary = []
-    for item_idx, item in _select_test_sims(cfg, dataset):
-        lm = _likelihood_for_item(cfg, item)
-        x, hist = admm.admm_pnp(lm, params, acfg, z0=item.x_noisy, x_ref=item.x_ref)
+    for item_idx, item in _select_test_sims(exp, dataset):
+        lm = _likelihood_for_item(exp, item)
+        x, hist = admm.admm_pnp(lm, params, exp.admm, z0=item.x_noisy,
+                                x_ref=item.x_ref)
         tag = f"item{item_idx:03d}"
         write_csv(os.path.join(out_dir, f"{tag}_history.csv"),
                   admm.History.HEADER, hist.as_rows())
         sim.write_image(os.path.join(out_dir, f"{tag}_admm.img"), x)
         sim.write_pgm(os.path.join(out_dir, f"{tag}_admm.pgm"), x)
         best_sigma, x_filt = recon.gaussian_postfilter_sweep(
-            item.x_noisy, item.x_ref, cfg["admm"]["filter_sigmas"])
+            item.x_noisy, item.x_ref, exp.filter_sigmas)
         sim.write_image(os.path.join(out_dir, f"{tag}_osem_filtered.img"), x_filt)
         summary.append([item_idx, "osem", recon.mse(item.x_noisy, item.x_ref),
                         recon.log_likelihood(lm, item.x_noisy), "", "", ""])
@@ -232,49 +269,48 @@ def cmd_reconstruct(cfg, checkpoint, rho, iters, out_dir):
     write_csv(os.path.join(out_dir, "summary.csv"),
               ("item", "method", "mse", "log_likelihood", "final_primal",
                "final_dual", "extra"), summary)
-    _write_provenance(out_dir, cfg, checkpoint=os.path.basename(checkpoint),
+    _write_provenance(out_dir, exp, checkpoint=os.path.basename(checkpoint),
                       rho=rho, iterations=iters)
     print(f"reconstruct: rho={rho:g}, {iters} iterations, "
           f"{len(summary) // 3} test simulations -> {out_dir}")
     return 0
 
 
-def cmd_sweep(cfg, checkpoint, out_dir):
-    out_dir = _ensure_dir(out_dir or cfg.path("sweep"))
-    dataset = _load_dataset(cfg, cfg.path("data"))
+def cmd_sweep(exp, checkpoint, out_dir):
+    out_dir = _ensure_dir(out_dir or exp.paths["sweep"])
+    dataset = _load_dataset(exp.paths["data"])
     params = net.load_checkpoint(checkpoint)
-    item_idx, item = _select_test_sims(cfg, dataset)[0]
-    lm = _likelihood_for_item(cfg, item)
-    s = cfg["sweep"]
-    if s["rhos"] == "auto":
+    item_idx, item = _select_test_sims(exp, dataset)[0]
+    lm = _likelihood_for_item(exp, item)
+    rhos = exp.sweep_rhos
+    if rhos == "auto":
         rhos = admm.default_rho_grid(lm, params, z0=item.x_noisy,
-                                     n_values=s["n_values"], decades=s["decades"])
-    else:
-        rhos = [float(tok) for tok in s["rhos"].split(",")]
-    report = admm.rho_sweep(lm, params, rhos, n_iterations=s["iterations"],
+                                     n_values=exp.sweep_n_values,
+                                     decades=exp.sweep_decades)
+    report = admm.rho_sweep(lm, params, rhos, n_iterations=exp.sweep_iterations,
                             z0=item.x_noisy, x_ref=item.x_ref,
-                            n_inner=cfg["admm"]["prox_inner"],
-                            tol=cfg["admm"]["prox_tol"])
+                            n_inner=exp.admm.prox.n_inner, tol=exp.admm.prox.tol)
     write_csv(os.path.join(out_dir, "sweep_curves.csv"),
               admm.SweepReport.CURVE_HEADER, report.curve_rows())
     write_csv(os.path.join(out_dir, "sweep_summary.csv"),
               admm.SweepReport.SUMMARY_HEADER, report.summary_rows())
-    _write_provenance(out_dir, cfg)
+    _write_provenance(out_dir, exp)
     n_ok = sum(report.meets_threshold)
     print(f"sweep: item {item_idx}, {len(rhos)} rho values, "
           f"{n_ok} meet the residual-decrease threshold -> {out_dir}")
     return 0
 
 
-def cmd_certify(cfg, checkpoint, n_samples, out_dir):
-    out_dir = _ensure_dir(out_dir or cfg.path("certify"))
-    dataset = _load_dataset(cfg, cfg.path("data"))
+def cmd_certify(exp, checkpoint, out_dir):
+    out_dir = _ensure_dir(out_dir or exp.paths["certify"])
+    dataset = _load_dataset(exp.paths["data"])
     params = net.load_checkpoint(checkpoint)
     test_items = dataset.split("test")
     if not test_items:
         raise ConfigError("dataset has no test items")
     outs = [net.forward(params, item.x_noisy) for item in test_items]
-    rng = np.random.default_rng(derive_seed(cfg.seed, 401))
+    rng = np.random.default_rng(derive_seed(exp.cfg.seed, 401))
+    n_samples = exp.n_samples
     rows = []
     sigmas = []
     for j in range(n_samples):
@@ -283,20 +319,20 @@ def cmd_certify(cfg, checkpoint, n_samples, out_dir):
         kappa = float(rng.uniform())
         x_tilde = train.sample_tilde(item.x_ref, outs[idx], kappa)
         sigma, _ = net.spectral_norm_l(
-            params, x_tilde, max_iters=cfg["net"]["certify_power_iters"],
+            params, x_tilde, max_iters=exp.certify_power_iters,
             seed=int(rng.integers(2 ** 62)))
         rows.append([j, item.phantom_id, kappa, sigma])
         sigmas.append(sigma)
     write_csv(os.path.join(out_dir, "certify.csv"),
               ("sample", "phantom", "kappa", "sigma"), rows)
-    margin = cfg["net"]["certify_margin"]
+    margin = exp.certify_margin
     frac = float(np.mean([s <= 1.0 + margin for s in sigmas]))
     write_csv(os.path.join(out_dir, "certify_summary.csv"),
               ("n_samples", "sigma_min", "sigma_mean", "sigma_max",
                "margin", "fraction_within"),
               [[n_samples, min(sigmas), float(np.mean(sigmas)), max(sigmas),
                 margin, frac]])
-    _write_provenance(out_dir, cfg)
+    _write_provenance(out_dir, exp)
     print(f"certify: {n_samples} samples, sigma max {max(sigmas):.4f}, "
           f"{100 * frac:.0f}% within 1+{margin:g} -> {out_dir}")
     return 0
@@ -326,19 +362,17 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        _check_domain(cfg)
+        exp = build_experiment(load_config(args.config), vars(args))
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
+            return cmd_simulate(exp, args.out)
         if args.command == "train":
-            return cmd_train(cfg, args.phase, args.out)
+            return cmd_train(exp, args.phase, args.out)
         if args.command == "reconstruct":
-            return cmd_reconstruct(cfg, args.checkpoint, args.rho,
-                                   args.iters, args.out)
+            return cmd_reconstruct(exp, args.checkpoint, args.out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.checkpoint, args.out)
+            return cmd_sweep(exp, args.checkpoint, args.out)
         if args.command == "certify":
-            return cmd_certify(cfg, args.checkpoint, args.n_samples, args.out)
+            return cmd_certify(exp, args.checkpoint, args.out)
         raise AssertionError(args.command)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,9 +35,7 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# section -> key -> (parser, default).  Defaults marked REQUIRED must be set.
-_REQUIRED = object()
-
+# section -> key -> (parser, default); sections in canonical order
 _SCHEMA = {
     "": {
         "seed": (int, 12345),
@@ -114,9 +112,6 @@ _SCHEMA = {
     },
 }
 
-_SECTION_ORDER = ["", "phantoms", "geometry", "simulation", "osem", "net",
-                  "train.pre", "train.jac", "admm", "sweep", "paths"]
-
 
 @dataclass
 class ExperimentConfig:
@@ -129,10 +124,6 @@ class ExperimentConfig:
     @property
     def seed(self):
         return self.values[""]["seed"]
-
-    def path(self, name):
-        return os.path.normpath(os.path.join(self.base_dir,
-                                             self.values["paths"][name]))
 
 
 def parse_config(text, base_dir="."):
@@ -168,39 +159,8 @@ def parse_config(text, base_dir="."):
     for sec, schema in _SCHEMA.items():
         for key, (_, default) in schema.items():
             if key not in values[sec]:
-                if default is _REQUIRED:
-                    raise ConfigError(f"missing required key {key!r} in [{sec}]")
                 values[sec][key] = default if not isinstance(default, list) else list(default)
-    _check_cross_keys(values)
     return ExperimentConfig(values=values, base_dir=base_dir)
-
-
-def _check_cross_keys(values):
-    """Reject values that are only invalid together with other keys."""
-    ph = values["phantoms"]
-    if not 1 <= ph["n_test"] < ph["count"]:
-        raise ConfigError(
-            f"[phantoms] count = {ph['count']} and n_test = {ph['n_test']}: "
-            f"need 1 <= n_test < count, so that both splits have phantoms")
-    subsets = values["osem"]["n_subsets"]
-    n_angles = values["geometry"]["n_angles"]
-    if subsets != "auto":
-        try:
-            n_sub = int(subsets)
-        except ValueError:
-            n_sub = 0
-        if n_sub < 1 or n_angles % n_sub != 0:
-            raise ConfigError(
-                f"[osem] n_subsets = {subsets!r} must be 'auto' or a positive "
-                f"integer dividing [geometry] n_angles = {n_angles}")
-    rhos = values["sweep"]["rhos"]
-    if rhos != "auto":
-        try:
-            [float(tok) for tok in rhos.split(",")]
-        except ValueError as exc:
-            raise ConfigError(
-                f"[sweep] rhos = {rhos!r} must be 'auto' or a comma-separated "
-                f"list of floats") from exc
 
 
 def load_config(path):
@@ -225,7 +185,7 @@ def _fmt_value(v):
 def canonical_text(cfg):
     """Fixed section and key order; parsing it back is the identity."""
     lines = []
-    for sec in _SECTION_ORDER:
+    for sec in _SCHEMA:
         if sec:
             lines.append(f"[{sec}]")
         for key in _SCHEMA[sec]:

@@ -68,6 +68,8 @@ class TrainConfig:
             raise ValueError("phase must be 'pre' or 'jac'")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("invalid optimizer configuration")
+        if self.power_iters < 1:
+            raise ValueError("power_iters must be >= 1")
         if self.beta < 0 or self.alpha < 0 or not 0 <= self.epsilon < 1:
             raise ValueError("invalid hinge hyperparameters")
         if self.phase == "pre" and self.beta != 0:

@@ -254,7 +254,7 @@ def test_simulate_computes_each_thing_once(tmp_path, monkeypatch):
     assert calls == {"build_system_model": 3, "simulate_counts": 6,
                      "osem_reconstruct": 6}
 
-    cfg = load_config(str(cfg_path))
+    exp = cli.build_experiment(load_config(str(cfg_path)), {})
     data = tmp_path / "runs" / "data"
     rows = (data / "manifest.csv").read_text().splitlines()[1:]
     for row in rows:
@@ -262,9 +262,8 @@ def test_simulate_computes_each_thing_once(tmp_path, monkeypatch):
         activity = sim.read_image(data / f"phantom{int(p):02d}_activity.img")
         mu = sim.read_image(data / f"phantom{int(p):02d}_mu.img")
         model = sim.with_background(
-            sim.build_system_model(cli._geometry(cfg), mu,
-                                   norm_seed=cli._norm_seed(cfg)),
-            activity, cfg["simulation"]["background_fraction"])
+            sim.build_system_model(exp.geometry, mu, norm_seed=exp.norm_seed),
+            activity, exp.background_fraction)
         want = sim.simulate_counts(model, activity, float(dose), int(seed))
         got = sim.read_image(data / f"item{int(i):03d}_counts.img")
         np.testing.assert_array_equal(got, want)
