@@ -112,10 +112,11 @@ def admm_pnp(lm, denoiser, cfg, z0=None, x_ref=None, on_iterate=None):
     hist = History(rho=cfg.rho)
     for k in range(cfg.n_iterations):
         x = prox.prox_neg_ll(lm, z - u, cfg.prox, x_warm)
+        if not np.all(np.isfinite(x + u)):
+            raise NumericalAbort(f"non-finite denoiser input at iteration {k + 1}")
         z_new = denoise(x + u)
         u = u + x - z_new
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(z_new))
-                and np.all(np.isfinite(u))):
+        if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(u))):
             raise NumericalAbort(f"non-finite iterate at iteration {k + 1}")
         hist.primal.append(_masked_norm(x - z_new, mask))
         hist.dual.append(cfg.rho * _masked_norm(z_new - z, mask))

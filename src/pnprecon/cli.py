@@ -82,17 +82,13 @@ def build_experiment(cfg, flags):
                 for p in range(ph["count"])]
         doses = tuple(tuple(sorted(s["dose_center"] * 10.0 ** rng.uniform(-half, half)
                                    for _ in range(s["n_doses"]))) for rng in rngs)
-    with _naming("[osem]"):
+    with _naming("[osem] n_subsets:"):
         subsets, n_angles = cfg["osem"]["n_subsets"], geometry.n_angles
-        try:
-            n_sub = (recon.default_n_subsets(n_angles) if subsets == "auto"
-                     else int(subsets))
-        except ValueError:
-            n_sub = 0
-        _require(n_sub >= 1 and n_angles % n_sub == 0, f"n_subsets = {subsets!r} "
-                 f"must be 'auto' or a divisor of n_angles = {n_angles}")
-        osem = recon.OsemConfig(n_iterations=cfg["osem"]["n_iterations"],
-                                n_subsets=n_sub)
+        n_sub = recon.default_n_subsets(n_angles) if subsets == "auto" else int(subsets)
+        _require(n_sub >= 1 and n_angles % n_sub == 0,
+                 f"{subsets!r} is not 'auto' or a divisor of n_angles = {n_angles}")
+    with _naming("[osem]"):
+        osem = recon.OsemConfig(n_iterations=cfg["osem"]["n_iterations"], n_subsets=n_sub)
     with _naming("[net]"):
         arch = net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
                               kernel=n["kernel"], activation=n["activation"])
@@ -118,15 +114,12 @@ def build_experiment(cfg, flags):
             acfg = dataclasses.replace(acfg, n_iterations=flags["iters"])
     with _naming("--n-samples:"):
         _require(flags.get("n_samples", 1) >= 1, "need at least one sample")
-    with _naming("[sweep]"):
+    with _naming("[sweep] rhos:"):
         rhos = sw["rhos"]
         if rhos != "auto":
-            try:
-                rhos = tuple(float(tok) for tok in rhos.split(","))
-            except ValueError:
-                rhos = ()
-            _require(rhos and min(rhos) > 0, f"rhos = {sw['rhos']!r} must be "
-                     f"'auto' or a comma-separated list of positive floats")
+            rhos = tuple(float(tok) for tok in rhos.split(","))
+            _require(min(rhos) > 0, "each rho must be positive")
+    with _naming("[sweep]"):
         _require(sw["iterations"] >= 1 and sw["n_values"] >= 1,
                  "need iterations >= 1 and n_values >= 1")
     return Experiment(
@@ -173,25 +166,28 @@ def _load_dataset(data_dir):
     manifest = os.path.join(data_dir, "manifest.csv")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest at {manifest}; run simulate first")
+    try:
+        with open(manifest) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{manifest}: not UTF-8 text") from exc
+    if not lines or not lines[0].startswith("item,"):
+        raise ConfigError(f"{manifest}: unexpected header")
     items = []
-    with open(manifest) as fh:
-        header = fh.readline()
-        if not header.startswith("item,"):
-            raise ConfigError(f"{manifest}: unexpected header")
-        for lineno, line in enumerate(fh, start=2):
-            try:
-                i, p, dose, seed, split = line.strip().split(",")
-                i, p, dose, seed = int(i), int(p), float(dose), int(seed)
-            except ValueError as exc:
-                raise FileFormatError(
-                    f"{manifest}: line {lineno}: malformed row") from exc
-            counts = sim.read_image(os.path.join(data_dir, f"item{i:03d}_counts.img"))
-            x_noisy = sim.read_image(os.path.join(data_dir, f"item{i:03d}_osem.img"))
-            activity = sim.read_image(
-                os.path.join(data_dir, f"phantom{p:02d}_activity.img"))
-            items.append(train.DatasetItem(
-                phantom_id=p, dose_scale=dose, seed=seed, counts=counts,
-                x_noisy=x_noisy, x_ref=dose * activity, split=split))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            i, p, dose, seed, split = line.strip().split(",")
+            i, p, dose, seed = int(i), int(p), float(dose), int(seed)
+        except ValueError as exc:
+            raise FileFormatError(
+                f"{manifest}: line {lineno}: malformed row") from exc
+        counts = sim.read_image(os.path.join(data_dir, f"item{i:03d}_counts.img"))
+        x_noisy = sim.read_image(os.path.join(data_dir, f"item{i:03d}_osem.img"))
+        activity = sim.read_image(
+            os.path.join(data_dir, f"phantom{p:02d}_activity.img"))
+        items.append(train.DatasetItem(
+            phantom_id=p, dose_scale=dose, seed=seed, counts=counts,
+            x_noisy=x_noisy, x_ref=dose * activity, split=split))
     return train.Dataset(items=tuple(items))
 
 
@@ -235,10 +231,14 @@ def _likelihood_for_item(exp, item):
         os.path.join(data_dir, f"phantom{item.phantom_id:02d}_mu.img"))
     activity = sim.read_image(
         os.path.join(data_dir, f"phantom{item.phantom_id:02d}_activity.img"))
-    model = sim.phantom_model(exp.geometry, activity, mu, exp.norm_seed,
-                              exp.background_fraction)
-    return recon.LikelihoodModel(model=train.item_model(model, item.dose_scale),
-                                 y=item.counts)
+    try:
+        model = sim.phantom_model(exp.geometry, activity, mu, exp.norm_seed,
+                                  exp.background_fraction)
+        return recon.LikelihoodModel(
+            model=train.item_model(model, item.dose_scale), y=item.counts)
+    except ValueError as exc:
+        raise FileFormatError(
+            f"{data_dir}: phantom {item.phantom_id}, seed {item.seed}: {exc}") from exc
 
 
 def cmd_reconstruct(exp, checkpoint, out_dir):

@@ -167,7 +167,7 @@ def load_config(path):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
 

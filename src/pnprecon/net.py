@@ -524,7 +524,8 @@ def load_checkpoint(path):
                           global_skip=bool(fields[4]))
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    if len(raw) - 28 != 8 * n_params(arch):
+    # each layer has a bias: checked first, as n_params loops over n_layers
+    if arch.n_layers > len(raw) or len(raw) - 28 != 8 * n_params(arch):
         raise FileFormatError(f"{path}: parameter payload does not match header")
     try:
         return vector_to_params(arch, np.frombuffer(raw[28:], dtype="<f8").copy())

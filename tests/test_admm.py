@@ -115,6 +115,13 @@ def test_abort_on_nonfinite_denoiser():
     cfg = admm.AdmmConfig.make(rho=10.0, n_iterations=3)
     with pytest.raises(NumericalAbort, match="iteration 1"):
         admm.admm_pnp(lm, bad, cfg)
+    # a finite but huge start overflows the prox: the net never sees it
+    params = net.init_params(net.ArchConfig(n_layers=2, channels=3, kernel=3),
+                             seed=0, scale=0.2)
+    z0 = np.ones((16, 16))
+    z0[8, 8] = 1e302
+    with np.errstate(all="ignore"), pytest.raises(NumericalAbort, match="iteration 1"):
+        admm.admm_pnp(lm, params, cfg, z0=z0)
 
 
 def test_rho_sweep_single_value_equals_one_run():

@@ -1,14 +1,24 @@
 """Config parsing/diagnostics and the five CLI commands end to end."""
 
 import collections
+import os
+import pathlib
 import re
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
 
-from pnprecon import cli, net, recon, sim
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pnprecon import admm, cli, net, recon, sim, train
 from pnprecon.config import (ConfigError, canonical_text, config_hash,
                              load_config, parse_config)
+from pnprecon.util import derive_seed
+
+DEMO_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
 TINY_CFG = """
 seed = 2024
@@ -219,6 +229,25 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("learning_rate = 0.005", "learning_rate = -1", r"\[train\.pre\]"),
     ("n_bins = 26", "n_bins = 10", r"\[geometry\] detector"),
     ("power_iters = 5", "power_iters = 5\nepsilon = 1.5", r"\[train\.jac\]"),
+    ("rho = 30.0", "rho = -1", r"\[admm\] rho must be positive"),
+    ("rho = 30.0\niterations = 3", "rho = 30.0\niterations = 0",
+     r"\[admm\] need at least one iteration"),
+    ("rho = 30.0", "rho = 30.0\nprox_inner = 0", r"\[admm\] invalid inner"),
+    ("filter_sigmas = 0,1.0", "filter_sigmas =", r"\[admm\] .*filter sigma"),
+    ("n_test_sims = 2", "n_test_sims = 0", r"\[admm\] need n_test_sims"),
+    ("certify_power_iters = 10", "certify_power_iters = 0",
+     r"\[net\] .*certify_power_iters"),
+    ("kernel = 3", "kernel = 3\ninit_scale = -1", r"\[net\] need init_scale"),
+    ("learning_rate = 0.005", "learning_rate = 0.005\npower_iters = 0",
+     r"\[train\.pre\] power_iters"),
+    ("rhos = 10.0,300.0", "rhos = -1,300.0", r"\[sweep\] rhos"),
+    ("rhos = 10.0,300.0\niterations = 3", "rhos = 10.0,300.0\niterations = 0",
+     r"\[sweep\] need iterations"),
+    ("n_doses = 2", "n_doses = 0", r"\[simulation\] need n_doses"),
+    ("dose_center = 1.2", "dose_center = -1", r"\[simulation\] .*dose_center"),
+    ("background_fraction = 0.2", "background_fraction = -0.5",
+     r"\[simulation\] .*background_fraction"),
+    ("grid_size = 16", "grid_size = 0", r"\[phantoms\]"),
 ])
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, line, bad, needle):
     assert line in TINY_CFG
@@ -229,6 +258,101 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, line, bad, needle):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert re.search(needle, err)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["reconstruct", "--rho", "-1"], "--rho"),
+    (["reconstruct", "--iters", "0"], "--iters"),
+    (["certify", "--n-samples", "0"], "--n-samples"),
+])
+def test_cli_bad_flag_exit_code(tmp_path, capsys, argv, flag):
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CFG)
+    assert cli.main([*argv, "--config", str(cfg_path),
+                     "--checkpoint", str(tmp_path / "net.ckpt")]) == 2
+    assert not (tmp_path / "runs").exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {flag}:")
+
+
+def _old_builders(cfg, rho=None, iters=None):
+    """The per-command construction that build_experiment replaced."""
+    g, o, n, a, s = (cfg[sec] for sec in ("geometry", "osem", "net", "admm", "sweep"))
+    sub = o["n_subsets"]
+    n_sub = recon.default_n_subsets(g["n_angles"]) if sub == "auto" else int(sub)
+
+    def train_config(phase):
+        sec = cfg[f"train.{phase}"]
+        return train.TrainConfig(
+            phase=phase, epochs=sec["epochs"], learning_rate=sec["learning_rate"],
+            batch_size=sec["batch_size"],
+            beta=sec.get("beta", 0.0), alpha=sec.get("alpha", 0.1),
+            epsilon=sec.get("epsilon", 0.05), power_iters=sec["power_iters"],
+            seed=derive_seed(cfg.seed, 301 if phase == "pre" else 302),
+            sigma_eval_samples=sec["sigma_eval_samples"])
+
+    def doses(phantom_id):
+        sc = cfg["simulation"]
+        rng = np.random.default_rng(derive_seed(cfg.seed, 202, phantom_id))
+        half = sc["dose_decades"] / 2.0
+        return sorted(sc["dose_center"] * 10.0 ** rng.uniform(-half, half)
+                      for _ in range(sc["n_doses"]))
+
+    pc = cfg["phantoms"]
+    return dict(
+        paths={name: os.path.normpath(os.path.join(cfg.base_dir, cfg["paths"][name]))
+               for name in ("data", "train", "recon", "sweep", "certify")},
+        specs=[sim.random_phantom_spec(pc["grid_size"], pc["family_seed"] + p)
+               for p in range(pc["count"])],
+        doses=[doses(p) for p in range(pc["count"])],
+        n_test=pc["n_test"],
+        geometry=sim.GeometryConfig(n_angles=g["n_angles"], n_bins=g["n_bins"],
+                                    bin_width=g["bin_width"]),
+        norm_seed=(derive_seed(cfg.seed, 101)
+                   if cfg["simulation"]["normalization"] else None),
+        background_fraction=cfg["simulation"]["background_fraction"],
+        osem=recon.OsemConfig(n_iterations=o["n_iterations"], n_subsets=n_sub),
+        arch=net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
+                            kernel=n["kernel"], activation=n["activation"]),
+        init_scale=n["init_scale"],
+        train={phase: train_config(phase) for phase in ("pre", "jac")},
+        certify_power_iters=n["certify_power_iters"],
+        certify_margin=n["certify_margin"],
+        admm=admm.AdmmConfig.make(
+            rho if rho is not None else a["rho"],
+            n_iterations=iters if iters is not None else a["iterations"],
+            n_inner=a["prox_inner"], tol=a["prox_tol"],
+            record_t_residual=a["record_t_residual"]),
+        n_test_sims=a["n_test_sims"],
+        filter_sigmas=a["filter_sigmas"],
+        sweep_rhos=[float(tok) for tok in s["rhos"].split(",")],
+        sweep_iterations=s["iterations"], sweep_n_values=s["n_values"],
+        sweep_decades=s["decades"])
+
+
+@pytest.mark.parametrize("source", ["tiny", "demo"])
+@pytest.mark.parametrize("flags", [{}, {"rho": 60.0, "iters": 2, "n_samples": 5}])
+def test_experiment_matches_old_builders(tmp_path, source, flags):
+    if source == "tiny":
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TINY_CFG)
+    else:
+        cfg_path = DEMO_CFG
+    cfg = load_config(str(cfg_path))
+    exp = cli.build_experiment(cfg, flags)
+    want = _old_builders(cfg, flags.get("rho"), flags.get("iters"))
+    got = exp._asdict()
+    assert got.pop("cfg") is cfg
+    assert got.pop("n_samples") == flags.get("n_samples")
+    assert set(got) == set(want)
+    for name, value in want.items():
+        if isinstance(value, list):
+            value = [tuple(v) if isinstance(v, list) else v for v in value]
+            assert list(got[name]) == value, name
+        else:
+            assert got[name] == value, name
+    assert type(exp.osem.n_subsets) is int
+    assert all(type(r) is float for r in exp.sweep_rhos)
 
 
 def test_simulate_computes_each_thing_once(tmp_path, monkeypatch):
@@ -275,7 +399,9 @@ def _truncate(path):
 
 
 @pytest.mark.parametrize("case", ["checkpoint-bad-magic", "checkpoint-truncated",
-                                  "osem-image-truncated", "osem-image-nan-pixel"])
+                                  "checkpoint-huge-layer-count",
+                                  "osem-image-truncated", "osem-image-nan-pixel",
+                                  "mu-negative-pixel", "manifest-not-utf8"])
 def test_cli_file_error_exit_code(tmp_path, capsys, case):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CFG)
@@ -287,14 +413,69 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
         ckpt.write_bytes(b"WRONGMAG" + ckpt.read_bytes()[8:])
     elif case == "checkpoint-truncated":
         _truncate(ckpt)
+    elif case == "checkpoint-huge-layer-count":
+        raw = bytearray(ckpt.read_bytes())
+        raw[11] = 0x40                    # n_layers = 2 + 2**30
+        ckpt.write_bytes(bytes(raw))
     elif case == "osem-image-truncated":
         _truncate(tmp_path / "runs" / "data" / "item000_osem.img")
-    else:
+    elif case == "osem-image-nan-pixel":
         osem = tmp_path / "runs" / "data" / "item000_osem.img"
         raw = bytearray(osem.read_bytes())
         raw[16:24] = np.array([np.nan], dtype="<f8").tobytes()
         osem.write_bytes(bytes(raw))
+    elif case == "mu-negative-pixel":
+        mu = tmp_path / "runs" / "data" / "phantom02_mu.img"
+        sim.write_image(mu, -sim.read_image(mu))
+    else:
+        manifest = tmp_path / "runs" / "data" / "manifest.csv"
+        manifest.write_bytes(b"\xe9" + manifest.read_bytes()[1:])
     capsys.readouterr()
-    assert cli.main(["certify", "--config", str(cfg_path), "--checkpoint",
-                     str(ckpt), "--n-samples", "2"]) == 2
+    # reconstruct is the command that builds the system model from mu
+    command = (["reconstruct", "--iters", "1"] if case.startswith("mu")
+               else ["certify", "--n-samples", "2"])
+    assert cli.main([*command, "--config", str(cfg_path), "--checkpoint",
+                     str(ckpt)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.fixture(scope="module")
+def fuzz_run(tmp_path_factory):
+    """One tiny simulate run and a non-identity checkpoint to corrupt."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "tiny.cfg").write_text(TINY_CFG)
+    assert cli.main(["simulate", "--config", str(root / "tiny.cfg")]) == 0
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    vec = np.random.default_rng(5).normal(0.0, 0.2, net.n_params(arch))
+    net.save_checkpoint(root / "net.ckpt", net.DenoiserParams(arch=arch, vec=vec))
+    return root
+
+
+# the checkpoint, the manifest and every image certify or reconstruct reads
+# for test phantom 2 (items 4 and 5)
+FUZZ_FILES = ("net.ckpt", "runs/data/manifest.csv", "runs/data/item004_osem.img",
+              "runs/data/item005_counts.img", "runs/data/phantom02_activity.img",
+              "runs/data/phantom02_mu.img")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(FUZZ_FILES),
+       command=st.sampled_from(("certify", "reconstruct")),
+       truncate=st.booleans(), where=st.floats(0.0, 1.0),
+       bit=st.integers(0, 7))
+def test_cli_exit_code_contract_on_corrupt_files(fuzz_run, name, command,
+                                                 truncate, where, bit):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(shutil.copytree(fuzz_run, pathlib.Path(tmp) / "run"))
+        path = root / name
+        raw = bytearray(path.read_bytes())
+        pos = min(int(where * len(raw)), len(raw) - 1)
+        if truncate:
+            del raw[pos:]
+        else:
+            raw[pos] ^= 1 << bit
+        path.write_bytes(bytes(raw))
+        extra = ["--n-samples", "2"] if command == "certify" else ["--iters", "1"]
+        rc = cli.main([command, "--config", str(root / "tiny.cfg"), "--checkpoint",
+                       str(root / "net.ckpt"), "--out", str(root / "out"), *extra])
+    assert rc in (0, 2, 3)
