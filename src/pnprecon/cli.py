@@ -37,7 +37,8 @@ def _write_provenance(out_dir, exp, **extras):
 
 # Every config value and command-line flag in the typed form the commands
 # use (admm with --rho and --iters applied, train configs by phase, sweep
-# rhos as floats or "auto"), built once by build_experiment.
+# rhos as floats or "auto", n_samples None outside certify), built once by
+# build_experiment.
 Experiment = collections.namedtuple("Experiment", (
     "cfg paths specs n_test doses geometry norm_seed background_fraction osem "
     "arch init_scale train certify_power_iters certify_margin n_samples admm "

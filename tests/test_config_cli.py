@@ -451,8 +451,8 @@ def fuzz_run(tmp_path_factory):
     return root
 
 
-# the checkpoint, the manifest and every image certify or reconstruct reads
-# for test phantom 2 (items 4 and 5)
+# the checkpoint, the manifest, and one image of each kind that certify or
+# reconstruct reads for test phantom 2 (items 4 and 5)
 FUZZ_FILES = ("net.ckpt", "runs/data/manifest.csv", "runs/data/item004_osem.img",
               "runs/data/item005_counts.img", "runs/data/phantom02_activity.img",
               "runs/data/phantom02_mu.img")
