@@ -61,11 +61,7 @@ class OsemConfig:
 
 def default_n_subsets(n_angles, cap=14):
     """Largest divisor of n_angles not exceeding cap."""
-    best = 1
-    for d in range(1, cap + 1):
-        if n_angles % d == 0:
-            best = d
-    return best
+    return max(d for d in range(1, cap + 1) if n_angles % d == 0)
 
 
 def _expected(lm, x):
@@ -85,41 +81,34 @@ def log_likelihood(lm, x):
     return float(np.sum(y[pos] * np.log(ybar[pos])) - np.sum(ybar))
 
 
-def _count_ratio(lm, x):
-    """y / ybar at x, 0 where ybar = 0; a bin with counts but ybar = 0 is
-    an error, since the likelihood is -inf there."""
-    ybar = _expected(lm, x)
-    y = lm.y.ravel()
+def _count_ratio(y, ybar, bins):
+    """y / ybar, 0 where ybar = 0; a bin with counts but ybar = 0 is an
+    error, since the likelihood is -inf there.  bins maps each entry to
+    its global sinogram bin, for the message."""
     bad = (ybar == 0) & (y > 0)
     if np.any(bad):
-        raise ZeroDivisionError(
-            f"expected counts vanish at bin {int(np.argmax(bad))} with observed counts")
+        raise ZeroDivisionError(f"expected counts vanish at bin "
+                                f"{int(bins[np.argmax(bad)])} with observed counts")
     return np.divide(y, ybar, out=np.zeros_like(ybar), where=ybar > 0)
 
 
 def ll_gradient(lm, x):
     """Gradient A^T mult (y/ybar - 1); masked pixels get 0."""
-    grad = sim.back_project(lm.model, _count_ratio(lm, x) - 1.0)
+    ratio = _count_ratio(lm.y.ravel(), _expected(lm, x), range(lm.model.n_rows))
+    grad = sim.back_project(lm.model, ratio - 1.0)
     grad.ravel()[~lm.mask.ravel()] = 0.0
     return grad
 
 
-def _em_ratio_backproj(lm, x, rows=None):
-    """A^T mult (y/ybar) restricted to the given sinogram rows."""
-    ratio = _count_ratio(lm, x)
-    if rows is not None:
-        keep = np.zeros_like(ratio)
-        keep[rows] = ratio[rows]
-        ratio = keep
+def _em_ratio_backproj(lm, x):
+    """A^T mult (y/ybar) over the whole sinogram."""
+    ratio = _count_ratio(lm.y.ravel(), _expected(lm, x), range(lm.model.n_rows))
     return sim.back_project(lm.model, ratio)
 
 
-def _em_update(lm, x, sens, rows):
-    """x * A^T mult (y/ybar) / sens over the given rows, flat; pixels with
-    zero sensitivity become 0."""
-    x = np.asarray(x, dtype=float).ravel()
+def _em_update(x, num, sens):
+    """x * num / sens, flat; pixels with zero sensitivity become 0."""
     mask = sens > 0
-    num = _em_ratio_backproj(lm, x, rows).ravel()
     out = np.zeros_like(x)
     out[mask] = x[mask] * num[mask] / sens[mask]
     return out
@@ -128,16 +117,8 @@ def _em_update(lm, x, sens, rows):
 def mlem_step(lm, x):
     """One multiplicative EM update; zero-sensitivity pixels stay 0."""
     x = np.asarray(x, dtype=float)
-    return _em_update(lm, x, lm.sensitivity.ravel(), None).reshape(x.shape)
-
-
-def _subset_rows(geom, n_subsets):
-    rows = []
-    for s in range(n_subsets):
-        angles = np.arange(s, geom.n_angles, n_subsets)
-        rows.append((angles[:, None] * geom.n_bins
-                     + np.arange(geom.n_bins)[None, :]).ravel())
-    return rows
+    num = _em_ratio_backproj(lm, x).ravel()
+    return _em_update(x.ravel(), num, lm.sensitivity.ravel()).reshape(x.shape)
 
 
 def uniform_start(model):
@@ -148,24 +129,25 @@ def uniform_start(model):
 
 
 def osem_reconstruct(lm, cfg, x0=None):
-    """Ordered-subsets EM over angle-interleaved subsets.
+    """Ordered-subsets EM over angle-interleaved subsets; each subset step
+    projects only its own rows of the sinogram.
 
     n_subsets = 1 reproduces plain MLEM bit for bit.
     """
-    geom = lm.model.geometry
-    if geom.n_angles % cfg.n_subsets != 0:
+    model = lm.model
+    if model.geometry.n_angles % cfg.n_subsets != 0:
         raise ValueError("n_subsets must divide n_angles")
-    x = uniform_start(lm.model) if x0 is None else np.asarray(x0, dtype=float).copy()
-    rows = _subset_rows(geom, cfg.n_subsets)
-    sub_sens = []
-    for r in rows:
-        ones = np.zeros(lm.model.n_rows)
-        ones[r] = 1.0
-        sub_sens.append(sim.back_project(lm.model, ones).ravel())
+    x = uniform_start(model) if x0 is None else np.asarray(x0, dtype=float).copy()
+    y = lm.y.ravel()
+    blocks = sim.subset_blocks(model, cfg.n_subsets)
+    sens = [a_t @ model.mult_factors[rows] for rows, _, a_t in blocks]
     xf = x.ravel()
     for _ in range(cfg.n_iterations):
-        for r, sens in zip(rows, sub_sens):
-            xf = _em_update(lm, xf, sens, r)
+        for (rows, a, a_t), sens_s in zip(blocks, sens):
+            mult_s = model.mult_factors[rows]
+            ybar_s = mult_s * (a @ xf) + model.background[rows]
+            ratio = _count_ratio(y[rows], ybar_s, rows)
+            xf = _em_update(xf, a_t @ (mult_s * ratio), sens_s)
     return xf.reshape(x.shape)
 
 

@@ -1,13 +1,18 @@
 """Log-likelihood values, gradient checks, EM monotonicity, postfilter."""
 
+import collections
+import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pnprecon import prox, recon, sim
+from pnprecon import config, prox, recon, sim
 from oracles import make_test_problem, scalar_model
+
+DEMO_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
 
 def test_ll_unit_bin():
@@ -87,9 +92,16 @@ def test_ll_gradient_names_bad_bin():
     x = np.array([[1.0]])
     for step in (lambda: recon.ll_gradient(dead, x),
                  lambda: recon.mlem_step(dead, x),
-                 lambda: prox.prox_neg_ll(dead, x, prox.ProxConfig(rho=1.0), x)):
+                 lambda: prox.prox_neg_ll(dead, x, prox.ProxConfig(rho=1.0), x),
+                 lambda: recon.osem_reconstruct(dead, recon.OsemConfig(1, 2))):
         with pytest.raises(ZeroDivisionError, match="bin 0"):
             step()
+    # with the second row empty, the bad bin is row 0 of the second subset;
+    # OSEM must name its global index
+    model = dataclasses.replace(model, weights=sp.csr_matrix([[1.0], [0.0]]))
+    dead = recon.LikelihoodModel(model=model, y=np.array([[1.0], [2.0]]))
+    with pytest.raises(ZeroDivisionError, match="bin 1"):
+        recon.osem_reconstruct(dead, recon.OsemConfig(1, 2))
 
 
 def test_mlem_fixed_point_of_exact_data():
@@ -150,6 +162,87 @@ def test_zero_sensitivity_pixel_masked_not_nan():
     x = recon.osem_reconstruct(lm2, recon.OsemConfig(3, 4))
     assert np.all(np.isfinite(x))
     assert x.ravel()[0] == 0.0
+
+
+def _masked_osem(lm, n_iterations, n_subsets, x0):
+    """The replaced OSEM path: per subset step, a full forward projection,
+    the ratio zeroed outside the subset and a full back-projection, over
+    sensitivities back-projected from indicator sinograms."""
+    model, geom = lm.model, lm.model.geometry
+    at = model.weights.T.tocsr()
+    rows = [(np.arange(s, geom.n_angles, n_subsets)[:, None] * geom.n_bins
+             + np.arange(geom.n_bins)[None, :]).ravel() for s in range(n_subsets)]
+    sens = []
+    for r in rows:
+        ones = np.zeros(model.n_rows)
+        ones[r] = 1.0
+        sens.append(at @ (model.mult_factors * ones))
+    y = lm.y.ravel()
+    x = np.asarray(x0, dtype=float).ravel().copy()
+    for _ in range(n_iterations):
+        for r, sen in zip(rows, sens):
+            ybar = model.mult_factors * (model.weights @ x) + model.background
+            ratio = np.divide(y, ybar, out=np.zeros_like(ybar), where=ybar > 0)
+            keep = np.zeros_like(ratio)
+            keep[r] = ratio[r]
+            num = at @ (model.mult_factors * keep)
+            mask = sen > 0
+            out = np.zeros_like(x)
+            out[mask] = x[mask] * num[mask] / sen[mask]
+            x = out
+    return x.reshape(np.shape(x0))
+
+
+def _zero_column_problem(seed):
+    """make_test_problem with pixel 0 outside every ray."""
+    _, lm = make_test_problem(grid=16, seed=seed)
+    w = lm.model.weights.tolil()
+    w[:, 0] = 0.0
+    model = dataclasses.replace(lm.model, weights=w.tocsr())
+    return recon.LikelihoodModel(model=model, y=lm.y)
+
+
+@pytest.mark.parametrize("n_subsets", [1, 2, 4, 12])
+def test_osem_matches_masked_full_sinogram_path_bitwise(n_subsets):
+    _, lm = make_test_problem(grid=16, n_angles=12, seed=13)
+    x0 = recon.uniform_start(lm.model)
+    np.testing.assert_array_equal(
+        recon.osem_reconstruct(lm, recon.OsemConfig(3, n_subsets)),
+        _masked_osem(lm, 3, n_subsets, x0))
+    lm = _zero_column_problem(seed=14)
+    x0 = recon.uniform_start(lm.model)
+    got = recon.osem_reconstruct(lm, recon.OsemConfig(3, n_subsets))
+    assert got.ravel()[0] == 0.0
+    np.testing.assert_array_equal(got, _masked_osem(lm, 3, n_subsets, x0))
+    x0 = np.random.default_rng(15).uniform(0.2, 3.0, x0.shape)
+    np.testing.assert_array_equal(
+        recon.osem_reconstruct(lm, recon.OsemConfig(3, n_subsets), x0=x0),
+        _masked_osem(lm, 3, n_subsets, x0))
+
+
+def test_osem_subset_loop_makes_no_full_projection(monkeypatch):
+    cfg = config.load_config(str(DEMO_CFG))
+    geom = sim.GeometryConfig(**cfg["geometry"])
+    grid = cfg["phantoms"]["grid_size"]
+    activity, mu = sim.make_phantom(sim.random_phantom_spec(grid, seed=3))
+    model = sim.phantom_model(geom, activity, mu, norm_seed=1,
+                              background_fraction=0.2)
+    lm = recon.LikelihoodModel(
+        model=model, y=sim.simulate_counts(model, activity, 1.0, seed=4))
+    calls = collections.Counter()
+    for name in ("forward_project", "back_project"):
+        def counted(*args, _original=getattr(sim, name), _name=name):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(sim, name, counted)
+    n_subsets = recon.default_n_subsets(geom.n_angles)
+    assert n_subsets == 12
+    recon.osem_reconstruct(lm, recon.OsemConfig(2, n_subsets))
+    # the only full projection is the one sensitivity behind the start
+    # image's mask, which the model caches
+    assert calls == {"back_project": 1}
+    recon.osem_reconstruct(lm, recon.OsemConfig(3, n_subsets))
+    assert calls == {"back_project": 1}
 
 
 def test_default_n_subsets():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnprecon import sim
+from pnprecon import sim, train
 from pnprecon.config import FileFormatError
 from oracles import make_test_problem
 
@@ -191,6 +191,22 @@ def test_projector_shared_per_geometry_and_read_only():
     assert a.weights is b.weights
     with pytest.raises(ValueError):
         a.weights.data[0] = 1.0
+    # the transpose and the OSEM subset blocks are built once per matrix and
+    # shared, read-only, also by the copies with_background and item_model make
+    models = [a, b, sim.with_background(a, np.ones((16, 16)), 0.2),
+              train.item_model(b, 2.0)]
+    for m in models:
+        assert m.weights_t is a.weights_t
+        assert sim.subset_blocks(m, 4) is sim.subset_blocks(a, 4)
+    mats = [a.weights_t] + [mat for _, *pair in sim.subset_blocks(a, 4) for mat in pair]
+    assert len(mats) == 9
+    for mat in mats:
+        for arr in (mat.data, mat.indices, mat.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    for rows, _, _ in sim.subset_blocks(a, 4):
+        with pytest.raises(ValueError):
+            rows[0] = 0
 
 
 def test_image_roundtrip_exact(tmp_path):
