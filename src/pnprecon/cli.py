@@ -179,9 +179,10 @@ def _load_dataset(data_dir):
         try:
             i, p, dose, seed, split = line.strip().split(",")
             i, p, dose, seed = int(i), int(p), float(dose), int(seed)
+            _require(split in ("train", "test"), f"unknown split {split!r}")
         except ValueError as exc:
             raise FileFormatError(
-                f"{manifest}: line {lineno}: malformed row") from exc
+                f"{manifest}: line {lineno}: malformed row: {exc}") from exc
         counts = sim.read_image(os.path.join(data_dir, f"item{i:03d}_counts.img"))
         x_noisy = sim.read_image(os.path.join(data_dir, f"item{i:03d}_osem.img"))
         activity = sim.read_image(

@@ -401,7 +401,8 @@ def _truncate(path):
 @pytest.mark.parametrize("case", ["checkpoint-bad-magic", "checkpoint-truncated",
                                   "checkpoint-huge-layer-count",
                                   "osem-image-truncated", "osem-image-nan-pixel",
-                                  "mu-negative-pixel", "manifest-not-utf8"])
+                                  "mu-negative-pixel", "manifest-not-utf8",
+                                  "manifest-bad-split"])
 def test_cli_file_error_exit_code(tmp_path, capsys, case):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CFG)
@@ -427,9 +428,15 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
     elif case == "mu-negative-pixel":
         mu = tmp_path / "runs" / "data" / "phantom02_mu.img"
         sim.write_image(mu, -sim.read_image(mu))
-    else:
+    elif case == "manifest-not-utf8":
         manifest = tmp_path / "runs" / "data" / "manifest.csv"
         manifest.write_bytes(b"\xe9" + manifest.read_bytes()[1:])
+    else:
+        # one of the two test rows would drop out of both splits
+        manifest = tmp_path / "runs" / "data" / "manifest.csv"
+        text = manifest.read_text()
+        assert text.count(",test\n") == 2
+        manifest.write_text(text.replace(",test\n", ",tesd\n", 1))
     capsys.readouterr()
     # reconstruct is the command that builds the system model from mu
     command = (["reconstruct", "--iters", "1"] if case.startswith("mu")
