@@ -33,7 +33,8 @@ def certify(tag, params, n=40):
         x_tilde = train.sample_tilde(item.x_ref,
                                      net.forward(params, item.x_noisy),
                                      float(rng.uniform()))
-        sigma, _ = net.spectral_norm_l(params, x_tilde, max_iters=20,
+        lin = net.Linearization(params, x_tilde)
+        sigma, _ = net.spectral_norm_l(lin, max_iters=20,
                                        seed=int(rng.integers(2 ** 62)))
         sigmas.append(sigma)
     sigmas = np.array(sigmas)

@@ -321,7 +321,7 @@ def cmd_certify(exp, checkpoint, out_dir):
         kappa = float(rng.uniform())
         x_tilde = train.sample_tilde(item.x_ref, outs[idx], kappa)
         sigma, _ = net.spectral_norm_l(
-            params, x_tilde, max_iters=exp.certify_power_iters,
+            net.Linearization(params, x_tilde), max_iters=exp.certify_power_iters,
             seed=int(rng.integers(2 ** 62)))
         rows.append([j, item.phantom_id, kappa, sigma])
         sigmas.append(sigma)

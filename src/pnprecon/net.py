@@ -11,14 +11,16 @@ kernel (c_out, c_in, k, k) then the bias (c_out,)); DenoiserParams.kernels
 and .biases are views into it.  A parameter gradient is a DenoiserParams of
 the same layout.
 
-Implemented products:
-  jvp / vjp            first-order input derivatives,
-  param_grad_mse       d ||D(x) - target||^2 / d theta, returned together
-                       with D(x) from the same primal pass,
-  param_grad_penalty   d h(||2 jvp(u) - u||) / d theta for a frozen unit u,
-                       which differentiates through the jvp graph (the
-                       mixed second-order path needed by the hinge loss),
-  spectral_norm_l      power iteration for sigma(2 J - I).
+Implemented products.  Linearization(params, x) is the one primal pass at
+x: D(x), s, each layer's padded input and pre-activation, and (on first
+use) the activation derivatives.  Every product reads it:
+  forward              D(x); computes no derivatives,
+  Linearization.jvp/vjp  first-order input derivatives (jvp/vjp wrap them),
+  spectral_norm_l      power iteration for sigma(2 J - I) at lin,
+  param_grad_mse       d ||D(x) - target||^2 / d theta, returned with D(x),
+  param_grad_penalty   d h(||2 J u - u||) / d theta for a frozen unit u at
+                       lin, through the jvp graph (the mixed second-order
+                       path needed by the hinge loss); no primal pass.
 
 Convolutions are zero-padded 'same' and run as k*k shifted matmuls on one
 padded buffer; each adjoint is the same convolution with the flipped,
@@ -27,6 +29,7 @@ channel-transposed kernel, the exact transpose up to rounding.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "init_params",
     "identity_params",
     "input_scale",
+    "Linearization",
     "forward",
     "jvp",
     "vjp",
@@ -235,7 +239,7 @@ def _conv_param_grad(xp, gam, kernel_shape):
 
 
 # ---------------------------------------------------------------------------
-# forward and first-order products
+# the linearization: one primal pass, read by every product
 
 
 def input_scale(x):
@@ -247,8 +251,8 @@ def input_scale(x):
 
 
 def _stack_forward(params, w):
-    """Run the residual stack at w; cache per-layer padded inputs and
-    pre-activations."""
+    """Run the residual stack at an already-normalized w; return per-layer
+    pre-activations and padded inputs."""
     arch = params.arch
     act = arch.activation
     h, wd = w.shape
@@ -265,91 +269,87 @@ def _stack_forward(params, w):
     return z_list, in_list
 
 
-def _stack_eval(params, w):
-    """Residual-branch output at an already-normalized input."""
-    z_list, _ = _stack_forward(params, w)
-    return z_list[-1][0]
-
-
-def _primal(params, x):
-    """(D(x), s, pre-activations, padded inputs) of one pass at finite x."""
+def _finite(x):
+    # forward and param_grad_mse reject a non-finite x; a Linearization does
+    # not, so NaNs at x_tilde reach the callers' non-finite checks as before
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("denoiser input must be finite")
-    s = input_scale(x)
-    z_list, in_list = _stack_forward(params, x / s)
-    # algebraically s * (w + z_L); written so zero residual returns x exactly
-    return x + s * z_list[-1][0], s, z_list, in_list
+    return x
+
+
+class Linearization:
+    """The denoiser at x from one primal pass: out = D(x), s, z_list, in_list;
+    dacts, the activation derivatives, are computed on first use."""
+
+    def __init__(self, params, x):
+        self.params = params
+        self.x = np.asarray(x, dtype=float)
+        self.s = input_scale(self.x)
+        self.z_list, self.in_list = _stack_forward(params, self.x / self.s)
+        # algebraically s * (w + z_L); written so zero residual returns x exactly
+        self.out = self.x + self.s * self.z_list[-1][0]
+
+    @cached_property
+    def dacts(self):
+        return [_act_d(self.params.arch.activation, z) for z in self.z_list[:-1]]
+
+    def _shaped(self, v, what):
+        v = np.asarray(v, dtype=float)
+        if v.shape != self.x.shape:
+            raise ValueError(f"{what} shape mismatch")
+        return v
+
+    def _tangent_chain(self, tan):
+        """Padded tangent inputs and tangent pre-activations of every layer."""
+        params = self.params
+        h, wd = tan.shape
+        t = tan[None, :, :]
+        in_t = []
+        zt_list = []
+        for layer in range(params.arch.n_layers):
+            xp = _pad_flat(t, params.arch.kernel)
+            zt = _conv(xp, params.kernels[layer], None, h, wd)
+            in_t.append(xp)
+            zt_list.append(zt)
+            if layer < params.arch.n_layers - 1:
+                t = self.dacts[layer] * zt
+        return in_t, zt_list
+
+    def jvp(self, tan):
+        """Jacobian-vector product of forward at x (s held constant)."""
+        tan = self._shaped(tan, "tangent")
+        return tan + self._tangent_chain(tan)[1][-1][0]
+
+    def vjp(self, cot):
+        """Jacobian-transpose-vector product of forward at x."""
+        cot = self._shaped(cot, "cotangent")
+        h, wd = cot.shape
+        g = cot[None, :, :]
+        for layer in range(self.params.arch.n_layers - 1, -1, -1):
+            g = _conv_adjoint(g, self.params.kernels[layer], h, wd)
+            if layer > 0:
+                g = self.dacts[layer - 1] * g
+        return cot + g[0]
 
 
 def forward(params, x):
     """Apply the denoiser: scale-normalize, residual CNN, rescale."""
-    return _primal(params, x)[0]
-
-
-def linearization_cache(params, x):
-    """Activation derivatives of the primal chain at x, computed once.
-
-    jvp/vjp at a fixed x depend on the primal pass only through these;
-    power iteration reuses the cache across all of its products.
-    """
-    x = np.asarray(x, dtype=float)
-    z_list, _ = _stack_forward(params, x / input_scale(x))
-    return [_act_d(params.arch.activation, z) for z in z_list[:-1]]
-
-
-def _tangent_chain(params, dacts, tan):
-    """Padded tangent inputs and tangent pre-activations of every layer."""
-    arch = params.arch
-    h, wd = tan.shape
-    t = tan[None, :, :]
-    in_t = []
-    zt_list = []
-    for layer in range(arch.n_layers):
-        xp = _pad_flat(t, arch.kernel)
-        zt = _conv(xp, params.kernels[layer], None, h, wd)
-        in_t.append(xp)
-        zt_list.append(zt)
-        if layer < arch.n_layers - 1:
-            t = dacts[layer] * zt
-    return in_t, zt_list
-
-
-def _jvp_cached(params, dacts, tan):
-    return tan + _tangent_chain(params, dacts, tan)[1][-1][0]
-
-
-def _vjp_cached(params, dacts, cot):
-    arch = params.arch
-    h, wd = cot.shape
-    g = cot[None, :, :]
-    for layer in range(arch.n_layers - 1, -1, -1):
-        g = _conv_adjoint(g, params.kernels[layer], h, wd)
-        if layer > 0:
-            g = dacts[layer - 1] * g
-    return cot + g[0]
+    return Linearization(params, _finite(x)).out
 
 
 def jvp(params, x, tan):
-    """Jacobian-vector product of forward at x (s held constant)."""
-    x = np.asarray(x, dtype=float)
-    tan = np.asarray(tan, dtype=float)
-    if tan.shape != x.shape:
-        raise ValueError("tangent shape mismatch")
-    return _jvp_cached(params, linearization_cache(params, x), tan)
+    """Jacobian-vector product of forward at x, from its own pass."""
+    return Linearization(params, x).jvp(tan)
 
 
 def vjp(params, x, cot):
     """Jacobian-transpose-vector product of forward at x."""
-    x = np.asarray(x, dtype=float)
-    cot = np.asarray(cot, dtype=float)
-    if cot.shape != x.shape:
-        raise ValueError("cotangent shape mismatch")
-    return _vjp_cached(params, linearization_cache(params, x), cot)
+    return Linearization(params, x).vjp(cot)
 
 
-def spectral_norm_l(params, x, max_iters=10, tol=1e-7, seed=0, u0=None):
-    """Power iteration for sigma(J_L) with L = 2 D - Id at the point x.
+def spectral_norm_l(lin, max_iters=10, tol=1e-7, seed=0, u0=None):
+    """Power iteration for sigma(J_L) with L = 2 D - Id at the point of lin.
 
     Iterates u <- normalize(J^T J u); returns (||J u||, u) after at most
     max_iters applications or once the estimate changes by less than tol.
@@ -357,36 +357,26 @@ def spectral_norm_l(params, x, max_iters=10, tol=1e-7, seed=0, u0=None):
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    x = np.asarray(x, dtype=float)
     if u0 is None:
         rng = np.random.default_rng(seed)
-        u = rng.standard_normal(x.shape)
+        u = rng.standard_normal(lin.x.shape)
     else:
         u = np.asarray(u0, dtype=float).copy()
     u /= np.linalg.norm(u)
-
-    dacts = linearization_cache(params, x)
-
-    def j_apply(v):
-        return 2.0 * _jvp_cached(params, dacts, v) - v
-
-    def jt_apply(v):
-        return 2.0 * _vjp_cached(params, dacts, v) - v
-
     sigma = None
     for _ in range(max_iters):
-        ju = j_apply(u)
+        ju = 2.0 * lin.jvp(u) - u
         new_sigma = float(np.linalg.norm(ju))
         if sigma is not None and abs(new_sigma - sigma) < tol:
             sigma = new_sigma
             break
         sigma = new_sigma
-        w = jt_apply(ju)
+        w = 2.0 * lin.vjp(ju) - ju
         nw = np.linalg.norm(w)
         if nw == 0:
             break
         u = w / nw
-    sigma = float(np.linalg.norm(j_apply(u)))
+    sigma = float(np.linalg.norm(2.0 * lin.jvp(u) - u))
     return sigma, u
 
 
@@ -399,20 +389,19 @@ def param_grad_mse(params, x, target):
 
     Returns (grad, out) with out = forward(params, x), from one primal pass.
     """
-    out, s, z_list, in_list = _primal(params, x)
-    target = np.asarray(target, dtype=float)
-    if target.shape != out.shape:
-        raise ValueError("target shape mismatch")
+    lin = Linearization(params, _finite(x))
+    out = lin.out
+    target = lin._shaped(target, "target")
     arch = params.arch
     h, wd = out.shape
     grad = identity_params(arch)     # zeros in the parameter layout
-    g = (s * 2.0 * (out - target))[None, :, :]
+    g = (lin.s * 2.0 * (out - target))[None, :, :]
     for layer in range(arch.n_layers - 1, -1, -1):
         grad.kernels[layer][...], grad.biases[layer][...] = _conv_param_grad(
-            in_list[layer], g, params.kernels[layer].shape)
+            lin.in_list[layer], g, params.kernels[layer].shape)
         if layer > 0:
             g = _conv_adjoint(g, params.kernels[layer], h, wd)
-            g = _act_d(arch.activation, z_list[layer - 1]) * g
+            g = lin.dacts[layer - 1] * g
     return grad, out
 
 
@@ -424,30 +413,23 @@ def hinge(sigma, epsilon, alpha):
     return slack ** (1.0 + alpha), (1.0 + alpha) * slack ** alpha
 
 
-def param_grad_penalty(params, x_tilde, u_fixed, epsilon=0.05, alpha=0.1):
-    """Gradient w.r.t. theta of h(||2 jvp(theta; x_tilde, u) - u||), u frozen.
+def param_grad_penalty(lin, u_fixed, epsilon=0.05, alpha=0.1):
+    """Gradient w.r.t. theta of h(||2 jvp(theta; x, u) - u||) at the point
+    of lin, u frozen.
 
     Differentiates through the jvp computation graph, so both the tangent
     chain and the primal pre-activations contribute (the latter through
-    the second derivative of the activation).  Returns (grad, sigma_hat).
+    the second derivative of the activation).  Reads the primal pass of
+    lin and makes none of its own.  Returns (grad, sigma_hat).
     """
-    x_tilde = np.asarray(x_tilde, dtype=float)
-    u = np.asarray(u_fixed, dtype=float)
-    if u.shape != x_tilde.shape:
-        raise ValueError("direction shape mismatch")
+    u = lin._shaped(u_fixed, "direction")
     nu = np.linalg.norm(u)
     if abs(nu - 1.0) > 1e-8:
         raise ValueError("u_fixed must be a unit vector")
+    params = lin.params
     arch = params.arch
-    act = arch.activation
-    s = input_scale(x_tilde)
-    w = x_tilde / s
-    h, wd = w.shape
-
-    # primal + tangent forward, caching everything the reverse sweep needs
-    z_list, in_a = _stack_forward(params, w)
-    dacts = [_act_d(act, z) for z in z_list[:-1]]
-    in_t, zt_list = _tangent_chain(params, dacts, u)
+    h, wd = u.shape
+    in_t, zt_list = lin._tangent_chain(u)
 
     g_vec = u + 2.0 * zt_list[-1][0]
     sigma = float(np.linalg.norm(g_vec))
@@ -458,11 +440,11 @@ def param_grad_penalty(params, x_tilde, u_fixed, epsilon=0.05, alpha=0.1):
 
     gbar = (g_vec / sigma)[None, :, :]
     zt_bar = 2.0 * gbar                     # d sigma / d zt_L
-    z_bar = np.zeros_like(z_list[-1])       # last layer has no activation
+    z_bar = np.zeros_like(lin.z_list[-1])   # last layer has no activation
     for layer in range(arch.n_layers - 1, -1, -1):
         dk_t, _ = _conv_param_grad(in_t[layer], zt_bar,
                                    params.kernels[layer].shape)
-        dk_a, db_a = _conv_param_grad(in_a[layer], z_bar,
+        dk_a, db_a = _conv_param_grad(lin.in_list[layer], z_bar,
                                       params.kernels[layer].shape)
         grad.kernels[layer][...] = dk_t + dk_a
         grad.biases[layer][...] = db_a
@@ -470,10 +452,10 @@ def param_grad_penalty(params, x_tilde, u_fixed, epsilon=0.05, alpha=0.1):
             break
         t_bar = _conv_adjoint(zt_bar, params.kernels[layer], h, wd)
         a_bar = _conv_adjoint(z_bar, params.kernels[layer], h, wd)
-        d1 = dacts[layer - 1]
+        d1 = lin.dacts[layer - 1]
         zt_bar = d1 * t_bar
-        z_bar = (_act_dd(act, z_list[layer - 1]) * zt_list[layer - 1] * t_bar
-                 + d1 * a_bar)
+        z_bar = (_act_dd(arch.activation, lin.z_list[layer - 1])
+                 * zt_list[layer - 1] * t_bar + d1 * a_bar)
     grad.vec *= slope
     return grad, sigma
 

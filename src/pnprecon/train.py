@@ -68,8 +68,8 @@ class TrainConfig:
             raise ValueError("phase must be 'pre' or 'jac'")
         if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("invalid optimizer configuration")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be >= 1")
+        if self.power_iters < 1 or self.sigma_eval_samples < 0:
+            raise ValueError("power_iters must be >= 1 and sigma_eval_samples >= 0")
         if self.beta < 0 or self.alpha < 0 or not 0 <= self.epsilon < 1:
             raise ValueError("invalid hinge hyperparameters")
         if self.phase == "pre" and self.beta != 0:
@@ -106,11 +106,13 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
         model = sim.phantom_model(geom, activity, mu, norm_seed,
                                   background_fraction)
         split = "test" if p >= n_phantoms - n_test_phantoms else "train"
+        # the item models differ only in background: one mask, one start
+        x0 = recon.uniform_start(model)
         for d, dose in enumerate(doses[p]):
             seed = derive_seed(base_seed, p, d)
             counts = sim.simulate_counts(model, activity, dose, seed)
             lm = recon.LikelihoodModel(model=item_model(model, dose), y=counts)
-            x_noisy = recon.osem_reconstruct(lm, osem_cfg)
+            x_noisy = recon.osem_reconstruct(lm, osem_cfg, x0=x0)
             items.append(DatasetItem(
                 phantom_id=p, dose_scale=float(dose), seed=seed, counts=counts,
                 x_noisy=x_noisy, x_ref=dose * activity, split=split))
@@ -129,7 +131,8 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
 
     The hinge is evaluated at x_tilde drawn per element (fresh kappa), with
     the spectral norm estimated by warm-started power iteration; the same
-    power-iteration direction is reused, frozen, inside the gradient.
+    power-iteration direction is reused, frozen, inside the gradient, and
+    both read one linearization at x_tilde.
     In the PRE phase the penalty is skipped entirely.
     """
     if len(batch) == 0:
@@ -146,16 +149,16 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
         if not with_penalty:
             continue
         kappa = float(rng.uniform())
-        x_tilde = sample_tilde(item.x_ref, out, kappa)
+        lin = net.Linearization(params, sample_tilde(item.x_ref, out, kappa))
         key = (item.phantom_id, round(item.dose_scale, 12))
         u0 = power_warm.get(key) if power_warm is not None else None
         sigma, u = net.spectral_norm_l(
-            params, x_tilde, max_iters=cfg.power_iters,
+            lin, max_iters=cfg.power_iters,
             seed=int(rng.integers(2 ** 62)), u0=u0)
         if power_warm is not None:
             power_warm[key] = u
         pen_grad, sigma_hat = net.param_grad_penalty(
-            params, x_tilde, u, epsilon=cfg.epsilon, alpha=cfg.alpha)
+            lin, u, epsilon=cfg.epsilon, alpha=cfg.alpha)
         value, _ = net.hinge(sigma_hat, cfg.epsilon, cfg.alpha)
         loss_pen += value
         gvec += cfg.beta * pen_grad.vec
@@ -213,7 +216,7 @@ def _test_metrics(params, test_items, cfg, rng):
         idx = int(rng.integers(len(test_items)))
         kappa = float(rng.uniform())
         x_tilde = sample_tilde(test_items[idx].x_ref, outs[idx], kappa)
-        sigma, _ = net.spectral_norm_l(params, x_tilde,
+        sigma, _ = net.spectral_norm_l(net.Linearization(params, x_tilde),
                                        max_iters=cfg.power_iters,
                                        seed=int(rng.integers(2 ** 62)))
         sigmas.append(sigma)

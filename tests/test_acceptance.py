@@ -160,7 +160,7 @@ def test_criterion_04_differentiation_engine():
 
     u = rng.standard_normal((8, 8))
     u /= np.linalg.norm(u)
-    pen_struct, sigma = net.param_grad_penalty(params, x, u,
+    pen_struct, sigma = net.param_grad_penalty(net.Linearization(params, x), u,
                                                epsilon=0.05, alpha=0.1)
     assert sigma + 0.05 > 1.0, "penalty path must be active for the check"
     grad_pen = net.grad_to_vector(pen_struct)
@@ -201,15 +201,17 @@ def test_criterion_05_power_iteration():
         x = np.abs(rng.normal(1.0, 0.5, (8, 8))) + 0.1
         dense_sigma = np.linalg.svd(dense_jacobian_l(params, x),
                                     compute_uv=False)[0]
-        sigma, _ = net.spectral_norm_l(params, x, max_iters=50, tol=0.0,
+        sigma, _ = net.spectral_norm_l(net.Linearization(params, x),
+                                       max_iters=50, tol=0.0,
                                        seed=510 + i)
         rel = abs(sigma - dense_sigma) / dense_sigma
         worst = max(worst, rel)
         assert rel < 1e-3
         assert sigma <= dense_sigma + 1e-9
     ident = net.identity_params(arch)
-    sigma, _ = net.spectral_norm_l(ident, np.abs(rng.normal(1, 0.4, (8, 8))),
-                                   max_iters=10, seed=0)
+    sigma, _ = net.spectral_norm_l(
+        net.Linearization(ident, np.abs(rng.normal(1, 0.4, (8, 8)))),
+        max_iters=10, seed=0)
     assert sigma == 1.0
     assert time.time() - t0 < 30
     _ok(5, f"5 nets vs dense SVD, worst rel err {worst:.1e}; identity exact")

@@ -240,6 +240,9 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("kernel = 3", "kernel = 3\ninit_scale = -1", r"\[net\] need init_scale"),
     ("learning_rate = 0.005", "learning_rate = 0.005\npower_iters = 0",
      r"\[train\.pre\] power_iters"),
+    ("learning_rate = 0.005\nsigma_eval_samples = 2",
+     "learning_rate = 0.005\nsigma_eval_samples = -3",
+     r"\[train\.pre\] .*sigma_eval_samples"),
     ("rhos = 10.0,300.0", "rhos = -1,300.0", r"\[sweep\] rhos"),
     ("rhos = 10.0,300.0\niterations = 3", "rhos = 10.0,300.0\niterations = 0",
      r"\[sweep\] need iterations"),
@@ -369,14 +372,14 @@ def test_simulate_computes_each_thing_once(tmp_path, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     for module, name in ((sim, "build_system_model"), (sim, "simulate_counts"),
-                         (recon, "osem_reconstruct")):
+                         (recon, "osem_reconstruct"), (sim, "back_project")):
         count(module, name)
     sim._assemble_projector.cache_clear()
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
-    # 3 phantoms x 2 doses, one geometry
+    # 3 phantoms x 2 doses, one geometry; one sensitivity per phantom
     assert sim._assemble_projector.cache_info().misses == 1
     assert calls == {"build_system_model": 3, "simulate_counts": 6,
-                     "osem_reconstruct": 6}
+                     "osem_reconstruct": 6, "back_project": 3}
 
     exp = cli.build_experiment(load_config(str(cfg_path)), {})
     data = tmp_path / "runs" / "data"
@@ -456,6 +459,23 @@ def fuzz_run(tmp_path_factory):
     vec = np.random.default_rng(5).normal(0.0, 0.2, net.n_params(arch))
     net.save_checkpoint(root / "net.ckpt", net.DenoiserParams(arch=arch, vec=vec))
     return root
+
+
+def test_certify_primal_passes(fuzz_run, tmp_path, monkeypatch):
+    # one pass per test item for the outputs, one per sample for the
+    # linearization its power iteration reads
+    calls = [0]
+    original = net._stack_forward
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+    monkeypatch.setattr(net, "_stack_forward", counted)
+    assert cli.main(["certify", "--config", str(fuzz_run / "tiny.cfg"),
+                     "--checkpoint", str(fuzz_run / "net.ckpt"),
+                     "--out", str(tmp_path / "out"), "--n-samples", "5"]) == 0
+    # 1 test phantom x 2 doses
+    assert calls[0] == 5 + 2
 
 
 # the checkpoint, the manifest, and one image of each kind that certify or

@@ -88,8 +88,8 @@ def test_jvp_matches_finite_differences():
     h = 1e-6
     # hold the scale fixed: jvp treats s as a constant
     s = net.input_scale(x)
-    fd = (net._stack_eval(params, (x + h * t) / s)
-          - net._stack_eval(params, (x - h * t) / s)) * s / (2 * h)
+    fd = (net._stack_forward(params, (x + h * t) / s)[0][-1][0]
+          - net._stack_forward(params, (x - h * t) / s)[0][-1][0]) * s / (2 * h)
     got = net.jvp(params, x, t)
     want = t + fd
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-5
@@ -98,7 +98,8 @@ def test_jvp_matches_finite_differences():
 def test_spectral_norm_identity_is_one():
     params = net.identity_params(ARCH3)
     x = random_image((8, 8), 13)
-    sigma, u = net.spectral_norm_l(params, x, max_iters=10, seed=0)
+    sigma, u = net.spectral_norm_l(net.Linearization(params, x), max_iters=10,
+                                   seed=0)
     assert sigma == 1.0
     assert np.linalg.norm(u) == pytest.approx(1.0)
 
@@ -106,10 +107,11 @@ def test_spectral_norm_identity_is_one():
 def test_spectral_norm_reflection_is_one(monkeypatch):
     # D with zero linearization makes L = -Id: still unit spectral norm
     params = net.identity_params(ARCH3)
-    monkeypatch.setattr(net, "_jvp_cached", lambda p, c, t: np.zeros_like(t))
-    monkeypatch.setattr(net, "_vjp_cached", lambda p, c, t: np.zeros_like(t))
+    monkeypatch.setattr(net.Linearization, "jvp", lambda lin, t: np.zeros_like(t))
+    monkeypatch.setattr(net.Linearization, "vjp", lambda lin, t: np.zeros_like(t))
     x = random_image((8, 8), 14)
-    sigma, _ = net.spectral_norm_l(params, x, max_iters=5, seed=1)
+    sigma, _ = net.spectral_norm_l(net.Linearization(params, x), max_iters=5,
+                                   seed=1)
     assert sigma == pytest.approx(1.0, abs=1e-14)
 
 
@@ -118,7 +120,8 @@ def test_spectral_norm_matches_dense_svd():
     x = random_image((8, 8), 16)
     jl = dense_jacobian_l(params, x)
     want = np.linalg.svd(jl, compute_uv=False)[0]
-    sigma, _ = net.spectral_norm_l(params, x, max_iters=50, tol=0.0, seed=2)
+    sigma, _ = net.spectral_norm_l(net.Linearization(params, x), max_iters=50,
+                                   tol=0.0, seed=2)
     assert abs(sigma - want) / want < 1e-3
     assert sigma <= want + 1e-9
 
@@ -126,8 +129,8 @@ def test_spectral_norm_matches_dense_svd():
 def test_spectral_norm_deterministic():
     params = random_params(ARCH3, 17)
     x = random_image((8, 8), 18)
-    a = net.spectral_norm_l(params, x, max_iters=10, seed=3)
-    b = net.spectral_norm_l(params, x, max_iters=10, seed=3)
+    a = net.spectral_norm_l(net.Linearization(params, x), max_iters=10, seed=3)
+    b = net.spectral_norm_l(net.Linearization(params, x), max_iters=10, seed=3)
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -194,7 +197,8 @@ def test_penalty_dead_hinge_gives_zero_gradient():
     x = random_image((8, 8), 25)
     u = np.ones((8, 8)) / 8.0
     # eps = 0 makes the hinge argument exactly 0: inactive
-    grad, sigma = net.param_grad_penalty(params, x, u, epsilon=0.0, alpha=0.1)
+    grad, sigma = net.param_grad_penalty(net.Linearization(params, x), u,
+                                         epsilon=0.0, alpha=0.1)
     assert sigma == pytest.approx(1.0)
     assert all(np.all(k == 0) for k in grad.kernels)
 
@@ -203,7 +207,7 @@ def test_penalty_rejects_non_unit_direction():
     params = net.identity_params(ARCH2)
     x = random_image((8, 8), 26)
     with pytest.raises(ValueError, match="unit"):
-        net.param_grad_penalty(params, x, np.full((8, 8), 2.0))
+        net.param_grad_penalty(net.Linearization(params, x), np.full((8, 8), 2.0))
 
 
 def test_param_grad_penalty_matches_finite_differences():
@@ -214,7 +218,7 @@ def test_param_grad_penalty_matches_finite_differences():
     u = rng.standard_normal((8, 8))
     u /= np.linalg.norm(u)
     eps, alpha = 0.05, 0.1
-    grad_struct, sigma = net.param_grad_penalty(params, x, u,
+    grad_struct, sigma = net.param_grad_penalty(net.Linearization(params, x), u,
                                                 epsilon=eps, alpha=alpha)
     assert sigma + eps > 1.0, "test setup must activate the hinge"
     grad = net.grad_to_vector(grad_struct)
@@ -241,8 +245,9 @@ def test_param_grad_penalty_alpha_zero_plain_hinge():
     rng = np.random.default_rng(32)
     u = rng.standard_normal((8, 8))
     u /= np.linalg.norm(u)
-    g0, sigma0 = net.param_grad_penalty(params, x, u, epsilon=0.05, alpha=0.0)
-    g1, sigma1 = net.param_grad_penalty(params, x, u, epsilon=0.05, alpha=1.0)
+    lin = net.Linearization(params, x)
+    g0, sigma0 = net.param_grad_penalty(lin, u, epsilon=0.05, alpha=0.0)
+    g1, sigma1 = net.param_grad_penalty(lin, u, epsilon=0.05, alpha=1.0)
     assert sigma0 == sigma1
     slack = sigma0 + 0.05 - 1.0
     assert slack > 0

@@ -116,10 +116,10 @@ def test_loss_decomposition_exact():
     assert total == mse_part + 7.0 * pen
 
 
-@pytest.mark.parametrize("phase, passes_per_item", [("pre", 1), ("jac", 3)])
+@pytest.mark.parametrize("phase, passes_per_item", [("pre", 1), ("jac", 2)])
 def test_loss_and_grad_primal_passes(monkeypatch, phase, passes_per_item):
-    # one pass on x_noisy (loss, output and MSE gradient); in JAC two more
-    # on x_tilde (power iteration, penalty gradient)
+    # one pass on x_noisy (loss, output and MSE gradient); in JAC one more
+    # on x_tilde, shared by power iteration and the penalty gradient
     ds = tiny_dataset()
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     params = net.init_params(arch, seed=0, scale=0.3)
@@ -136,6 +136,43 @@ def test_loss_and_grad_primal_passes(monkeypatch, phase, passes_per_item):
     assert calls[0] == passes_per_item * len(batch)
 
 
+@pytest.mark.parametrize("activation", ["softplus", "relu"])
+def test_jac_loss_and_grad_matches_separate_linearizations(activation):
+    # the replaced path: power iteration on one linearization of x_tilde
+    # and the penalty gradient on a fresh one, drawing the same rng values
+    ds = tiny_dataset()
+    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3, activation=activation)
+    params = net.vector_to_params(
+        arch, np.random.default_rng(17).normal(0, 0.5, net.n_params(arch)))
+    batch = list(ds.items[:3])
+    cfg = _jac_cfg(batch_size=3)
+    u0 = np.random.default_rng(18).standard_normal(batch[0].x_ref.shape)
+    key = (batch[0].phantom_id, round(batch[0].dose_scale, 12))
+    got = train.loss_and_grad(params, batch, cfg, np.random.default_rng(19),
+                              power_warm={key: u0.copy()})
+
+    rng = np.random.default_rng(19)
+    loss_mse = loss_pen = 0.0
+    gvec = np.zeros(net.n_params(arch))
+    for i, item in enumerate(batch):
+        grad, out = net.param_grad_mse(params, item.x_noisy, item.x_ref)
+        loss_mse += float(np.sum((out - item.x_ref) ** 2))
+        gvec += grad.vec
+        x_tilde = train.sample_tilde(item.x_ref, out, float(rng.uniform()))
+        _, u = net.spectral_norm_l(net.Linearization(params, x_tilde),
+                                   max_iters=cfg.power_iters,
+                                   seed=int(rng.integers(2 ** 62)),
+                                   u0=u0 if i == 0 else None)
+        pen_grad, sigma_hat = net.param_grad_penalty(
+            net.Linearization(params, x_tilde), u,
+            epsilon=cfg.epsilon, alpha=cfg.alpha)
+        loss_pen += net.hinge(sigma_hat, cfg.epsilon, cfg.alpha)[0]
+        gvec += cfg.beta * pen_grad.vec
+    assert loss_pen > 0.0, "test setup must activate the hinge"
+    assert got[:3] == (loss_mse + cfg.beta * loss_pen, loss_mse, loss_pen)
+    np.testing.assert_array_equal(got[3], gvec)
+
+
 def test_full_loss_gradient_matches_finite_differences():
     ds = tiny_dataset(grid=16)
     arch = net.ArchConfig(n_layers=2, channels=2, kernel=3)
@@ -148,7 +185,8 @@ def test_full_loss_gradient_matches_finite_differences():
     kappa = 0.4
     x_tilde0 = train.sample_tilde(item.x_ref,
                                   net.forward(params0, item.x_noisy), kappa)
-    _, u = net.spectral_norm_l(params0, x_tilde0, max_iters=10, seed=6)
+    _, u = net.spectral_norm_l(net.Linearization(params0, x_tilde0),
+                               max_iters=10, seed=6)
 
     def loss(vec):
         p = net.vector_to_params(arch, vec)
@@ -172,8 +210,8 @@ def test_full_loss_gradient_matches_finite_differences():
 
     grad = net.grad_to_vector(net.param_grad_mse(params0, item.x_noisy,
                                                  item.x_ref)[0])
-    pen_grad, sigma = net.param_grad_penalty(params0, x_tilde0, u,
-                                             epsilon=eps, alpha=alpha)
+    pen_grad, sigma = net.param_grad_penalty(net.Linearization(params0, x_tilde0),
+                                             u, epsilon=eps, alpha=alpha)
     assert sigma + eps > 1.0
     grad = grad + beta * net.grad_to_vector(pen_grad)
     rng = np.random.default_rng(7)
@@ -245,7 +283,8 @@ def test_train_jac_enforces_sigma_on_toy_set():
         x_tilde = train.sample_tilde(item.x_ref,
                                      net.forward(jac, item.x_noisy),
                                      float(rng.uniform()))
-        sigma, _ = net.spectral_norm_l(jac, x_tilde, max_iters=15,
+        sigma, _ = net.spectral_norm_l(net.Linearization(jac, x_tilde),
+                                       max_iters=15,
                                        seed=int(rng.integers(2 ** 62)))
         sigmas.append(sigma)
     assert max(sigmas) < 1.05
