@@ -60,10 +60,11 @@ print(f"  fixed-point residual ||T(w) - w||: "
       f"{hist.t_residual[0]:.3e} -> {hist.t_residual[-1]:.3e}")
 
 # 3. rho sensitivity: too small or too large stalls one of the residuals
-report = admm.rho_sweep(lm, params, [rho / 100, rho, rho * 100],
-                        n_iterations=40, z0=z0, x_ref=activity)
+sweep_cfg = admm.AdmmConfig.make(rho=rho, n_iterations=40)
+histories = admm.rho_sweep(lm, params, [rho / 100, rho, rho * 100], sweep_cfg,
+                           z0=z0, x_ref=activity)
 print("rho sweep (residual ratios at iteration 40):")
-for r, pr, dr, ok in zip(report.rhos, report.primal_ratio,
-                         report.dual_ratio, report.meets_threshold):
+for hist in histories:
+    r, _, _, pr, dr, ok = admm.summary_row(hist)[:6]
     print(f"  rho {r:10.2f}: primal {pr:7.3f}, dual {dr:7.3f}, "
-          f"meets 10% threshold: {ok}")
+          f"meets 10% threshold: {bool(ok)}")

@@ -6,15 +6,16 @@ rho * ||z_new - z_old||, both over unmasked pixels; each must vanish for
 the scheme to have converged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import net, prox, recon
 from .util import NumericalAbort
 
-__all__ = ["AdmmConfig", "AdmmState", "History", "SweepReport", "admm_pnp",
-           "apply_T", "rho_sweep", "default_rho_grid"]
+__all__ = ["AdmmConfig", "AdmmState", "History", "CURVE_HEADER",
+           "SUMMARY_HEADER", "admm_pnp", "apply_T", "rho_sweep", "curve_rows",
+           "summary_row", "default_rho_grid"]
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,9 @@ class AdmmConfig:
     @property
     def rho(self):
         return self.prox.rho
+
+    def with_rho(self, rho):
+        return replace(self, prox=replace(self.prox, rho=rho))
 
     @classmethod
     def make(cls, rho, n_iterations=40, n_inner=30, tol=1e-8,
@@ -158,43 +162,26 @@ def apply_T(lm, denoiser, cfg, w):
         denoise, w)
 
 
-@dataclass
-class SweepReport:
-    rhos: list
-    histories: list          # one History per rho
-    final_mse: list          # nan when no reference
-    primal_ratio: list       # residual at K over residual at 1
-    dual_ratio: list
-    meets_threshold: list    # both ratios < 0.1
-    primal_monotone: list    # non-increasing curve (5% slack)
-    dual_monotone: list
+CURVE_HEADER = ("rho",) + History.HEADER[:-1]
+SUMMARY_HEADER = ("rho", "final_primal", "final_dual", "primal_ratio",
+                  "dual_ratio", "meets_threshold", "primal_monotone",
+                  "dual_monotone", "final_log_likelihood", "final_mse")
 
-    CURVE_HEADER = ("rho", "iteration", "primal_residual_norm",
-                    "dual_residual_norm", "log_likelihood", "mse_vs_ref")
-    SUMMARY_HEADER = ("rho", "final_primal", "final_dual", "primal_ratio",
-                      "dual_ratio", "meets_threshold", "primal_monotone",
-                      "dual_monotone", "final_log_likelihood", "final_mse")
 
-    def curve_rows(self):
-        rows = []
-        for rho, hist in zip(self.rhos, self.histories):
-            for k in range(len(hist)):
-                rows.append([rho, k + 1, hist.primal[k], hist.dual[k],
-                             hist.log_likelihood[k],
-                             hist.mse[k] if hist.mse else ""])
-        return rows
+def curve_rows(histories):
+    """One sweep_curves.csv row per rho and iteration."""
+    return [[h.rho] + row[:-1] for h in histories for row in h.as_rows()]
 
-    def summary_rows(self):
-        rows = []
-        for i, (rho, hist) in enumerate(zip(self.rhos, self.histories)):
-            rows.append([rho, hist.primal[-1], hist.dual[-1],
-                         self.primal_ratio[i], self.dual_ratio[i],
-                         int(self.meets_threshold[i]),
-                         int(self.primal_monotone[i]),
-                         int(self.dual_monotone[i]),
-                         hist.log_likelihood[-1],
-                         self.final_mse[i]])
-        return rows
+
+def summary_row(hist):
+    """Final residuals, their ratios to iteration 1, whether both ratios
+    are below 0.1, and whether each curve is non-increasing (5% slack)."""
+    pr = hist.primal[-1] / hist.primal[0] if hist.primal[0] > 0 else 0.0
+    dr = hist.dual[-1] / hist.dual[0] if hist.dual[0] > 0 else 0.0
+    return [hist.rho, hist.primal[-1], hist.dual[-1], pr, dr,
+            int(pr < 0.1 and dr < 0.1), int(_is_monotone(hist.primal)),
+            int(_is_monotone(hist.dual)), hist.log_likelihood[-1],
+            hist.mse[-1] if hist.mse else float("nan")]
 
 
 def _is_monotone(curve, slack=0.05):
@@ -202,43 +189,23 @@ def _is_monotone(curve, slack=0.05):
     return bool(np.all(c[1:] <= c[:-1] * (1.0 + slack)))
 
 
-def rho_sweep(lm, denoiser, rhos, n_iterations=40, z0=None, x_ref=None,
-              n_inner=30, tol=1e-8):
-    """Run admm_pnp once per rho and label each residual curve."""
-    rhos = list(rhos)
-    if not rhos or any(r <= 0 for r in rhos):
-        raise ValueError("rhos must be a nonempty list of positive values")
-    report = SweepReport(rhos=rhos, histories=[], final_mse=[],
-                         primal_ratio=[], dual_ratio=[], meets_threshold=[],
-                         primal_monotone=[], dual_monotone=[])
-    for rho in rhos:
-        cfg = AdmmConfig.make(rho, n_iterations=n_iterations,
-                              n_inner=n_inner, tol=tol)
-        x, hist = admm_pnp(lm, denoiser, cfg, z0=z0, x_ref=x_ref)
-        pr = hist.primal[-1] / hist.primal[0] if hist.primal[0] > 0 else 0.0
-        dr = hist.dual[-1] / hist.dual[0] if hist.dual[0] > 0 else 0.0
-        report.histories.append(hist)
-        report.final_mse.append(hist.mse[-1] if hist.mse else float("nan"))
-        report.primal_ratio.append(pr)
-        report.dual_ratio.append(dr)
-        report.meets_threshold.append(pr < 0.1 and dr < 0.1)
-        report.primal_monotone.append(_is_monotone(hist.primal))
-        report.dual_monotone.append(_is_monotone(hist.dual))
-    return report
+def rho_sweep(lm, denoiser, rhos, cfg, z0=None, x_ref=None):
+    """One History per rho, each from admm_pnp run with cfg at that rho."""
+    cfgs = [cfg.with_rho(rho) for rho in rhos]
+    if not cfgs:
+        raise ValueError("rhos must be nonempty")
+    return [admm_pnp(lm, denoiser, c, z0=z0, x_ref=x_ref)[1] for c in cfgs]
 
 
-def default_rho_grid(lm, denoiser, z0=None, n_values=8, decades=4.0,
+def default_rho_grid(lm, denoiser, cfg, z0=None, n_values=8, decades=4.0,
                      pilot_iterations=20, pilot_grid=None):
-    """Log-spaced grid centred on the pilot rho with the smallest
-    iteration-20 primal residual."""
+    """Log-spaced grid centred on the pilot rho with the smallest final
+    primal residual; the pilots run cfg for pilot_iterations."""
     if pilot_grid is None:
         scale = float(np.mean(lm.sensitivity[lm.mask]))
         pilot_grid = [scale * f for f in (0.01, 0.1, 1.0, 10.0)]
-    best_rho, best_res = None, np.inf
-    for rho in pilot_grid:
-        cfg = AdmmConfig.make(rho, n_iterations=pilot_iterations)
-        _, hist = admm_pnp(lm, denoiser, cfg, z0=z0)
-        if hist.primal[-1] < best_res:
-            best_rho, best_res = rho, hist.primal[-1]
+    pilots = rho_sweep(lm, denoiser, pilot_grid,
+                       replace(cfg, n_iterations=pilot_iterations), z0=z0)
+    best = min(pilots, key=lambda h: h.primal[-1])
     half = decades / 2.0
-    return list(best_rho * np.logspace(-half, half, n_values))
+    return list(best.rho * np.logspace(-half, half, n_values))

@@ -37,12 +37,12 @@ def _write_provenance(out_dir, exp, **extras):
 
 # Every config value and command-line flag in the typed form the commands
 # use (admm with --rho and --iters applied, train configs by phase, sweep
-# rhos as floats or "auto", n_samples None outside certify), built once by
-# build_experiment.
+# rhos as floats or "auto", the sweep's AdmmConfig, n_samples None outside
+# certify), built once by build_experiment.
 Experiment = collections.namedtuple("Experiment", (
     "cfg paths specs n_test doses geometry norm_seed background_fraction osem "
     "arch init_scale train certify_power_iters certify_margin n_samples admm "
-    "n_test_sims filter_sigmas sweep_rhos sweep_iterations sweep_n_values "
+    "n_test_sims filter_sigmas sweep_rhos sweep sweep_n_values "
     "sweep_decades"))
 
 
@@ -106,23 +106,24 @@ def build_experiment(cfg, flags):
             tol=a["prox_tol"], record_t_residual=a["record_t_residual"])
         _require(a["n_test_sims"] >= 1 and a["filter_sigmas"],
                  "need n_test_sims >= 1 and at least one filter sigma")
-    with _naming("--rho:"):
-        if flags.get("rho") is not None:
-            acfg = dataclasses.replace(
-                acfg, prox=dataclasses.replace(acfg.prox, rho=flags["rho"]))
-    with _naming("--iters:"):
-        if flags.get("iters") is not None:
-            acfg = dataclasses.replace(acfg, n_iterations=flags["iters"])
-    with _naming("--n-samples:"):
-        _require(flags.get("n_samples", 1) >= 1, "need at least one sample")
     with _naming("[sweep] rhos:"):
         rhos = sw["rhos"]
         if rhos != "auto":
             rhos = tuple(float(tok) for tok in rhos.split(","))
             _require(min(rhos) > 0, "each rho must be positive")
     with _naming("[sweep]"):
-        _require(sw["iterations"] >= 1 and sw["n_values"] >= 1,
-                 "need iterations >= 1 and n_values >= 1")
+        _require(sw["iterations"] >= 1 and sw["n_values"] >= 2,
+                 "need iterations >= 1 and n_values >= 2")
+        sweep = dataclasses.replace(acfg, n_iterations=sw["iterations"],
+                                    record_t_residual=False)
+    with _naming("--rho:"):
+        if flags.get("rho") is not None:
+            acfg = acfg.with_rho(flags["rho"])
+    with _naming("--iters:"):
+        if flags.get("iters") is not None:
+            acfg = dataclasses.replace(acfg, n_iterations=flags["iters"])
+    with _naming("--n-samples:"):
+        _require(flags.get("n_samples", 1) >= 1, "need at least one sample")
     return Experiment(
         cfg=cfg, paths={name: os.path.normpath(os.path.join(cfg.base_dir, path))
                         for name, path in cfg["paths"].items()},
@@ -134,7 +135,7 @@ def build_experiment(cfg, flags):
         certify_margin=n["certify_margin"], n_samples=flags.get("n_samples"),
         admm=acfg, n_test_sims=a["n_test_sims"],
         filter_sigmas=tuple(a["filter_sigmas"]), sweep_rhos=rhos,
-        sweep_iterations=sw["iterations"], sweep_n_values=sw["n_values"],
+        sweep=sweep, sweep_n_values=sw["n_values"],
         sweep_decades=sw["decades"])
 
 
@@ -286,18 +287,18 @@ def cmd_sweep(exp, checkpoint, out_dir):
     lm = _likelihood_for_item(exp, item)
     rhos = exp.sweep_rhos
     if rhos == "auto":
-        rhos = admm.default_rho_grid(lm, params, z0=item.x_noisy,
+        rhos = admm.default_rho_grid(lm, params, exp.sweep, z0=item.x_noisy,
                                      n_values=exp.sweep_n_values,
                                      decades=exp.sweep_decades)
-    report = admm.rho_sweep(lm, params, rhos, n_iterations=exp.sweep_iterations,
-                            z0=item.x_noisy, x_ref=item.x_ref,
-                            n_inner=exp.admm.prox.n_inner, tol=exp.admm.prox.tol)
+    histories = admm.rho_sweep(lm, params, rhos, exp.sweep, z0=item.x_noisy,
+                               x_ref=item.x_ref)
+    summary = [admm.summary_row(h) for h in histories]
     write_csv(os.path.join(out_dir, "sweep_curves.csv"),
-              admm.SweepReport.CURVE_HEADER, report.curve_rows())
+              admm.CURVE_HEADER, admm.curve_rows(histories))
     write_csv(os.path.join(out_dir, "sweep_summary.csv"),
-              admm.SweepReport.SUMMARY_HEADER, report.summary_rows())
+              admm.SUMMARY_HEADER, summary)
     _write_provenance(out_dir, exp)
-    n_ok = sum(report.meets_threshold)
+    n_ok = sum(row[5] for row in summary)       # meets_threshold
     print(f"sweep: item {item_idx}, {len(rhos)} rho values, "
           f"{n_ok} meet the residual-decrease threshold -> {out_dir}")
     return 0
@@ -323,6 +324,8 @@ def cmd_certify(exp, checkpoint, out_dir):
         sigma, _ = net.spectral_norm_l(
             net.Linearization(params, x_tilde), max_iters=exp.certify_power_iters,
             seed=int(rng.integers(2 ** 62)))
+        if not np.isfinite(sigma):
+            raise NumericalAbort(f"non-finite sigma at sample {j}")
         rows.append([j, item.phantom_id, kappa, sigma])
         sigmas.append(sigma)
     write_csv(os.path.join(out_dir, "certify.csv"),

@@ -129,11 +129,11 @@ def test_rho_sweep_single_value_equals_one_run():
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     params = net.init_params(arch, seed=2, scale=0.2)
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
-    report = admm.rho_sweep(lm, params, [25.0], n_iterations=6, z0=z0)
     cfg = admm.AdmmConfig.make(rho=25.0, n_iterations=6)
+    (swept,) = admm.rho_sweep(lm, params, [25.0], cfg, z0=z0)
     _, hist = admm.admm_pnp(lm, params, cfg, z0=z0)
-    assert report.histories[0].primal == hist.primal
-    assert report.histories[0].dual == hist.dual
+    assert swept.primal == hist.primal
+    assert swept.dual == hist.dual
 
 
 def test_rho_sweep_row_count_and_determinism():
@@ -143,25 +143,67 @@ def test_rho_sweep_row_count_and_determinism():
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
     rhos = [5.0, 50.0, 500.0]
-    r1 = admm.rho_sweep(lm, params, rhos, n_iterations=4, z0=z0, x_ref=activity)
-    r2 = admm.rho_sweep(lm, params, rhos, n_iterations=4, z0=z0, x_ref=activity)
-    assert len(r1.curve_rows()) == len(rhos) * 4
-    assert r1.curve_rows() == r2.curve_rows()
-    assert r1.summary_rows() == r2.summary_rows()
+    cfg = admm.AdmmConfig.make(rho=1.0, n_iterations=4)
+    r1 = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
+    r2 = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
+    assert len(admm.curve_rows(r1)) == len(rhos) * 4
+    assert admm.curve_rows(r1) == admm.curve_rows(r2)
+    assert ([admm.summary_row(h) for h in r1]
+            == [admm.summary_row(h) for h in r2])
 
 
 def test_rho_sweep_validates_input():
     _, lm = make_test_problem(grid=16, seed=10)
+    cfg = admm.AdmmConfig.make(rho=1.0)
+    calls = []
+    counted = lambda img: calls.append(1) or img.copy()
     with pytest.raises(ValueError):
-        admm.rho_sweep(lm, IDENTITY, [])
+        admm.rho_sweep(lm, counted, [], cfg)
     with pytest.raises(ValueError):
-        admm.rho_sweep(lm, IDENTITY, [1.0, -2.0])
+        admm.rho_sweep(lm, counted, [1.0, -2.0], cfg)
+    assert calls == []       # the bad rho is rejected before any run
+
+
+def test_sweep_rows_match_per_rho_runs():
+    # reference rows written inline from one AdmmConfig.make run per rho
+    activity, lm = make_test_problem(grid=16, seed=13)
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    rng = np.random.default_rng(5)
+    params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
+    z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+    rhos = [0.05, 0.5, 1.5, 5.0]
+    want_curves, want_summary = [], []
+    for rho in rhos:
+        _, hist = admm.admm_pnp(lm, params, admm.AdmmConfig.make(
+            rho, n_iterations=8, n_inner=7, tol=1e-6), z0=z0, x_ref=activity)
+        for k in range(len(hist)):
+            want_curves.append([rho, k + 1, hist.primal[k], hist.dual[k],
+                                hist.log_likelihood[k], hist.mse[k]])
+        pr = hist.primal[-1] / hist.primal[0]
+        dr = hist.dual[-1] / hist.dual[0]
+        want_summary.append([rho, hist.primal[-1], hist.dual[-1], pr, dr,
+                             int(pr < 0.1 and dr < 0.1),
+                             int(admm._is_monotone(hist.primal)),
+                             int(admm._is_monotone(hist.dual)),
+                             hist.log_likelihood[-1], hist.mse[-1]])
+    cfg = admm.AdmmConfig.make(1.0, n_iterations=8, n_inner=7, tol=1e-6)
+    hists = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
+    assert admm.curve_rows(hists) == want_curves
+    summary = [admm.summary_row(h) for h in hists]
+    assert summary == want_summary
+    # threshold and monotone flags (columns 5-7) each take both values
+    assert [row[5:8] for row in summary] == [[1, 1, 1], [0, 1, 1], [0, 0, 1],
+                                             [0, 0, 0]]
+    assert admm.CURVE_HEADER == ("rho", "iteration", "primal_residual_norm",
+                                 "dual_residual_norm", "log_likelihood",
+                                 "mse_vs_ref")
 
 
 def test_default_rho_grid_centers_on_pilot_best():
     _, lm = make_test_problem(grid=16, seed=12)
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
-    grid = admm.default_rho_grid(lm, IDENTITY, z0=z0, n_values=5, decades=2.0,
+    cfg = admm.AdmmConfig.make(rho=1.0)
+    grid = admm.default_rho_grid(lm, IDENTITY, cfg, z0=z0, n_values=5, decades=2.0,
                                  pilot_iterations=3, pilot_grid=[1.0, 100.0])
     assert len(grid) == 5
     assert all(r > 0 for r in grid)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnprecon import admm, cli, net, recon, sim, train
+from pnprecon import admm, cli, net, prox, recon, sim, train
 from pnprecon.config import (ConfigError, canonical_text, config_hash,
                              load_config, parse_config)
 from pnprecon.util import derive_seed
@@ -246,6 +246,8 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("rhos = 10.0,300.0", "rhos = -1,300.0", r"\[sweep\] rhos"),
     ("rhos = 10.0,300.0\niterations = 3", "rhos = 10.0,300.0\niterations = 0",
      r"\[sweep\] need iterations"),
+    ("rhos = 10.0,300.0", "rhos = 10.0,300.0\nn_values = 1",
+     r"\[sweep\] .*n_values >= 2"),
     ("n_doses = 2", "n_doses = 0", r"\[simulation\] need n_doses"),
     ("dose_center = 1.2", "dose_center = -1", r"\[simulation\] .*dose_center"),
     ("background_fraction = 0.2", "background_fraction = -0.5",
@@ -329,7 +331,10 @@ def _old_builders(cfg, rho=None, iters=None):
         n_test_sims=a["n_test_sims"],
         filter_sigmas=a["filter_sigmas"],
         sweep_rhos=[float(tok) for tok in s["rhos"].split(",")],
-        sweep_iterations=s["iterations"], sweep_n_values=s["n_values"],
+        sweep=admm.AdmmConfig.make(
+            a["rho"], n_iterations=s["iterations"], n_inner=a["prox_inner"],
+            tol=a["prox_tol"]),
+        sweep_n_values=s["n_values"],
         sweep_decades=s["decades"])
 
 
@@ -476,6 +481,46 @@ def test_certify_primal_passes(fuzz_run, tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out"), "--n-samples", "5"]) == 0
     # 1 test phantom x 2 doses
     assert calls[0] == 5 + 2
+
+
+def test_certify_non_finite_sigma_aborts(fuzz_run, tmp_path, capsys):
+    # a kernel weight of 1e307 overflows the net's output
+    params = net.load_checkpoint(fuzz_run / "net.ckpt")
+    vec = params.vec.copy()
+    vec[0] = 1e307
+    ckpt = tmp_path / "huge.ckpt"
+    net.save_checkpoint(ckpt, net.DenoiserParams(arch=params.arch, vec=vec))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = cli.main(["certify", "--config", str(fuzz_run / "tiny.cfg"),
+                       "--checkpoint", str(ckpt), "--out", str(out),
+                       "--n-samples", "3"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical abort:")
+    assert not list(out.glob("*.csv"))
+
+
+def test_sweep_auto_grid_uses_admm_prox_settings(fuzz_run, tmp_path, monkeypatch):
+    # the pilots and the swept runs both solve the data step with [admm]
+    # prox_inner, not with a built-in default
+    cfg_path = tmp_path / "auto.cfg"
+    cfg_path.write_text(
+        TINY_CFG.replace("rho = 30.0", "rho = 30.0\nprox_inner = 7")
+        .replace("rhos = 10.0,300.0", "rhos = auto\nn_values = 3")
+        + f"\n[paths]\ndata = {fuzz_run / 'runs' / 'data'}\n")
+    n_inner = []
+    original = prox.prox_neg_ll
+
+    def recorded(lm, v, cfg, *args, **kwargs):
+        n_inner.append(cfg.n_inner)
+        return original(lm, v, cfg, *args, **kwargs)
+    monkeypatch.setattr(prox, "prox_neg_ll", recorded)
+    assert cli.main(["sweep", "--config", str(cfg_path), "--checkpoint",
+                     str(fuzz_run / "net.ckpt"), "--out", str(tmp_path / "out")]) == 0
+    # 4 pilots x 20 iterations, then 3 rhos x 3 iterations
+    assert len(n_inner) == 4 * 20 + 3 * 3
+    assert set(n_inner) == {7}
 
 
 # the checkpoint, the manifest, and one image of each kind that certify or
