@@ -104,16 +104,20 @@ def build_experiment(cfg, flags):
         acfg = admm.AdmmConfig.make(
             a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"],
             tol=a["prox_tol"], record_t_residual=a["record_t_residual"])
-        _require(a["n_test_sims"] >= 1 and a["filter_sigmas"],
-                 "need n_test_sims >= 1 and at least one filter sigma")
+        _require(a["n_test_sims"] >= 1 and a["filter_sigmas"]
+                 and all(np.isfinite(f) and f >= 0 for f in a["filter_sigmas"]),
+                 "need n_test_sims >= 1 and at least one filter sigma, "
+                 "each finite and >= 0")
     with _naming("[sweep] rhos:"):
         rhos = sw["rhos"]
         if rhos != "auto":
             rhos = tuple(float(tok) for tok in rhos.split(","))
-            _require(min(rhos) > 0, "each rho must be positive")
+            _require(all(np.isfinite(r) and r > 0 for r in rhos),
+                     "each rho must be positive and finite")
     with _naming("[sweep]"):
-        _require(sw["iterations"] >= 1 and sw["n_values"] >= 2,
-                 "need iterations >= 1 and n_values >= 2")
+        _require(sw["iterations"] >= 1 and sw["n_values"] >= 2
+                 and np.isfinite(sw["decades"]) and sw["decades"] > 0,
+                 "need iterations >= 1, n_values >= 2 and finite decades > 0")
         sweep = dataclasses.replace(acfg, n_iterations=sw["iterations"],
                                     record_t_residual=False)
     with _naming("--rho:"):

@@ -22,10 +22,10 @@ class ProxConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive (rho = 0 is the plain ML "
-                             "problem; use the recon module)")
-        if self.n_inner < 1 or self.tol < 0:
+        if not (np.isfinite(self.rho) and self.rho > 0):
+            raise ValueError("rho must be positive and finite (rho = 0 is the "
+                             "plain ML problem; use the recon module)")
+        if self.n_inner < 1 or not (np.isfinite(self.tol) and self.tol >= 0):
             raise ValueError("invalid inner-iteration configuration")
 
 
@@ -33,7 +33,8 @@ def surrogate_root(s, b, v, rho):
     """Nonnegative root of rho x^2 + (s - rho v) x - b = 0.
 
     At rho = 0 the root degenerates to the plain EM update b / s.  The
-    b-form is used when rho v - s < 0 to avoid cancellation.
+    b-form is used when rho v - s < 0 to avoid cancellation; there, for
+    b >= 0, its denominator is at least |rho v - s| > 0.
     """
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -43,11 +44,7 @@ def surrogate_root(s, b, v, rho):
     c = rho * v - s
     disc = np.sqrt(c * c + 4.0 * rho * b)
     with np.errstate(invalid="ignore", divide="ignore"):
-        stable = np.where(c < 0,
-                          np.divide(2.0 * b, disc - c,
-                                    out=np.zeros_like(b), where=(disc - c) > 0),
-                          (c + disc) / (2.0 * rho))
-    return stable
+        return np.where(c < 0, 2.0 * b / (disc - c), (c + disc) / (2.0 * rho))
 
 
 def prox_neg_ll(lm, v, cfg, x_init, callback=None):
@@ -70,13 +67,13 @@ def prox_neg_ll(lm, v, cfg, x_init, callback=None):
     floor = 1e-8 * (float(pos.mean()) if pos.size else 1.0)
     x = np.maximum(x, floor)
     x[~mask] = 0.0
+    # a masked pixel has s = 0 and b = 0, so with v = 0 its root is 0
+    v = np.where(mask, v, 0.0)
     shape = (lm.model.grid_size, lm.model.grid_size)
 
-    sm, vm = sens[mask], v[mask]
     for it in range(cfg.n_inner):
-        b = x * recon._em_ratio_backproj(lm, x).ravel()
-        x_new = np.zeros_like(x)
-        x_new[mask] = surrogate_root(sm, b[mask], vm, cfg.rho)
+        b = x * recon._em_ratio_backproj(lm, x)
+        x_new = surrogate_root(sens, b, v, cfg.rho)
         delta = np.linalg.norm(x_new - x)
         denom = max(np.linalg.norm(x), 1e-30)
         x = x_new

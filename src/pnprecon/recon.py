@@ -1,6 +1,7 @@
 """Poisson log-likelihood, its gradient, and MLEM/OSEM baselines."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.ndimage as ndi
@@ -48,6 +49,17 @@ class LikelihoodModel:
     def mask(self):
         return self.model.mask
 
+    @cached_property
+    def counted(self):
+        """(rows, A[rows], A[rows]^T, mult, background, y) on the bins with
+        counts, rows = flatnonzero(y > 0).  Elsewhere y / ybar = 0, so those
+        bins add only +0.0 terms to an EM back-projection."""
+        m = self.model
+        rows = np.flatnonzero(self.y > 0)
+        a = m.weights[rows]
+        return (rows, a, a.T.tocsr(), m.mult_factors[rows], m.background[rows],
+                self.y.ravel()[rows])
+
 
 @dataclass(frozen=True)
 class OsemConfig:
@@ -85,6 +97,8 @@ def _count_ratio(y, ybar, bins):
     """y / ybar, 0 where ybar = 0; a bin with counts but ybar = 0 is an
     error, since the likelihood is -inf there.  bins maps each entry to
     its global sinogram bin, for the message."""
+    if np.all(ybar > 0):
+        return y / ybar
     bad = (ybar == 0) & (y > 0)
     if np.any(bad):
         raise ZeroDivisionError(f"expected counts vanish at bin "
@@ -101,9 +115,12 @@ def ll_gradient(lm, x):
 
 
 def _em_ratio_backproj(lm, x):
-    """A^T mult (y/ybar) over the whole sinogram."""
-    ratio = _count_ratio(lm.y.ravel(), _expected(lm, x), range(lm.model.n_rows))
-    return sim.back_project(lm.model, ratio)
+    """A^T mult (y/ybar), flat, projecting only the bins with counts: each
+    dropped term is A_ij mult_i 0.0 = +0.0 on a nonnegative partial sum,
+    so the result is bitwise that of the whole sinogram."""
+    rows, a, a_t, mult, background, y = lm.counted
+    ybar = mult * (a @ x.ravel()) + background
+    return a_t @ (mult * _count_ratio(y, ybar, rows))
 
 
 def _em_update(x, num, sens):
@@ -117,7 +134,7 @@ def _em_update(x, num, sens):
 def mlem_step(lm, x):
     """One multiplicative EM update; zero-sensitivity pixels stay 0."""
     x = np.asarray(x, dtype=float)
-    num = _em_ratio_backproj(lm, x).ravel()
+    num = _em_ratio_backproj(lm, x)
     return _em_update(x.ravel(), num, lm.sensitivity.ravel()).reshape(x.shape)
 
 

@@ -230,6 +230,10 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("n_bins = 26", "n_bins = 10", r"\[geometry\] detector"),
     ("power_iters = 5", "power_iters = 5\nepsilon = 1.5", r"\[train\.jac\]"),
     ("rho = 30.0", "rho = -1", r"\[admm\] rho must be positive"),
+    ("rho = 30.0", "rho = inf", r"\[admm\] rho must be positive and finite"),
+    ("rho = 30.0", "rho = 30.0\nprox_tol = nan", r"\[admm\] invalid inner"),
+    ("filter_sigmas = 0,1.0", "filter_sigmas = -1.0", r"\[admm\] .*filter sigma"),
+    ("filter_sigmas = 0,1.0", "filter_sigmas = 0,nan", r"\[admm\] .*filter sigma"),
     ("rho = 30.0\niterations = 3", "rho = 30.0\niterations = 0",
      r"\[admm\] need at least one iteration"),
     ("rho = 30.0", "rho = 30.0\nprox_inner = 0", r"\[admm\] invalid inner"),
@@ -244,6 +248,11 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
      "learning_rate = 0.005\nsigma_eval_samples = -3",
      r"\[train\.pre\] .*sigma_eval_samples"),
     ("rhos = 10.0,300.0", "rhos = -1,300.0", r"\[sweep\] rhos"),
+    ("rhos = 10.0,300.0", "rhos = 10.0,inf", r"\[sweep\] rhos"),
+    ("rhos = 10.0,300.0", "rhos = 10.0,nan", r"\[sweep\] rhos"),
+    ("rhos = 10.0,300.0", "rhos = auto\ndecades = 0", r"\[sweep\] .*decades > 0"),
+    ("rhos = 10.0,300.0", "rhos = auto\ndecades = -2", r"\[sweep\] .*decades > 0"),
+    ("rhos = 10.0,300.0", "rhos = auto\ndecades = nan", r"\[sweep\] .*decades > 0"),
     ("rhos = 10.0,300.0\niterations = 3", "rhos = 10.0,300.0\niterations = 0",
      r"\[sweep\] need iterations"),
     ("rhos = 10.0,300.0", "rhos = 10.0,300.0\nn_values = 1",
@@ -269,6 +278,8 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, line, bad, needle):
     (["reconstruct", "--rho", "-1"], "--rho"),
     (["reconstruct", "--iters", "0"], "--iters"),
     (["certify", "--n-samples", "0"], "--n-samples"),
+    (["reconstruct", "--rho", "inf"], "--rho"),
+    (["reconstruct", "--rho", "nan"], "--rho"),
 ])
 def test_cli_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     cfg_path = tmp_path / "tiny.cfg"

@@ -1,11 +1,14 @@
 """Surrogate prox solver: closed-form cases, oracle equivalence, KKT."""
 
+import functools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnprecon import prox, recon
+from pnprecon import admm, prox, recon, sim
 from oracles import make_test_problem, penalized_solver, scalar_model
 
 
@@ -156,3 +159,116 @@ def test_prox_accepts_negative_v():
     x = prox.prox_neg_ll(lm, v, cfg, np.ones((16, 16)))
     assert np.all(x >= 0.0)
     assert np.all(np.isfinite(x))
+
+
+def _full_em_ratio_backproj(lm, x):
+    """A^T mult (y / ybar), flat, projecting every bin of the sinogram."""
+    ybar = sim.forward_project(lm.model, x).ravel()
+    ratio = np.divide(lm.y.ravel(), ybar, out=np.zeros_like(ybar), where=ybar > 0)
+    return sim.back_project(lm.model, ratio).ravel()
+
+
+def _full_prox(lm, v, rho, x_init, n_inner):
+    """The data step on the whole sinogram: masked gathers and scatters and
+    the guarded b-form root, for n_inner iterations (tol = 0)."""
+    sens = lm.sensitivity.ravel()
+    mask = sens > 0
+    x = np.asarray(x_init, dtype=float).ravel().copy()
+    pos = x[(x > 0) & mask]
+    x = np.maximum(x, 1e-8 * (float(pos.mean()) if pos.size else 1.0))
+    x[~mask] = 0.0
+    s, vm = sens[mask], np.asarray(v, dtype=float).ravel()[mask]
+    for _ in range(n_inner):
+        b = (x * _full_em_ratio_backproj(lm, x))[mask]
+        c = rho * vm - s
+        disc = np.sqrt(c * c + 4.0 * rho * b)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = np.where(c < 0, np.divide(2.0 * b, disc - c, out=np.zeros_like(b),
+                                             where=(disc - c) > 0),
+                            (c + disc) / (2.0 * rho))
+        x = np.zeros_like(x)
+        x[mask] = root
+    return x.reshape((lm.model.grid_size, lm.model.grid_size))
+
+
+def _full_mlem_step(lm, x):
+    sens = lm.sensitivity.ravel()
+    mask = sens > 0
+    x = x.ravel()
+    num = _full_em_ratio_backproj(lm, x)
+    out = np.zeros_like(x)
+    out[mask] = x[mask] * num[mask] / sens[mask]
+    return out
+
+
+def _bitwise_equal(got, want):
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+def _partial_mask_problem():
+    """Hand-built 3x3 model whose pixel 4 no detector row sees."""
+    rng = np.random.default_rng(5)
+    A = rng.uniform(0.0, 1.0, (12, 9)) * (rng.uniform(size=(12, 9)) < 0.5)
+    A[:, 4] = 0.0
+    model = sim.SystemModel(geometry=sim.GeometryConfig(n_angles=3, n_bins=4),
+                            grid_size=3, weights=sp.csr_matrix(A),
+                            mult_factors=rng.uniform(0.5, 1.5, 12),
+                            background=np.full(12, 0.05))
+    y = rng.poisson(1.0, 12).astype(float)
+    return rng.uniform(0.2, 2.0, (3, 3)), recon.LikelihoodModel(model=model, y=y)
+
+
+def test_counted_bins_match_full_sinogram_bitwise():
+    low_activity, low = make_test_problem(grid=16, seed=12, dose=0.1)
+    high_activity, high = make_test_problem(grid=16, seed=12, dose=5.0)
+    hand_activity, hand = _partial_mask_problem()
+    empty = recon.LikelihoodModel(model=low.model, y=np.zeros_like(low.y))
+    assert np.mean(low.y == 0) >= 0.4 and np.mean(high.y == 0) < 0.1
+    assert hand.mask.any() and not hand.mask.all()
+    rng = np.random.default_rng(13)
+    for lm, activity in ((low, 0.1 * low_activity), (high, 5.0 * high_activity),
+                         (hand, hand_activity), (empty, 0.1 * low_activity)):
+        v = activity + rng.normal(0.0, 0.3 * activity.mean(), activity.shape)
+        scale = float(np.mean(lm.sensitivity[lm.mask]))
+        signs = set()
+        for rho in (0.1 * scale, scale, 10.0 * scale):
+            signs |= set((rho * v - lm.sensitivity)[lm.mask] < 0)
+            cfg = prox.ProxConfig(rho=rho, n_inner=12, tol=0.0)
+            _bitwise_equal(prox.prox_neg_ll(lm, v, cfg, np.ones_like(v)),
+                           _full_prox(lm, v, rho, np.ones_like(v), 12))
+        x = recon.uniform_start(lm.model).ravel()
+        for _ in range(4):
+            got = recon.mlem_step(lm, x)
+            x = _full_mlem_step(lm, x)
+            _bitwise_equal(got, x)
+        assert signs == {False, True}     # both the b-form and the c-form
+
+
+def test_prox_projects_only_counted_bins(monkeypatch):
+    activity, lm = make_test_problem(grid=16, seed=14, dose=0.2)
+    lm.sensitivity                      # cached once per model, as in ADMM
+    calls = []
+    for name in ("forward_project", "back_project"):
+        def counting(*args, _name=name, _fn=getattr(sim, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(sim, name, counting)
+    cfg = prox.ProxConfig(rho=10.0, n_inner=5, tol=0.0)
+    prox.prox_neg_ll(lm, activity, cfg, np.ones_like(activity))
+    assert calls == []
+    rows = lm.counted[0]
+    np.testing.assert_array_equal(rows, np.flatnonzero(lm.y > 0))
+    assert lm.counted[1].shape == (rows.size, lm.model.n_pixels)
+
+
+def test_admm_builds_counted_blocks_once(monkeypatch):
+    builds = []
+    build = recon.LikelihoodModel.counted.func
+    counted = functools.cached_property(lambda lm: builds.append(lm) or build(lm))
+    counted.__set_name__(recon.LikelihoodModel, "counted")
+    monkeypatch.setattr(recon.LikelihoodModel, "counted", counted)
+    activity, lm = make_test_problem(grid=16, seed=15, dose=0.5)
+    cfg = admm.AdmmConfig.make(rho=10.0, n_iterations=3, n_inner=4)
+    admm.admm_pnp(lm, lambda img: img.copy(), cfg, z0=activity)
+    assert len(builds) == 1 and builds[0] is lm

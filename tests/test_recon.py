@@ -102,6 +102,13 @@ def test_ll_gradient_names_bad_bin():
     dead = recon.LikelihoodModel(model=model, y=np.array([[1.0], [2.0]]))
     with pytest.raises(ZeroDivisionError, match="bin 1"):
         recon.osem_reconstruct(dead, recon.OsemConfig(1, 2))
+    # bin 1 is entry 0 of the bins with counts; the data step projects only
+    # those and must name its global index
+    dead = recon.LikelihoodModel(model=model, y=np.array([[0.0], [2.0]]))
+    for step in (lambda: recon.mlem_step(dead, x),
+                 lambda: prox.prox_neg_ll(dead, x, prox.ProxConfig(rho=1.0), x)):
+        with pytest.raises(ZeroDivisionError, match="bin 1"):
+            step()
 
 
 def test_mlem_fixed_point_of_exact_data():

@@ -1,0 +1,76 @@
+"""Write the demo pipeline's outputs for a same-behaviour check.
+
+    python3 tools/demo_outputs.py OUT_DIR [CHECKOUT]
+
+Runs the package in CHECKOUT/src (CHECKOUT defaults to the checkout
+holding this script) on a copy of CHECKOUT/configs/demo.cfg with
+[train.pre] epochs = 4 and [train.jac] epochs = 2, each stage in its own
+process with one BLAS thread: simulate, train pre and jac, certify (100
+samples), sweep and reconstruct; then reconstruct with pre.ckpt at
+--rho 3.0 --iters 5, and sweep with [sweep] rhos = auto.  Everything lands
+in OUT_DIR, which must not exist or be empty.  Two checkouts behave the
+same on the demo when `diff -r` of their two OUT_DIR trees is empty.
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SHORT = {("train.pre", "epochs"): "4", ("train.jac", "epochs"): "2"}
+AUTO = {**SHORT, ("sweep", "rhos"): "auto"}
+
+JAC, PRE = "runs/train/jac.ckpt", "runs/train/pre.ckpt"
+STAGES = (
+    ("demo.cfg", ["simulate"]),
+    ("demo.cfg", ["train", "--phase", "pre"]),
+    ("demo.cfg", ["train", "--phase", "jac"]),
+    ("demo.cfg", ["certify", "--checkpoint", JAC, "--n-samples", "100"]),
+    ("demo.cfg", ["sweep", "--checkpoint", JAC]),
+    ("demo.cfg", ["reconstruct", "--checkpoint", JAC]),
+    ("demo.cfg", ["reconstruct", "--checkpoint", PRE, "--rho", "3.0",
+                  "--iters", "5", "--out", "runs/recon_pre_rho3"]),
+    ("auto.cfg", ["sweep", "--checkpoint", JAC, "--out", "runs/sweep_auto"]),
+)
+
+
+def edited(text, changes):
+    """text with the value of each (section, key) in changes replaced."""
+    lines, section, seen = [], None, set()
+    for line in text.splitlines():
+        header = re.fullmatch(r"\s*\[(.+)\]\s*", line)
+        if header:
+            section = header.group(1)
+        key = line.split("=")[0].strip()
+        if "=" in line and (section, key) in changes:
+            line = f"{key} = {changes[section, key]}"
+            seen.add((section, key))
+        lines.append(line)
+    missing = set(changes) - seen
+    if missing:
+        raise SystemExit(f"demo.cfg has no {sorted(missing)}")
+    return "\n".join(lines) + "\n"
+
+
+def main(argv):
+    if len(argv) not in (1, 2):
+        raise SystemExit(__doc__)
+    out = Path(argv[0]).resolve()
+    checkout = Path(argv[1] if len(argv) == 2 else Path(__file__).parents[1]).resolve()
+    if out.exists() and any(out.iterdir()):
+        raise SystemExit(f"{out} is not empty")
+    out.mkdir(parents=True, exist_ok=True)
+    demo = (checkout / "configs" / "demo.cfg").read_text()
+    (out / "demo.cfg").write_text(edited(demo, SHORT))
+    (out / "auto.cfg").write_text(edited(demo, AUTO))
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for cfg, args in STAGES:
+        print(f"== {' '.join(args)} ({cfg})", flush=True)
+        subprocess.run([sys.executable, "-m", "pnprecon.cli", *args, "--config", cfg],
+                       cwd=out, env=env, check=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
