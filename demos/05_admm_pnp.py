@@ -2,7 +2,8 @@
 
 Three denoisers ride the same loop: the identity (a do-nothing prior),
 a closed-form quadratic prox (classical convex ADMM, residuals vanish),
-and a trained network.  Also evaluates the fixed-point operator T.
+and a trained network.  For the network it also reports the
+Douglas-Rachford residual and the secant of 2D - Id along the path.
 """
 
 import numpy as np
@@ -46,7 +47,7 @@ params, _ = train.train_phase(params, dataset, train.TrainConfig(
     phase="jac", epochs=10, learning_rate=2e-3, batch_size=3, beta=10.0,
     alpha=0.1, epsilon=0.05, power_iters=10, seed=6, sigma_eval_samples=2))
 
-cfg = admm.AdmmConfig.make(rho=rho, n_iterations=40, record_t_residual=True)
+cfg = admm.AdmmConfig.make(rho=rho, n_iterations=40)
 x_net, hist = admm.admm_pnp(lm, params, cfg, z0=z0, x_ref=activity)
 print("trained network denoiser:")
 print(f"  primal residual ratio (it 40 / it 1): "
@@ -55,9 +56,12 @@ print(f"  dual   residual ratio (it 40 / it 1): "
       f"{hist.dual[-1] / hist.dual[0]:.3f}")
 print(f"  MSE {hist.mse[0]:.4f} -> {hist.mse[-1]:.4f} "
       f"(OSEM start {recon.mse(z0, activity):.4f})")
-# the fixed-point diagnostic ||T(w) - w|| at w = z - u, per iteration
-print(f"  fixed-point residual ||T(w) - w||: "
-      f"{hist.t_residual[0]:.3e} -> {hist.t_residual[-1]:.3e}")
+# the DR residual ||t_k - t_{k-1}|| in the denoiser input t = x + u, and
+# the largest secant of 2D - Id between the inputs the loop visited
+print(f"  DR residual {hist.dr_residual[0]:.3e} -> {hist.dr_residual[-1]:.3e}, "
+      f"{admm.summary_row(hist)[-2]} rises")
+print(f"  max secant of 2D - Id: "
+      f"{max(s for s in hist.secant if s is not None):.3f}")
 
 # 3. rho sensitivity: too small or too large stalls one of the residuals
 sweep_cfg = admm.AdmmConfig.make(rho=rho, n_iterations=40)

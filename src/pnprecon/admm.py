@@ -1,9 +1,17 @@
-"""The Plug-and-Play ADMM loop, its fixed-point diagnostic, and rho sweeps.
+"""The Plug-and-Play ADMM loop, its Douglas-Rachford residual, and rho sweeps.
 
 Per iteration:  x <- prox of -LL at (z - u);  z <- D(x + u);  u <- u + x - z.
 The recorded primal residual is ||x - z|| and the dual residual is
 rho * ||z_new - z_old||, both over unmasked pixels; each must vanish for
 the scheme to have converged.
+
+In the denoiser input t_k = x_k + u_{k-1} the loop is the Douglas-Rachford
+iteration t_{k+1} = T(t_k) from t_1 = x_1 on.  The recorded DR residual is
+||x_k - z_{k-1}|| over all pixels, z_0 the start: for k >= 2 it equals
+||t_k - t_{k-1}||, which cannot rise from k = 2 on while 2D - Id is
+nonexpansive (k = 1 is not a T step).  The secant
+||R_k - R_{k-1}|| / ||t_k - t_{k-1}||, R_k = 2 z_k - t_k, is the Lipschitz
+ratio of 2D - Id between two points the loop visits.
 """
 
 from dataclasses import dataclass, field, replace
@@ -14,15 +22,14 @@ from . import net, prox, recon
 from .util import NumericalAbort
 
 __all__ = ["AdmmConfig", "AdmmState", "History", "CURVE_HEADER",
-           "SUMMARY_HEADER", "admm_pnp", "apply_T", "rho_sweep", "curve_rows",
-           "summary_row", "default_rho_grid"]
+           "SUMMARY_HEADER", "admm_pnp", "rho_sweep", "curve_rows", "summary_row",
+           "default_rho_grid"]
 
 
 @dataclass(frozen=True)
 class AdmmConfig:
     prox: prox.ProxConfig
     n_iterations: int = 40
-    record_t_residual: bool = False
 
     def __post_init__(self):
         if self.n_iterations < 1:
@@ -36,11 +43,9 @@ class AdmmConfig:
         return replace(self, prox=replace(self.prox, rho=rho))
 
     @classmethod
-    def make(cls, rho, n_iterations=40, n_inner=30, tol=1e-8,
-             record_t_residual=False):
+    def make(cls, rho, n_iterations=40, n_inner=30, tol=1e-8):
         return cls(prox=prox.ProxConfig(rho=rho, n_inner=n_inner, tol=tol),
-                   n_iterations=n_iterations,
-                   record_t_residual=record_t_residual)
+                   n_iterations=n_iterations)
 
 
 @dataclass
@@ -60,10 +65,11 @@ class History:
     dual: list = field(default_factory=list)
     log_likelihood: list = field(default_factory=list)
     mse: list = field(default_factory=list)          # empty when no reference
-    t_residual: list = field(default_factory=list)   # empty unless recorded
+    dr_residual: list = field(default_factory=list)
+    secant: list = field(default_factory=list)       # None where undefined
 
     HEADER = ("iteration", "primal_residual_norm", "dual_residual_norm",
-              "log_likelihood", "mse_vs_ref", "t_residual")
+              "log_likelihood", "mse_vs_ref", "dr_residual", "secant")
 
     def __len__(self):
         return len(self.primal)
@@ -77,7 +83,8 @@ class History:
                 self.dual[k],
                 self.log_likelihood[k],
                 self.mse[k] if self.mse else "",
-                self.t_residual[k] if self.t_residual else "",
+                self.dr_residual[k],
+                "" if self.secant[k] is None else self.secant[k],
             ])
         return rows
 
@@ -113,12 +120,14 @@ def admm_pnp(lm, denoiser, cfg, z0=None, x_ref=None, on_iterate=None):
         raise ValueError("z0 must be finite")
     u = np.zeros_like(z)
     x_warm = np.clip(z, 0.0, None)
+    t_prev = r_prev = None
     hist = History(rho=cfg.rho)
     for k in range(cfg.n_iterations):
         x = prox.prox_neg_ll(lm, z - u, cfg.prox, x_warm)
-        if not np.all(np.isfinite(x + u)):
+        t = x + u
+        if not np.all(np.isfinite(t)):
             raise NumericalAbort(f"non-finite denoiser input at iteration {k + 1}")
-        z_new = denoise(x + u)
+        z_new = denoise(t)
         u = u + x - z_new
         if not (np.all(np.isfinite(z_new)) and np.all(np.isfinite(u))):
             raise NumericalAbort(f"non-finite iterate at iteration {k + 1}")
@@ -127,61 +136,46 @@ def admm_pnp(lm, denoiser, cfg, z0=None, x_ref=None, on_iterate=None):
         hist.log_likelihood.append(recon.log_likelihood(lm, x))
         if x_ref is not None:
             hist.mse.append(recon.mse(x, x_ref))
+        hist.dr_residual.append(float(np.linalg.norm(x - z)))
+        r = 2.0 * z_new - t
+        step = 0.0 if t_prev is None else float(np.linalg.norm(t - t_prev))
+        hist.secant.append(float(np.linalg.norm(r - r_prev)) / step
+                           if step > 0 else None)
+        t_prev, r_prev = t, r
         z = z_new
         x_warm = x
-        if cfg.record_t_residual:
-            w = z - u
-            tw = _apply_t_general(
-                lambda img: prox.prox_neg_ll(lm, img, cfg.prox, x_warm),
-                denoise, w)
-            hist.t_residual.append(_masked_norm(tw - w, mask))
         if on_iterate is not None:
             on_iterate(AdmmState(x=x, z=z, u=u, k=k + 1))
     return x, hist
 
 
-def _apply_t_general(prox_fn, denoise_fn, w):
-    """T(w) = w/2 + (2 D - Id)(2 Prox - Id)(w) / 2."""
-    w = np.asarray(w, dtype=float)
-    r = 2.0 * prox_fn(w) - w
-    return 0.5 * w + 0.5 * (2.0 * denoise_fn(r) - r)
-
-
-def apply_T(lm, denoiser, cfg, w):
-    """One application of the fixed-point operator equivalent to an ADMM step.
-
-    ||T(w) - w|| vanishes exactly at the scheme's fixed points; it is a
-    diagnostic, not part of the iteration itself.
-    """
-    denoise = _as_denoiser(denoiser)
-    if not np.all(np.isfinite(np.asarray(w, dtype=float))):
-        raise ValueError("w must be finite")
-    x_warm = np.clip(np.asarray(w, dtype=float), 0.0, None)
-    return _apply_t_general(
-        lambda img: prox.prox_neg_ll(lm, img, cfg.prox, x_warm),
-        denoise, w)
-
-
-CURVE_HEADER = ("rho",) + History.HEADER[:-1]
+CURVE_HEADER = ("rho",) + History.HEADER
 SUMMARY_HEADER = ("rho", "final_primal", "final_dual", "primal_ratio",
                   "dual_ratio", "meets_threshold", "primal_monotone",
-                  "dual_monotone", "final_log_likelihood", "final_mse")
+                  "dual_monotone", "final_log_likelihood", "final_mse",
+                  "dr_rises", "secant_max")
 
 
 def curve_rows(histories):
     """One sweep_curves.csv row per rho and iteration."""
-    return [[h.rho] + row[:-1] for h in histories for row in h.as_rows()]
+    return [[h.rho] + row for h in histories for row in h.as_rows()]
 
 
 def summary_row(hist):
     """Final residuals, their ratios to iteration 1, whether both ratios
-    are below 0.1, and whether each curve is non-increasing (5% slack)."""
+    are below 0.1, whether each curve is non-increasing (5% slack), how
+    often the DR residual rose from k = 2 on (no slack) and the largest
+    secant."""
     pr = hist.primal[-1] / hist.primal[0] if hist.primal[0] > 0 else 0.0
     dr = hist.dual[-1] / hist.dual[0] if hist.dual[0] > 0 else 0.0
+    res = np.asarray(hist.dr_residual)
+    secants = [s for s in hist.secant if s is not None]
     return [hist.rho, hist.primal[-1], hist.dual[-1], pr, dr,
             int(pr < 0.1 and dr < 0.1), int(_is_monotone(hist.primal)),
             int(_is_monotone(hist.dual)), hist.log_likelihood[-1],
-            hist.mse[-1] if hist.mse else float("nan")]
+            hist.mse[-1] if hist.mse else float("nan"),
+            int(np.sum(res[2:] > res[1:-1])),
+            max(secants) if secants else float("nan")]
 
 
 def _is_monotone(curve, slack=0.05):

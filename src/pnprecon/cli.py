@@ -103,7 +103,7 @@ def build_experiment(cfg, flags):
     with _naming("[admm]"):
         acfg = admm.AdmmConfig.make(
             a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"],
-            tol=a["prox_tol"], record_t_residual=a["record_t_residual"])
+            tol=a["prox_tol"])
         _require(a["n_test_sims"] >= 1 and a["filter_sigmas"]
                  and all(np.isfinite(f) and f >= 0 for f in a["filter_sigmas"]),
                  "need n_test_sims >= 1 and at least one filter sigma, "
@@ -118,8 +118,7 @@ def build_experiment(cfg, flags):
         _require(sw["iterations"] >= 1 and sw["n_values"] >= 2
                  and np.isfinite(sw["decades"]) and sw["decades"] > 0,
                  "need iterations >= 1, n_values >= 2 and finite decades > 0")
-        sweep = dataclasses.replace(acfg, n_iterations=sw["iterations"],
-                                    record_t_residual=False)
+        sweep = dataclasses.replace(acfg, n_iterations=sw["iterations"])
     with _naming("--rho:"):
         if flags.get("rho") is not None:
             acfg = acfg.with_rho(flags["rho"])

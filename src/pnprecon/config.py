@@ -94,7 +94,6 @@ _SCHEMA = {
         "prox_inner": (int, 30),
         "prox_tol": (float, 1e-8),
         "n_test_sims": (int, 3),
-        "record_t_residual": (_bool, False),
         "filter_sigmas": (_floats, [0.0, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]),
     },
     "sweep": {

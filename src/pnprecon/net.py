@@ -15,7 +15,7 @@ Implemented products.  Linearization(params, x) is the one primal pass at
 x: D(x), s, each layer's padded input and pre-activation, and (on first
 use) the activation derivatives.  Every product reads it:
   forward              D(x); computes no derivatives,
-  Linearization.jvp/vjp  first-order input derivatives (jvp/vjp wrap them),
+  Linearization.jvp/vjp  first-order input derivatives,
   spectral_norm_l      power iteration for sigma(2 J - I) at lin,
   param_grad_mse       d ||D(x) - target||^2 / d theta, returned with D(x),
   param_grad_penalty   d h(||2 J u - u||) / d theta for a frozen unit u at
@@ -44,8 +44,6 @@ __all__ = [
     "input_scale",
     "Linearization",
     "forward",
-    "jvp",
-    "vjp",
     "spectral_norm_l",
     "param_grad_mse",
     "param_grad_penalty",
@@ -336,16 +334,6 @@ class Linearization:
 def forward(params, x):
     """Apply the denoiser: scale-normalize, residual CNN, rescale."""
     return Linearization(params, _finite(x)).out
-
-
-def jvp(params, x, tan):
-    """Jacobian-vector product of forward at x, from its own pass."""
-    return Linearization(params, x).jvp(tan)
-
-
-def vjp(params, x, cot):
-    """Jacobian-transpose-vector product of forward at x."""
-    return Linearization(params, x).vjp(cot)
 
 
 def spectral_norm_l(lin, max_iters=10, tol=1e-7, seed=0, u0=None):

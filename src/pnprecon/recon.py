@@ -177,8 +177,8 @@ def mse(a, b):
 
 def gaussian_postfilter_sweep(x_osem, x_ref, sigmas):
     """Pick the separable reflective-Gaussian sigma minimizing MSE to x_ref."""
-    if len(sigmas) == 0:
-        raise ValueError("sigmas must be nonempty")
+    if len(sigmas) == 0 or not all(np.isfinite(s) and s >= 0 for s in sigmas):
+        raise ValueError("sigmas must be nonempty, each finite and >= 0")
     best_sigma = None
     best_err = np.inf
     best_img = None

@@ -175,6 +175,6 @@ def dense_jacobian_l(params, x):
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        J[:, j] = (2.0 * net.jvp(params, x, e.reshape(x.shape))
+        J[:, j] = (2.0 * net.Linearization(params, x).jvp(e.reshape(x.shape))
                    - e.reshape(x.shape)).ravel()
     return J

@@ -144,8 +144,8 @@ def test_criterion_04_differentiation_engine():
     for _ in range(50):
         tan = rng.standard_normal((8, 8))
         cot = rng.standard_normal((8, 8))
-        lhs = np.sum(net.jvp(params, x, tan) * cot)
-        rhs = np.sum(tan * net.vjp(params, x, cot))
+        lhs = np.sum(net.Linearization(params, x).jvp(tan) * cot)
+        rhs = np.sum(tan * net.Linearization(params, x).vjp(cot))
         worst_t = max(worst_t, abs(lhs - rhs) / max(abs(lhs), 1e-12))
     assert worst_t < 1e-10
 
@@ -167,7 +167,7 @@ def test_criterion_04_differentiation_engine():
 
     def loss_pen(v):
         p = net.vector_to_params(arch, v)
-        g = 2.0 * net.jvp(p, x, u) - u
+        g = 2.0 * net.Linearization(p, x).jvp(u) - u
         value, _ = net.hinge(float(np.linalg.norm(g)), 0.05, 0.1)
         return value
 

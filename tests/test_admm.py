@@ -1,4 +1,6 @@
-"""PnP-ADMM loop: fixed points, convex-oracle equivalence, T diagnostic."""
+"""PnP-ADMM loop: fixed points, convex-oracle equivalence, DR residual."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -77,36 +79,63 @@ def test_quadratic_prox_denoiser_matches_convex_oracle():
     assert rel < 1e-4
 
 
-def test_apply_t_fixed_point_identity_denoiser():
+def test_dr_residual_and_secant_match_recorded_states():
+    # the centre pixel sees no bin, so it is masked; the DR columns count it
+    _, lm = make_test_problem(grid=16, seed=6)
+    w = lm.model.weights.tolil()
+    w[:, 8 * 16 + 8] = 0.0
+    lm = recon.LikelihoodModel(model=replace(lm.model, weights=w.tocsr()), y=lm.y)
+    assert not lm.mask[8, 8]
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    rng = np.random.default_rng(3)
+    params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
+    z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+    states = []
+    cfg = admm.AdmmConfig.make(rho=20.0, n_iterations=6, n_inner=10)
+    _, hist = admm.admm_pnp(lm, params, cfg, z0=z0, on_iterate=states.append)
+    # t_k = z_k + u_k is the denoiser input x_k + u_{k-1}; R_k = 2 z_k - t_k
+    t = [st.z + st.u for st in states]
+    r = [st.z - st.u for st in states]
+    assert len(hist.dr_residual) == len(hist.secant) == 6
+    np.testing.assert_allclose(hist.dr_residual[0],
+                               np.linalg.norm(states[0].x - z0), rtol=1e-10)
+    assert hist.secant[0] is None
+    for k in range(1, 6):
+        step = np.linalg.norm(t[k] - t[k - 1])
+        np.testing.assert_allclose(hist.dr_residual[k], step, rtol=1e-10)
+        np.testing.assert_allclose(hist.secant[k],
+                                   np.linalg.norm(r[k] - r[k - 1]) / step,
+                                   rtol=1e-10)
+
+
+def test_dr_residual_vanishes_at_fixed_point():
     x_true, lm = exact_data_problem(seed=5)
-    cfg = admm.AdmmConfig.make(rho=5.0, n_inner=80, tol=1e-14)
-    w = x_true.copy()
-    tw = admm.apply_T(lm, IDENTITY, cfg, w)
-    assert np.linalg.norm(tw - w) < 1e-8
+    cfg = admm.AdmmConfig.make(rho=5.0, n_iterations=5, n_inner=80, tol=1e-14)
+    _, hist = admm.admm_pnp(lm, IDENTITY, cfg, z0=x_true)
+    assert max(hist.dr_residual) < 1e-8
+    # 2D - Id is the identity itself: an isometry wherever t moved
+    assert all(s is None or s == 1.0 for s in hist.secant)
 
 
-def test_apply_t_matches_dense_affine_composition():
-    rng = np.random.default_rng(6)
-    n = 12
-    P = rng.normal(0, 0.2, (n, n))
-    a = rng.normal(0, 0.5, n)
-    D = rng.normal(0, 0.2, (n, n))
-    b = rng.normal(0, 0.5, n)
-    prox_fn = lambda w: (P @ w.ravel() + a)
-    den_fn = lambda v: (D @ v.ravel() + b)
-    w = rng.normal(0, 1.0, n)
-    got = admm._apply_t_general(prox_fn, den_fn, w)
-    refl_p = 2.0 * (P @ w + a) - w
-    want = 0.5 * w + 0.5 * (2.0 * (D @ refl_p + b) - refl_p)
-    np.testing.assert_allclose(got, want, rtol=1e-13)
-
-
-def test_apply_t_any_positive_rho_is_defined():
-    x_true, lm = exact_data_problem(seed=7)
-    for rho in (1e-3, 1.0, 1e3):
-        cfg = admm.AdmmConfig.make(rho=rho, n_inner=5)
-        out = admm.apply_T(lm, IDENTITY, cfg, x_true)
-        assert np.all(np.isfinite(out))
+def test_dr_residual_falls_and_secant_is_exact_for_linear_denoiser():
+    # D = prox of (lam/2)||z - m||^2 is firmly nonexpansive; 2D - Id scales
+    # by 2 rho/(rho + lam) - 1 = 1/3 at lam = rho/2, so DR contracts
+    activity, lm = make_test_problem(grid=16, seed=4)
+    rho = 20.0
+    lam = rho / 2.0
+    m = np.clip(activity + 0.1, 0.0, None)
+    denoise = lambda v: (rho * v + lam * m) / (rho + lam)
+    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=60, n_inner=100, tol=1e-13)
+    _, hist = admm.admm_pnp(lm, denoise, cfg)
+    # ||x_1 - z_0|| is no T step, so the DR sequence starts at k = 2
+    assert hist.dr_residual[1] > hist.dr_residual[0]
+    res = np.asarray(hist.dr_residual[1:])
+    live = res[:-1] > 1e-10 * res[0]
+    assert live.sum() >= 5
+    assert np.all(res[1:][live] <= res[:-1][live])
+    secants = hist.secant[1:]
+    assert all(s is not None and abs(s - 1.0 / 3.0) < 1e-8 for s in secants)
+    assert admm.summary_row(hist)[-2:] == [0, max(secants)]
 
 
 def test_abort_on_nonfinite_denoiser():
@@ -176,16 +205,22 @@ def test_sweep_rows_match_per_rho_runs():
     for rho in rhos:
         _, hist = admm.admm_pnp(lm, params, admm.AdmmConfig.make(
             rho, n_iterations=8, n_inner=7, tol=1e-6), z0=z0, x_ref=activity)
+        secants = [s for s in hist.secant if s is not None]
         for k in range(len(hist)):
             want_curves.append([rho, k + 1, hist.primal[k], hist.dual[k],
-                                hist.log_likelihood[k], hist.mse[k]])
+                                hist.log_likelihood[k], hist.mse[k],
+                                hist.dr_residual[k],
+                                "" if hist.secant[k] is None else hist.secant[k]])
         pr = hist.primal[-1] / hist.primal[0]
         dr = hist.dual[-1] / hist.dual[0]
+        rises = sum(hist.dr_residual[k] > hist.dr_residual[k - 1]
+                    for k in range(2, len(hist)))
         want_summary.append([rho, hist.primal[-1], hist.dual[-1], pr, dr,
                              int(pr < 0.1 and dr < 0.1),
                              int(admm._is_monotone(hist.primal)),
                              int(admm._is_monotone(hist.dual)),
-                             hist.log_likelihood[-1], hist.mse[-1]])
+                             hist.log_likelihood[-1], hist.mse[-1],
+                             rises, max(secants)])
     cfg = admm.AdmmConfig.make(1.0, n_iterations=8, n_inner=7, tol=1e-6)
     hists = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
     assert admm.curve_rows(hists) == want_curves
@@ -196,7 +231,7 @@ def test_sweep_rows_match_per_rho_runs():
                                              [0, 0, 0]]
     assert admm.CURVE_HEADER == ("rho", "iteration", "primal_residual_norm",
                                  "dual_residual_norm", "log_likelihood",
-                                 "mse_vs_ref")
+                                 "mse_vs_ref", "dr_residual", "secant")
 
 
 def test_default_rho_grid_centers_on_pilot_best():

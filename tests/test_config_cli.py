@@ -98,6 +98,8 @@ def test_unknown_section_and_key_rejected():
         parse_config("[phantoms]\ncount = two\n")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("[phantoms]\njust words\n")
+    with pytest.raises(ConfigError, match="line 2.*unknown key"):
+        parse_config("[admm]\nrecord_t_residual = true\n")
 
 
 def test_canonical_roundtrip():
@@ -156,6 +158,7 @@ def test_cli_pipeline_end_to_end(workspace):
     assert len(histories) == 2
     hist_lines = (rdir / histories[0]).read_text().splitlines()
     assert len(hist_lines) - 1 == 3    # K iterations
+    assert hist_lines[0].endswith(",mse_vs_ref,dr_residual,secant")
 
     assert cli.main(["sweep", "--config", cfg_path, "--checkpoint", ckpt]) == 0
     sdir = root / "runs" / "sweep"
@@ -163,6 +166,8 @@ def test_cli_pipeline_end_to_end(workspace):
     assert len(curves) - 1 == 2 * 3    # |rhos| x K
     summary2 = (sdir / "sweep_summary.csv").read_text().splitlines()
     assert len(summary2) - 1 == 2
+    assert curves[0].endswith(",mse_vs_ref,dr_residual,secant")
+    assert summary2[0].endswith(",final_mse,dr_rises,secant_max")
 
     assert cli.main(["certify", "--config", cfg_path, "--checkpoint", ckpt,
                      "--n-samples", "5"]) == 0
@@ -204,6 +209,9 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["simulate", "--config", str(bad)]) == 2
     missing = tmp_path / "missing.cfg"
     assert cli.main(["simulate", "--config", str(missing)]) == 2
+    retired = tmp_path / "retired.cfg"
+    retired.write_text("[admm]\nrecord_t_residual = true\n")
+    assert cli.main(["simulate", "--config", str(retired)]) == 2
 
 
 def test_cli_reconstruct_rho_override(workspace, tmp_path):
@@ -337,8 +345,7 @@ def _old_builders(cfg, rho=None, iters=None):
         admm=admm.AdmmConfig.make(
             rho if rho is not None else a["rho"],
             n_iterations=iters if iters is not None else a["iterations"],
-            n_inner=a["prox_inner"], tol=a["prox_tol"],
-            record_t_residual=a["record_t_residual"]),
+            n_inner=a["prox_inner"], tol=a["prox_tol"]),
         n_test_sims=a["n_test_sims"],
         filter_sigmas=a["filter_sigmas"],
         sweep_rhos=[float(tok) for tok in s["rhos"].split(",")],

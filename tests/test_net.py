@@ -64,8 +64,8 @@ def test_jvp_vjp_identity_at_zero_params():
     params = net.identity_params(ARCH3)
     x = random_image((8, 8), 5)
     t = random_image((8, 8), 6, positive=False)
-    np.testing.assert_array_equal(net.jvp(params, x, t), t)
-    np.testing.assert_array_equal(net.vjp(params, x, t), t)
+    np.testing.assert_array_equal(net.Linearization(params, x).jvp(t), t)
+    np.testing.assert_array_equal(net.Linearization(params, x).vjp(t), t)
 
 
 def test_jvp_vjp_transpose_identity():
@@ -75,8 +75,8 @@ def test_jvp_vjp_transpose_identity():
     for _ in range(50):
         t = rng.standard_normal((8, 8))
         c = rng.standard_normal((8, 8))
-        lhs = np.sum(net.jvp(params, x, t) * c)
-        rhs = np.sum(t * net.vjp(params, x, c))
+        lhs = np.sum(net.Linearization(params, x).jvp(t) * c)
+        rhs = np.sum(t * net.Linearization(params, x).vjp(c))
         assert abs(lhs - rhs) / max(abs(lhs), 1e-12) < 1e-10
 
 
@@ -90,7 +90,7 @@ def test_jvp_matches_finite_differences():
     s = net.input_scale(x)
     fd = (net._stack_forward(params, (x + h * t) / s)[0][-1][0]
           - net._stack_forward(params, (x - h * t) / s)[0][-1][0]) * s / (2 * h)
-    got = net.jvp(params, x, t)
+    got = net.Linearization(params, x).jvp(t)
     want = t + fd
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-5
 
@@ -226,7 +226,7 @@ def test_param_grad_penalty_matches_finite_differences():
 
     def h_of(v):
         p = net.vector_to_params(arch, v)
-        g = 2.0 * net.jvp(p, x, u) - u
+        g = 2.0 * net.Linearization(p, x).jvp(u) - u
         value, _ = net.hinge(float(np.linalg.norm(g)), eps, alpha)
         return value
 
@@ -305,8 +305,8 @@ def test_relu_variant_runs():
     assert np.all(np.isfinite(out))
     t = random_image((8, 8), 36, positive=False)
     c = random_image((8, 8), 37, positive=False)
-    lhs = np.sum(net.jvp(params, x, t) * c)
-    rhs = np.sum(t * net.vjp(params, x, c))
+    lhs = np.sum(net.Linearization(params, x).jvp(t) * c)
+    rhs = np.sum(t * net.Linearization(params, x).vjp(c))
     assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
 

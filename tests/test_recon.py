@@ -296,6 +296,13 @@ def test_postfilter_empty_sigmas_rejected():
         recon.gaussian_postfilter_sweep(np.zeros((4, 4)), np.zeros((4, 4)), [])
 
 
+@pytest.mark.parametrize("bad", [-1.0, -1e-12, np.nan, np.inf])
+def test_postfilter_negative_or_nonfinite_sigma_rejected(bad):
+    img = np.ones((4, 4))
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        recon.gaussian_postfilter_sweep(img, img, [0.0, bad])
+
+
 def test_likelihood_model_validates_dimensions():
     _, lm = make_test_problem(grid=16, seed=12)
     with pytest.raises(ValueError):

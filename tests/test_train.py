@@ -194,7 +194,7 @@ def test_full_loss_gradient_matches_finite_differences():
         mse_part = float(np.sum((out - item.x_ref) ** 2))
         # x_tilde depends on theta through D(x_b)
         x_tilde = train.sample_tilde(item.x_ref, out, kappa)
-        g = 2.0 * net.jvp(p, x_tilde, u) - u
+        g = 2.0 * net.Linearization(p, x_tilde).jvp(u) - u
         value, _ = net.hinge(float(np.linalg.norm(g)), eps, alpha)
         return mse_part + beta * value
 
@@ -204,7 +204,7 @@ def test_full_loss_gradient_matches_finite_differences():
         p = net.vector_to_params(arch, vec)
         out = net.forward(p, item.x_noisy)
         mse_part = float(np.sum((out - item.x_ref) ** 2))
-        g = 2.0 * net.jvp(p, x_tilde0, u) - u
+        g = 2.0 * net.Linearization(p, x_tilde0).jvp(u) - u
         value, _ = net.hinge(float(np.linalg.norm(g)), eps, alpha)
         return mse_part + beta * value
 
