@@ -30,13 +30,8 @@ def certify(tag, params, n=40):
     sigmas = []
     for j in range(n):
         item = test[j % len(test)]
-        x_tilde = train.sample_tilde(item.x_ref,
-                                     net.forward(params, item.x_noisy),
-                                     float(rng.uniform()))
-        lin = net.Linearization(params, x_tilde)
-        sigma, _ = net.spectral_norm_l(lin, max_iters=20,
-                                       seed=int(rng.integers(2 ** 62)))
-        sigmas.append(sigma)
+        out = net.forward(params, item.x_noisy)
+        sigmas.append(train.sigma_at_tilde(params, item.x_ref, out, rng, 20)[2])
     sigmas = np.array(sigmas)
     print(f"{tag}: sigma(2D - Id) over {n} test points: "
           f"min {sigmas.min():.3f}, mean {sigmas.mean():.3f}, "

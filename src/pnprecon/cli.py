@@ -75,9 +75,11 @@ def build_experiment(cfg, flags):
         geometry = sim.GeometryConfig(**cfg["geometry"])
         geometry.check_covers(ph["grid_size"])
     with _naming("[simulation]"):
-        _require(s["n_doses"] >= 1 and s["dose_center"] > 0
-                 and s["background_fraction"] >= 0,
-                 "need n_doses >= 1, dose_center > 0 and background_fraction >= 0")
+        _require(s["n_doses"] >= 1 and np.isfinite(s["dose_decades"])
+                 and 0 < s["dose_center"] < np.inf
+                 and 0 <= s["background_fraction"] < np.inf,
+                 "need n_doses >= 1, a finite dose_decades, 0 < dose_center < inf "
+                 "and 0 <= background_fraction < inf")
         half = s["dose_decades"] / 2.0
         rngs = [np.random.default_rng(derive_seed(cfg.seed, 202, p))
                 for p in range(ph["count"])]
@@ -93,8 +95,10 @@ def build_experiment(cfg, flags):
     with _naming("[net]"):
         arch = net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
                               kernel=n["kernel"], activation=n["activation"])
-        _require(n["init_scale"] >= 0 and n["certify_power_iters"] >= 1,
-                 "need init_scale >= 0 and certify_power_iters >= 1")
+        _require(0 <= n["init_scale"] < np.inf and n["certify_power_iters"] >= 1
+                 and np.isfinite(n["certify_margin"]),
+                 "need init_scale >= 0 and finite, certify_power_iters >= 1 "
+                 "and a finite certify_margin")
     phases = {}
     for phase, key in (("pre", 301), ("jac", 302)):
         with _naming(f"[train.{phase}]"):
@@ -184,6 +188,7 @@ def _load_dataset(data_dir):
             i, p, dose, seed, split = line.strip().split(",")
             i, p, dose, seed = int(i), int(p), float(dose), int(seed)
             _require(split in ("train", "test"), f"unknown split {split!r}")
+            _require(0 < dose < np.inf, f"dose_scale {dose!r} is not finite and > 0")
         except ValueError as exc:
             raise FileFormatError(
                 f"{manifest}: line {lineno}: malformed row: {exc}") from exc
@@ -314,23 +319,18 @@ def cmd_certify(exp, checkpoint, out_dir):
     test_items = dataset.split("test")
     if not test_items:
         raise ConfigError("dataset has no test items")
-    outs = [net.forward(params, item.x_noisy) for item in test_items]
+    points = [(item, net.forward(params, item.x_noisy)) for item in test_items]
     rng = np.random.default_rng(derive_seed(exp.cfg.seed, 401))
     n_samples = exp.n_samples
     rows = []
-    sigmas = []
     for j in range(n_samples):
-        idx = j % len(test_items)
-        item = test_items[idx]
-        kappa = float(rng.uniform())
-        x_tilde = train.sample_tilde(item.x_ref, outs[idx], kappa)
-        sigma, _ = net.spectral_norm_l(
-            net.Linearization(params, x_tilde), max_iters=exp.certify_power_iters,
-            seed=int(rng.integers(2 ** 62)))
+        item, out = points[j % len(points)]
+        kappa, _, sigma, _ = train.sigma_at_tilde(
+            params, item.x_ref, out, rng, exp.certify_power_iters)
         if not np.isfinite(sigma):
             raise NumericalAbort(f"non-finite sigma at sample {j}")
         rows.append([j, item.phantom_id, kappa, sigma])
-        sigmas.append(sigma)
+    sigmas = [row[3] for row in rows]
     write_csv(os.path.join(out_dir, "certify.csv"),
               ("sample", "phantom", "kappa", "sigma"), rows)
     margin = exp.certify_margin

@@ -67,7 +67,6 @@ class ArchConfig:
     channels: int = 16
     kernel: int = 3
     activation: str = "softplus"
-    global_skip: bool = True
 
     def __post_init__(self):
         if self.n_layers < 2:
@@ -78,8 +77,6 @@ class ArchConfig:
             raise ValueError("kernel size must be odd")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not self.global_skip:
-            raise ValueError("the operator is defined with a global skip")
 
     def layer_shapes(self):
         """(out_channels, in_channels) per layer: 1 -> C -> ... -> C -> 1."""
@@ -471,7 +468,7 @@ def save_checkpoint(path, params):
     arch = params.arch
     head = _NET_MAGIC + np.array(
         [arch.n_layers, arch.channels, arch.kernel,
-         _ACTIVATIONS[arch.activation], int(arch.global_skip)],
+         _ACTIVATIONS[arch.activation], 1],     # 1: the global skip
         dtype="<u4").tobytes()
     payload = params_to_vector(params).astype("<f8").tobytes()
     atomic_write_bytes(path, head + payload)
@@ -488,10 +485,11 @@ def load_checkpoint(path):
     names = {v: k for k, v in _ACTIVATIONS.items()}
     if fields[3] not in names:
         raise FileFormatError(f"{path}: unknown activation code {fields[3]}")
+    if fields[4] != 1:
+        raise FileFormatError(f"{path}: global-skip flag {fields[4]} is not 1")
     try:
         arch = ArchConfig(n_layers=fields[0], channels=fields[1],
-                          kernel=fields[2], activation=names[fields[3]],
-                          global_skip=bool(fields[4]))
+                          kernel=fields[2], activation=names[fields[3]])
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     # each layer has a bias: checked first, as n_params loops over n_layers

@@ -7,6 +7,7 @@ import numpy as np
 import scipy.ndimage as ndi
 
 from . import sim
+from .util import NumericalAbort
 
 __all__ = [
     "LikelihoodModel",
@@ -176,19 +177,18 @@ def mse(a, b):
 
 
 def gaussian_postfilter_sweep(x_osem, x_ref, sigmas):
-    """Pick the separable reflective-Gaussian sigma minimizing MSE to x_ref."""
+    """Pick the separable reflective-Gaussian sigma minimizing MSE to x_ref;
+    NumericalAbort when no sigma gives a finite MSE."""
     if len(sigmas) == 0 or not all(np.isfinite(s) and s >= 0 for s in sigmas):
         raise ValueError("sigmas must be nonempty, each finite and >= 0")
-    best_sigma = None
-    best_err = np.inf
-    best_img = None
+    best_err, best = np.inf, None
     for sigma in sigmas:
-        if sigma == 0:
-            filt = np.asarray(x_osem, dtype=float).copy()
-        else:
-            filt = ndi.gaussian_filter(np.asarray(x_osem, dtype=float),
-                                       sigma, mode="reflect")
+        # at sigma 0 the filter returns an exact copy
+        filt = ndi.gaussian_filter(np.asarray(x_osem, dtype=float),
+                                   sigma, mode="reflect")
         err = mse(filt, x_ref)
         if err < best_err:
-            best_sigma, best_err, best_img = sigma, err, filt
-    return best_sigma, best_img
+            best_err, best = err, (sigma, filt)
+    if best is None:
+        raise NumericalAbort("no filter sigma gives a finite MSE")
+    return best

@@ -154,8 +154,8 @@ class GeometryConfig:
     def __post_init__(self):
         if self.n_angles < 2:
             raise ValueError("need at least 2 angles")
-        if self.n_bins < 1 or self.bin_width <= 0:
-            raise ValueError("invalid detector configuration")
+        if self.n_bins < 1 or not 0 < self.bin_width < np.inf:
+            raise ValueError("invalid detector: need n_bins >= 1 and 0 < bin_width < inf")
 
     def check_covers(self, grid_size):
         diag = grid_size * np.sqrt(2.0)

@@ -17,6 +17,7 @@ __all__ = [
     "AdamState",
     "build_dataset",
     "sample_tilde",
+    "sigma_at_tilde",
     "loss_and_grad",
     "adam_step",
     "train_phase",
@@ -66,12 +67,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.phase not in ("pre", "jac"):
             raise ValueError("phase must be 'pre' or 'jac'")
-        if self.learning_rate <= 0 or self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("invalid optimizer configuration")
+        if not 0 < self.learning_rate < np.inf or self.epochs < 1 or self.batch_size < 1:
+            raise ValueError("need 0 < learning_rate < inf and epochs, batch_size >= 1")
         if self.power_iters < 1 or self.sigma_eval_samples < 0:
             raise ValueError("power_iters must be >= 1 and sigma_eval_samples >= 0")
-        if self.beta < 0 or self.alpha < 0 or not 0 <= self.epsilon < 1:
-            raise ValueError("invalid hinge hyperparameters")
+        if not (0 <= self.beta < np.inf and 0 <= self.alpha < np.inf
+                and 0 <= self.epsilon < 1):
+            raise ValueError("hinge needs finite beta, alpha >= 0 and 0 <= epsilon < 1")
         if self.phase == "pre" and self.beta != 0:
             raise ValueError("the PRE phase trains with beta = 0")
 
@@ -126,6 +128,16 @@ def sample_tilde(x_ref, d_out, kappa):
     return kappa * np.asarray(x_ref, float) + (1.0 - kappa) * np.asarray(d_out, float)
 
 
+def sigma_at_tilde(params, x_ref, d_out, rng, power_iters, u0=None):
+    """(kappa, lin, sigma, u) at x_tilde = sample_tilde(x_ref, d_out, kappa):
+    kappa, then the power-iteration seed (unused when u0 is given), from rng."""
+    kappa = float(rng.uniform())
+    lin = net.Linearization(params, sample_tilde(x_ref, d_out, kappa))
+    sigma, u = net.spectral_norm_l(lin, max_iters=power_iters,
+                                   seed=int(rng.integers(2 ** 62)), u0=u0)
+    return kappa, lin, sigma, u
+
+
 def loss_and_grad(params, batch, cfg, rng, power_warm=None):
     """Batch loss  sum_b ||D(x_b) - ref_b||^2 + beta * hinge_b  and gradient.
 
@@ -148,13 +160,10 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
         gvec += grad.vec
         if not with_penalty:
             continue
-        kappa = float(rng.uniform())
-        lin = net.Linearization(params, sample_tilde(item.x_ref, out, kappa))
         key = (item.phantom_id, round(item.dose_scale, 12))
         u0 = power_warm.get(key) if power_warm is not None else None
-        sigma, u = net.spectral_norm_l(
-            lin, max_iters=cfg.power_iters,
-            seed=int(rng.integers(2 ** 62)), u0=u0)
+        _, lin, _, u = sigma_at_tilde(params, item.x_ref, out, rng,
+                                      cfg.power_iters, u0)
         if power_warm is not None:
             power_warm[key] = u
         pen_grad, sigma_hat = net.param_grad_penalty(
@@ -204,22 +213,13 @@ def _test_metrics(params, test_items, cfg, rng):
     """Mean test MSE plus sampled test spectral norms for the epoch log."""
     if not test_items:
         return float("nan"), float("nan"), float("nan")
-    mses = []
-    outs = []
-    for item in test_items:
-        out = net.forward(params, item.x_noisy)
-        outs.append(out)
-        mses.append(recon.mse(out, item.x_ref))
+    outs = [net.forward(params, item.x_noisy) for item in test_items]
+    mses = [recon.mse(out, item.x_ref) for out, item in zip(outs, test_items)]
     sigmas = []
-    n = min(cfg.sigma_eval_samples, len(test_items))
-    for j in range(n):
+    for _ in range(min(cfg.sigma_eval_samples, len(test_items))):
         idx = int(rng.integers(len(test_items)))
-        kappa = float(rng.uniform())
-        x_tilde = sample_tilde(test_items[idx].x_ref, outs[idx], kappa)
-        sigma, _ = net.spectral_norm_l(net.Linearization(params, x_tilde),
-                                       max_iters=cfg.power_iters,
-                                       seed=int(rng.integers(2 ** 62)))
-        sigmas.append(sigma)
+        sigmas.append(sigma_at_tilde(params, test_items[idx].x_ref, outs[idx],
+                                     rng, cfg.power_iters)[2])
     return (float(np.mean(mses)),
             float(np.max(sigmas)) if sigmas else float("nan"),
             float(np.mean(sigmas)) if sigmas else float("nan"))

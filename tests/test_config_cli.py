@@ -270,6 +270,21 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("background_fraction = 0.2", "background_fraction = -0.5",
      r"\[simulation\] .*background_fraction"),
     ("grid_size = 16", "grid_size = 0", r"\[phantoms\]"),
+    ("dose_center = 1.2", "dose_center = 1.2\ndose_decades = nan",
+     r"\[simulation\] .*dose_decades"),
+    ("dose_center = 1.2", "dose_center = 1.2\ndose_decades = inf",
+     r"\[simulation\] .*dose_decades"),
+    ("dose_center = 1.2", "dose_center = inf", r"\[simulation\] .*dose_center"),
+    ("background_fraction = 0.2", "background_fraction = inf",
+     r"\[simulation\] .*background_fraction"),
+    ("learning_rate = 0.005", "learning_rate = inf", r"\[train\.pre\] .*learning_rate"),
+    ("learning_rate = 0.005", "learning_rate = nan", r"\[train\.pre\] .*learning_rate"),
+    ("kernel = 3", "kernel = 3\ninit_scale = inf", r"\[net\] .*init_scale"),
+    ("n_bins = 26", "n_bins = 26\nbin_width = inf", r"\[geometry\] .*bin_width"),
+    ("n_bins = 26", "n_bins = 26\nbin_width = nan", r"\[geometry\] .*bin_width"),
+    ("kernel = 3", "kernel = 3\ncertify_margin = nan", r"\[net\] .*certify_margin"),
+    ("power_iters = 5", "power_iters = 5\nbeta = inf", r"\[train\.jac\] .*beta"),
+    ("power_iters = 5", "power_iters = 5\nalpha = nan", r"\[train\.jac\] .*alpha"),
 ])
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, line, bad, needle):
     assert line in TINY_CFG
@@ -539,6 +554,30 @@ def test_sweep_auto_grid_uses_admm_prox_settings(fuzz_run, tmp_path, monkeypatch
     # 4 pilots x 20 iterations, then 3 rhos x 3 iterations
     assert len(n_inner) == 4 * 20 + 3 * 3
     assert set(n_inner) == {7}
+
+
+@pytest.mark.parametrize("dose, code", [("nan", 2), ("inf", 2), ("0", 2),
+                                        ("-1.5", 2), ("1e300", 3)])
+def test_cli_manifest_dose_exit_code(fuzz_run, tmp_path, capsys, dose, code):
+    # a dose of 1e300 is valid but overflows every MSE against x_ref
+    root = pathlib.Path(shutil.copytree(fuzz_run, tmp_path / "run"))
+    manifest = root / "runs" / "data" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    i, p, _, seed, split = lines[5].split(",")
+    assert (i, split) == ("4", "test")
+    lines[5] = ",".join((i, p, dose, seed, split))
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = cli.main(["reconstruct", "--iters", "1", "--config",
+                       str(root / "tiny.cfg"), "--checkpoint", str(root / "net.ckpt")])
+    assert rc == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert re.search(r"^config error: .*manifest\.csv: line 6: .*dose_scale", err)
+    else:
+        assert err.startswith("numerical abort:")
+    assert not (root / "runs" / "recon" / "summary.csv").exists()
 
 
 # the checkpoint, the manifest, and one image of each kind that certify or

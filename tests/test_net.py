@@ -288,6 +288,18 @@ def test_checkpoint_corruption_rejected(tmp_path):
             net.load_checkpoint(path)
 
 
+def test_checkpoint_global_skip_field(tmp_path):
+    # the fifth header field marks the global skip; 1 is its only value
+    path = tmp_path / "net.ckpt"
+    net.save_checkpoint(path, random_params(ARCH2, 3))
+    raw = path.read_bytes()
+    assert np.frombuffer(raw[24:28], dtype="<u4")[0] == 1
+    for flag in (0, 2):
+        path.write_bytes(raw[:24] + np.array([flag], dtype="<u4").tobytes() + raw[28:])
+        with pytest.raises(FileFormatError, match=f"global-skip flag {flag}"):
+            net.load_checkpoint(path)
+
+
 def test_arch_validation():
     with pytest.raises(ValueError):
         net.ArchConfig(n_layers=1)

@@ -56,6 +56,36 @@ def test_sample_tilde_endpoints_and_midpoint():
         train.sample_tilde(x_ref, d_out, 1.5)
 
 
+def _inline_sigma_draw(params, x_ref, d_out, rng, power_iters, u0=None):
+    """The draw sigma_at_tilde replaced, as the JAC step, the epoch log and
+    certify each wrote it: kappa first, then the power-iteration seed."""
+    kappa = float(rng.uniform())
+    lin = net.Linearization(params, train.sample_tilde(x_ref, d_out, kappa))
+    sigma, u = net.spectral_norm_l(lin, max_iters=power_iters,
+                                   seed=int(rng.integers(2 ** 62)), u0=u0)
+    return kappa, lin, sigma, u
+
+
+@pytest.mark.parametrize("warm", [True, False])
+def test_sigma_at_tilde_matches_inline_draw(warm):
+    ds = tiny_dataset()
+    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+    params = net.vector_to_params(
+        arch, np.random.default_rng(21).normal(0, 0.5, net.n_params(arch)))
+    item = ds.items[0]
+    out = net.forward(params, item.x_noisy)
+    u0 = np.random.default_rng(22).standard_normal(out.shape) if warm else None
+    rng_want, rng_got = np.random.default_rng(23), np.random.default_rng(23)
+    for _ in range(3):
+        want = _inline_sigma_draw(params, item.x_ref, out, rng_want, 4, u0)
+        got = train.sigma_at_tilde(params, item.x_ref, out, rng_got, 4, u0)
+        assert (got[0], got[2]) == (want[0], want[2])
+        np.testing.assert_array_equal(got[1].x, want[1].x)
+        np.testing.assert_array_equal(got[1].out, want[1].out)
+        np.testing.assert_array_equal(got[3], want[3])
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
 def _pre_cfg(**kw):
     base = dict(phase="pre", epochs=1, learning_rate=1e-3, batch_size=1)
     base.update(kw)
