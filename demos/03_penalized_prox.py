@@ -23,7 +23,7 @@ print(f"anchor v has {np.sum(v < 0)} negative pixels of {v.size}")
 
 rho = float(np.mean(lm.sensitivity))
 objs = []
-cfg = prox.ProxConfig(rho=rho, n_inner=300, tol=0.0)
+cfg = prox.ProxConfig(rho=rho, n_inner=300)
 x = prox.prox_neg_ll(lm, v, cfg, np.ones_like(v),
                      callback=lambda it, xi: objs.append(
                          prox.subproblem_objective(lm, v, rho, xi)))
@@ -36,7 +36,7 @@ print(f"solution is nonnegative: {bool(np.all(x >= 0))}")
 # Large rho pins the solution to the (clipped) anchor; small rho frees it
 # toward the maximum-likelihood image.
 for factor in (100.0, 0.01):
-    cfg = prox.ProxConfig(rho=rho * factor, n_inner=300, tol=1e-12)
+    cfg = prox.ProxConfig(rho=rho * factor, n_inner=300)
     xr = prox.prox_neg_ll(lm, v, cfg, np.ones_like(v))
     dist_anchor = np.linalg.norm(xr - np.clip(v, 0, None))
     print(f"rho x {factor:>6}: ||x - clip(v)|| = {dist_anchor:8.3f}, "

@@ -27,7 +27,7 @@ rho = float(np.mean(lm.sensitivity))
 lam = rho
 m = np.clip(z0, 0.0, None)
 quad = lambda v: (rho * v + lam * m) / (rho + lam)
-cfg = admm.AdmmConfig.make(rho=rho, n_iterations=60, n_inner=60, tol=1e-12)
+cfg = admm.AdmmConfig.make(rho=rho, n_iterations=60, n_inner=60)
 x_quad, hist = admm.admm_pnp(lm, quad, cfg, z0=z0, x_ref=activity)
 print("quadratic-prox denoiser (convex case):")
 print(f"  primal residual {hist.primal[0]:.2e} -> {hist.primal[-1]:.2e}")

@@ -43,8 +43,8 @@ class AdmmConfig:
         return replace(self, prox=replace(self.prox, rho=rho))
 
     @classmethod
-    def make(cls, rho, n_iterations=40, n_inner=30, tol=1e-8):
-        return cls(prox=prox.ProxConfig(rho=rho, n_inner=n_inner, tol=tol),
+    def make(cls, rho, n_iterations=40, n_inner=30):
+        return cls(prox=prox.ProxConfig(rho=rho, n_inner=n_inner),
                    n_iterations=n_iterations)
 
 

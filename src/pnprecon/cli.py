@@ -106,8 +106,7 @@ def build_experiment(cfg, flags):
                 phase=phase, seed=derive_seed(cfg.seed, key), **cfg[f"train.{phase}"])
     with _naming("[admm]"):
         acfg = admm.AdmmConfig.make(
-            a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"],
-            tol=a["prox_tol"])
+            a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"])
         _require(a["n_test_sims"] >= 1 and a["filter_sigmas"]
                  and all(np.isfinite(f) and f >= 0 for f in a["filter_sigmas"]),
                  "need n_test_sims >= 1 and at least one filter sigma, "
@@ -205,6 +204,8 @@ def _load_dataset(data_dir):
 def cmd_train(exp, phase, out_dir):
     out_dir = _ensure_dir(out_dir or exp.paths["train"])
     dataset = _load_dataset(exp.paths["data"])
+    if not dataset.split("train"):
+        raise ConfigError("dataset has no training items")
     tc = exp.train[phase]
     if phase == "pre":
         params0 = net.init_params(exp.arch, seed=derive_seed(exp.cfg.seed, 300),
@@ -298,6 +299,9 @@ def cmd_sweep(exp, checkpoint, out_dir):
         rhos = admm.default_rho_grid(lm, params, exp.sweep, z0=item.x_noisy,
                                      n_values=exp.sweep_n_values,
                                      decades=exp.sweep_decades)
+        if not all(0 < r < np.inf for r in rhos):
+            raise NumericalAbort(f"[sweep] decades = {exp.sweep_decades:g} puts "
+                                 f"the auto rho grid outside (0, inf)")
     histories = admm.rho_sweep(lm, params, rhos, exp.sweep, z0=item.x_noisy,
                                x_ref=item.x_ref)
     summary = [admm.summary_row(h) for h in histories]

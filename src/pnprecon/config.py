@@ -92,7 +92,6 @@ _SCHEMA = {
         "rho": (float, 10.0),
         "iterations": (int, 40),
         "prox_inner": (int, 30),
-        "prox_tol": (float, 1e-8),
         "n_test_sims": (int, 3),
         "filter_sigmas": (_floats, [0.0, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]),
     },

@@ -19,28 +19,25 @@ __all__ = ["ProxConfig", "surrogate_root", "prox_neg_ll",
 class ProxConfig:
     rho: float
     n_inner: int = 30
-    tol: float = 1e-8
 
     def __post_init__(self):
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ValueError("rho must be positive and finite (rho = 0 is the "
                              "plain ML problem; use the recon module)")
-        if self.n_inner < 1 or not (np.isfinite(self.tol) and self.tol >= 0):
+        if self.n_inner < 1:
             raise ValueError("invalid inner-iteration configuration")
 
 
 def surrogate_root(s, b, v, rho):
     """Nonnegative root of rho x^2 + (s - rho v) x - b = 0.
 
-    At rho = 0 the root degenerates to the plain EM update b / s.  The
-    b-form is used when rho v - s < 0 to avoid cancellation; there, for
-    b >= 0, its denominator is at least |rho v - s| > 0.
+    The b-form is used when rho v - s < 0 to avoid cancellation; there, for
+    b >= 0, its denominator is at least |rho v - s| > 0.  At rho = 0 and
+    s > 0 it is the plain EM update b / s bit for bit, since sqrt(s*s) = s.
     """
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
     v = np.asarray(v, dtype=float)
-    if rho == 0:
-        return b / s
     c = rho * v - s
     disc = np.sqrt(c * c + 4.0 * rho * b)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -50,8 +47,8 @@ def surrogate_root(s, b, v, rho):
 def prox_neg_ll(lm, v, cfg, x_init, callback=None):
     """Surrogate iterations for the penalized Poisson subproblem.
 
-    Stops after cfg.n_inner iterations or when the relative iterate change
-    drops below cfg.tol.  callback(it, x), when given, sees every iterate.
+    Runs exactly cfg.n_inner iterations.  callback(it, x), when given, sees
+    every iterate.
     """
     v = np.asarray(v, dtype=float).ravel()
     x = np.asarray(x_init, dtype=float).ravel().copy()
@@ -70,17 +67,11 @@ def prox_neg_ll(lm, v, cfg, x_init, callback=None):
     # a masked pixel has s = 0 and b = 0, so with v = 0 its root is 0
     v = np.where(mask, v, 0.0)
     shape = (lm.model.grid_size, lm.model.grid_size)
-
     for it in range(cfg.n_inner):
-        b = x * recon._em_ratio_backproj(lm, x)
-        x_new = surrogate_root(sens, b, v, cfg.rho)
-        delta = np.linalg.norm(x_new - x)
-        denom = max(np.linalg.norm(x), 1e-30)
-        x = x_new
+        x = surrogate_root(sens, x * recon._em_ratio_backproj(lm.counted, x),
+                           v, cfg.rho)
         if callback is not None:
             callback(it, x.reshape(shape))
-        if delta / denom < cfg.tol:
-            break
     return x.reshape(shape)
 
 

@@ -52,13 +52,18 @@ class LikelihoodModel:
 
     @cached_property
     def counted(self):
-        """(rows, A[rows], A[rows]^T, mult, background, y) on the bins with
-        counts, rows = flatnonzero(y > 0).  Elsewhere y / ybar = 0, so those
-        bins add only +0.0 terms to an EM back-projection."""
-        m = self.model
+        """The row block of the bins with counts, rows = flatnonzero(y > 0).
+        Elsewhere y / ybar = 0, so those bins add only +0.0 terms to an EM
+        back-projection."""
         rows = np.flatnonzero(self.y > 0)
-        a = m.weights[rows]
-        return (rows, a, a.T.tocsr(), m.mult_factors[rows], m.background[rows],
+        a = self.model.weights[rows]
+        return self.row_block(rows, a, a.T.tocsr())
+
+    def row_block(self, rows, a, a_t):
+        """(rows, A[rows], A[rows]^T, mult[rows], background[rows], y[rows]),
+        the argument of the EM kernel, for a = A[rows] and a_t = a^T."""
+        m = self.model
+        return (rows, a, a_t, m.mult_factors[rows], m.background[rows],
                 self.y.ravel()[rows])
 
 
@@ -115,27 +120,25 @@ def ll_gradient(lm, x):
     return grad
 
 
-def _em_ratio_backproj(lm, x):
-    """A^T mult (y/ybar), flat, projecting only the bins with counts: each
-    dropped term is A_ij mult_i 0.0 = +0.0 on a nonnegative partial sum,
-    so the result is bitwise that of the whole sinogram."""
-    rows, a, a_t, mult, background, y = lm.counted
+def _em_ratio_backproj(block, x):
+    """A[rows]^T mult (y / ybar) over one row block (see
+    LikelihoodModel.row_block), flat.  On lm.counted each dropped term is
+    A_ij mult_i 0.0 = +0.0 on a nonnegative partial sum, so the result is
+    bitwise that of the whole sinogram."""
+    rows, a, a_t, mult, background, y = block
     ybar = mult * (a @ x.ravel()) + background
     return a_t @ (mult * _count_ratio(y, ybar, rows))
 
 
 def _em_update(x, num, sens):
     """x * num / sens, flat; pixels with zero sensitivity become 0."""
-    mask = sens > 0
-    out = np.zeros_like(x)
-    out[mask] = x[mask] * num[mask] / sens[mask]
-    return out
+    return np.divide(x * num, sens, out=np.zeros_like(x), where=sens > 0)
 
 
 def mlem_step(lm, x):
     """One multiplicative EM update; zero-sensitivity pixels stay 0."""
     x = np.asarray(x, dtype=float)
-    num = _em_ratio_backproj(lm, x)
+    num = _em_ratio_backproj(lm.counted, x)
     return _em_update(x.ravel(), num, lm.sensitivity.ravel()).reshape(x.shape)
 
 
@@ -156,16 +159,13 @@ def osem_reconstruct(lm, cfg, x0=None):
     if model.geometry.n_angles % cfg.n_subsets != 0:
         raise ValueError("n_subsets must divide n_angles")
     x = uniform_start(model) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = lm.y.ravel()
-    blocks = sim.subset_blocks(model, cfg.n_subsets)
-    sens = [a_t @ model.mult_factors[rows] for rows, _, a_t in blocks]
+    blocks = [lm.row_block(*block)
+              for block in sim.subset_blocks(model, cfg.n_subsets)]
+    sens = [a_t @ mult for _, _, a_t, mult, _, _ in blocks]
     xf = x.ravel()
     for _ in range(cfg.n_iterations):
-        for (rows, a, a_t), sens_s in zip(blocks, sens):
-            mult_s = model.mult_factors[rows]
-            ybar_s = mult_s * (a @ xf) + model.background[rows]
-            ratio = _count_ratio(y[rows], ybar_s, rows)
-            xf = _em_update(xf, a_t @ (mult_s * ratio), sens_s)
+        for block, sens_s in zip(blocks, sens):
+            xf = _em_update(xf, _em_ratio_backproj(block, xf), sens_s)
     return xf.reshape(x.shape)
 
 

@@ -85,7 +85,7 @@ def test_criterion_02_mlem_monotonicity():
 
 def _prox_to_kkt(lm, v, rho, target=1e-8, block=2000, max_blocks=25):
     x = np.ones((lm.model.grid_size, lm.model.grid_size))
-    cfg = prox.ProxConfig(rho=rho, n_inner=block, tol=0.0)
+    cfg = prox.ProxConfig(rho=rho, n_inner=block)
     for _ in range(max_blocks):
         x = prox.prox_neg_ll(lm, v, cfg, x)
         res = prox.kkt_residual(lm, v, rho, x)
@@ -98,7 +98,7 @@ def test_criterion_03_prox_oracle_equivalence():
     t0 = time.time()
     # the analytic scalar case: root of -2/x + 1 + (x - 1) = 0 is sqrt(2)
     lm = scalar_model(y_value=2.0)
-    cfg = prox.ProxConfig(rho=1.0, n_inner=50, tol=0.0)
+    cfg = prox.ProxConfig(rho=1.0, n_inner=50)
     x = prox.prox_neg_ll(lm, np.array([[1.0]]), cfg, np.array([[1.0]]))
     assert abs(x[0, 0] - np.sqrt(2.0)) < 1e-12
     assert prox.kkt_residual(lm, np.array([[1.0]]), 1.0, x) < 1e-10
@@ -228,8 +228,7 @@ def test_criterion_06_convex_admm_oracle():
     lam = rho = 5.0 * scale
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
-    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=200, n_inner=200,
-                               tol=1e-13)
+    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=200, n_inner=200)
     x, hist = admm.admm_pnp(lm, denoise, cfg)
     k_pass = next((k for k in range(len(hist))
                    if hist.primal[k] < 1e-6 and hist.dual[k] < 1e-6), None)

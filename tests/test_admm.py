@@ -22,7 +22,7 @@ def exact_data_problem(grid=16, seed=1):
 
 def test_identity_denoiser_stays_at_fixed_point():
     x_true, lm = exact_data_problem()
-    cfg = admm.AdmmConfig.make(rho=5.0, n_iterations=5, n_inner=50, tol=1e-14)
+    cfg = admm.AdmmConfig.make(rho=5.0, n_iterations=5, n_inner=50)
     x, hist = admm.admm_pnp(lm, IDENTITY, cfg, z0=x_true)
     assert len(hist) == 5
     assert max(hist.primal) < 1e-8
@@ -50,7 +50,7 @@ def test_single_iteration_matches_hand_stepped_composition():
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     params = net.init_params(arch, seed=1, scale=0.2)
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
-    cfg = admm.AdmmConfig.make(rho=15.0, n_iterations=1, n_inner=25, tol=1e-10)
+    cfg = admm.AdmmConfig.make(rho=15.0, n_iterations=1, n_inner=25)
     x, hist = admm.admm_pnp(lm, params, cfg, z0=z0)
 
     x1 = prox.prox_neg_ll(lm, z0, cfg.prox, np.clip(z0, 0.0, None))
@@ -70,7 +70,7 @@ def test_quadratic_prox_denoiser_matches_convex_oracle():
     rho = 20.0
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
-    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=200, n_inner=100, tol=1e-13)
+    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=200, n_inner=100)
     x, hist = admm.admm_pnp(lm, denoise, cfg)
     assert hist.primal[-1] < 1e-6
     assert hist.dual[-1] < 1e-6
@@ -110,7 +110,7 @@ def test_dr_residual_and_secant_match_recorded_states():
 
 def test_dr_residual_vanishes_at_fixed_point():
     x_true, lm = exact_data_problem(seed=5)
-    cfg = admm.AdmmConfig.make(rho=5.0, n_iterations=5, n_inner=80, tol=1e-14)
+    cfg = admm.AdmmConfig.make(rho=5.0, n_iterations=5, n_inner=80)
     _, hist = admm.admm_pnp(lm, IDENTITY, cfg, z0=x_true)
     assert max(hist.dr_residual) < 1e-8
     # 2D - Id is the identity itself: an isometry wherever t moved
@@ -125,7 +125,7 @@ def test_dr_residual_falls_and_secant_is_exact_for_linear_denoiser():
     lam = rho / 2.0
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
-    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=60, n_inner=100, tol=1e-13)
+    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=60, n_inner=100)
     _, hist = admm.admm_pnp(lm, denoise, cfg)
     # ||x_1 - z_0|| is no T step, so the DR sequence starts at k = 2
     assert hist.dr_residual[1] > hist.dr_residual[0]
@@ -204,7 +204,7 @@ def test_sweep_rows_match_per_rho_runs():
     want_curves, want_summary = [], []
     for rho in rhos:
         _, hist = admm.admm_pnp(lm, params, admm.AdmmConfig.make(
-            rho, n_iterations=8, n_inner=7, tol=1e-6), z0=z0, x_ref=activity)
+            rho, n_iterations=8, n_inner=7), z0=z0, x_ref=activity)
         secants = [s for s in hist.secant if s is not None]
         for k in range(len(hist)):
             want_curves.append([rho, k + 1, hist.primal[k], hist.dual[k],
@@ -221,7 +221,7 @@ def test_sweep_rows_match_per_rho_runs():
                              int(admm._is_monotone(hist.dual)),
                              hist.log_likelihood[-1], hist.mse[-1],
                              rises, max(secants)])
-    cfg = admm.AdmmConfig.make(1.0, n_iterations=8, n_inner=7, tol=1e-6)
+    cfg = admm.AdmmConfig.make(1.0, n_iterations=8, n_inner=7)
     hists = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
     assert admm.curve_rows(hists) == want_curves
     summary = [admm.summary_row(h) for h in hists]

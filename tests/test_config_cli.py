@@ -239,7 +239,7 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("power_iters = 5", "power_iters = 5\nepsilon = 1.5", r"\[train\.jac\]"),
     ("rho = 30.0", "rho = -1", r"\[admm\] rho must be positive"),
     ("rho = 30.0", "rho = inf", r"\[admm\] rho must be positive and finite"),
-    ("rho = 30.0", "rho = 30.0\nprox_tol = nan", r"\[admm\] invalid inner"),
+    ("rho = 30.0", "rho = 30.0\nprox_tol = nan", r"unknown key 'prox_tol'"),
     ("filter_sigmas = 0,1.0", "filter_sigmas = -1.0", r"\[admm\] .*filter sigma"),
     ("filter_sigmas = 0,1.0", "filter_sigmas = 0,nan", r"\[admm\] .*filter sigma"),
     ("rho = 30.0\niterations = 3", "rho = 30.0\niterations = 0",
@@ -360,13 +360,12 @@ def _old_builders(cfg, rho=None, iters=None):
         admm=admm.AdmmConfig.make(
             rho if rho is not None else a["rho"],
             n_iterations=iters if iters is not None else a["iterations"],
-            n_inner=a["prox_inner"], tol=a["prox_tol"]),
+            n_inner=a["prox_inner"]),
         n_test_sims=a["n_test_sims"],
         filter_sigmas=a["filter_sigmas"],
         sweep_rhos=[float(tok) for tok in s["rhos"].split(",")],
         sweep=admm.AdmmConfig.make(
-            a["rho"], n_iterations=s["iterations"], n_inner=a["prox_inner"],
-            tol=a["prox_tol"]),
+            a["rho"], n_iterations=s["iterations"], n_inner=a["prox_inner"]),
         sweep_n_values=s["n_values"],
         sweep_decades=s["decades"])
 
@@ -587,6 +586,17 @@ FUZZ_FILES = ("net.ckpt", "runs/data/manifest.csv", "runs/data/item004_osem.img"
               "runs/data/phantom02_mu.img")
 
 
+def _corrupt(path, truncate, where, bit):
+    """Cut the file at fraction where, or flip one bit there."""
+    raw = bytearray(path.read_bytes())
+    pos = min(int(where * len(raw)), len(raw) - 1)
+    if truncate:
+        del raw[pos:]
+    else:
+        raw[pos] ^= 1 << bit
+    path.write_bytes(bytes(raw))
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(name=st.sampled_from(FUZZ_FILES),
        command=st.sampled_from(("certify", "reconstruct")),
@@ -596,15 +606,89 @@ def test_cli_exit_code_contract_on_corrupt_files(fuzz_run, name, command,
                                                  truncate, where, bit):
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(shutil.copytree(fuzz_run, pathlib.Path(tmp) / "run"))
-        path = root / name
-        raw = bytearray(path.read_bytes())
-        pos = min(int(where * len(raw)), len(raw) - 1)
-        if truncate:
-            del raw[pos:]
-        else:
-            raw[pos] ^= 1 << bit
-        path.write_bytes(bytes(raw))
+        _corrupt(root / name, truncate, where, bit)
         extra = ["--n-samples", "2"] if command == "certify" else ["--iters", "1"]
         rc = cli.main([command, "--config", str(root / "tiny.cfg"), "--checkpoint",
                        str(root / "net.ckpt"), "--out", str(root / "out"), *extra])
     assert rc in (0, 2, 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(name=st.sampled_from(FUZZ_FILES + ("runs/data/item000_osem.img",
+                                          "runs/data/phantom00_activity.img")),
+       command=st.sampled_from(("pre", "jac", "sweep")),
+       truncate=st.booleans(), where=st.floats(0.0, 1.0),
+       bit=st.integers(0, 7))
+def test_cli_exit_code_contract_on_corrupt_files_train_sweep(fuzz_run, name, command,
+                                                             truncate, where, bit):
+    # jac starts from the fuzzed checkpoint, copied to pre.ckpt in its --out
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(shutil.copytree(fuzz_run, pathlib.Path(tmp) / "run"))
+        _corrupt(root / name, truncate, where, bit)
+        out = root / "out"
+        if command == "sweep":
+            argv = ["sweep", "--checkpoint", str(root / "net.ckpt")]
+        else:
+            argv = ["train", "--phase", command]
+            out.mkdir()
+            shutil.copy(root / "net.ckpt", out / "pre.ckpt")
+        with np.errstate(all="ignore"):
+            rc = cli.main([*argv, "--config", str(root / "tiny.cfg"), "--out", str(out)])
+    assert rc in (0, 2, 3)
+
+
+def _with_data(text, fuzz_run):
+    return text + f"\n[paths]\ndata = {fuzz_run / 'runs' / 'data'}\n"
+
+
+def test_train_adam_overflow_aborts(fuzz_run, tmp_path, capsys):
+    # at learning_rate = 1e308 the first Adam step leaves non-finite parameters
+    cfg_path = tmp_path / "lr.cfg"
+    cfg_path.write_text(_with_data(
+        TINY_CFG.replace("learning_rate = 0.005", "learning_rate = 1e308"), fuzz_run))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = cli.main(["train", "--phase", "pre", "--config", str(cfg_path),
+                       "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert re.match(r"numerical abort: .*Adam step at epoch 0, batch start 0", err)
+    assert not (out / "pre.ckpt").exists()
+
+
+@pytest.mark.parametrize("decades", ["700", "1000"])
+def test_sweep_auto_grid_outside_positive_floats_aborts(fuzz_run, tmp_path, capsys,
+                                                        decades):
+    # 10 ** (decades / 2) overflows and its inverse underflows to 0
+    cfg_path = tmp_path / "auto.cfg"
+    cfg_path.write_text(_with_data(TINY_CFG.replace(
+        "rhos = 10.0,300.0", f"rhos = auto\ndecades = {decades}"), fuzz_run))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = cli.main(["sweep", "--config", str(cfg_path), "--checkpoint",
+                       str(fuzz_run / "net.ckpt"), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical abort: [sweep] decades = {decades} ")
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("phase", ["pre", "jac"])
+def test_train_without_train_items_exits_2(fuzz_run, tmp_path, capsys, phase):
+    root = pathlib.Path(shutil.copytree(fuzz_run, tmp_path / "run"))
+    manifest = root / "runs" / "data" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    test_rows = [line for line in lines[1:] if line.endswith(",test")]
+    assert test_rows and len(test_rows) < len(lines) - 1
+    manifest.write_text("\n".join([lines[0], *test_rows]) + "\n")
+    out = root / "out"
+    out.mkdir()
+    shutil.copy(root / "net.ckpt", out / "pre.ckpt")
+    capsys.readouterr()
+    rc = cli.main(["train", "--phase", phase, "--config", str(root / "tiny.cfg"),
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: dataset has no training items\n"
+    assert not (out / f"train_{phase}.csv").exists()

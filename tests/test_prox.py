@@ -15,7 +15,7 @@ from oracles import make_test_problem, penalized_solver, scalar_model
 def test_scalar_sqrt2_case():
     # 1 pixel, 1 bin, A=[1], y=2, v=1, rho=1: stationarity -2/x + 1 + (x-1) = 0
     lm = scalar_model(y_value=2.0)
-    cfg = prox.ProxConfig(rho=1.0, n_inner=50, tol=0.0)
+    cfg = prox.ProxConfig(rho=1.0, n_inner=50)
     x = prox.prox_neg_ll(lm, np.array([[1.0]]), cfg, np.array([[1.0]]))
     assert x[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-13)
     assert prox.kkt_residual(lm, np.array([[1.0]]), 1.0, x) < 1e-10
@@ -27,7 +27,7 @@ def test_zero_counts_give_clipped_quadratic_solution():
     rng = np.random.default_rng(2)
     v = rng.normal(0.2, 0.5, (16, 16))
     rho = 7.0
-    cfg = prox.ProxConfig(rho=rho, n_inner=5, tol=0.0)
+    cfg = prox.ProxConfig(rho=rho, n_inner=5)
     x = prox.prox_neg_ll(lm0, v, cfg, np.ones((16, 16)))
     sens = lm.sensitivity
     want = np.maximum(0.0, v - sens / rho)
@@ -44,7 +44,7 @@ def test_matches_projected_gradient_oracle():
         activity, _ = make_test_problem(grid=16, seed=seed)
         v = activity + rng.normal(0.0, 0.3, activity.shape)
         want = penalized_solver(lm, v, rho, kkt_target=1e-10)
-        cfg = prox.ProxConfig(rho=rho, n_inner=20000, tol=0.0)
+        cfg = prox.ProxConfig(rho=rho, n_inner=20000)
         x = prox.prox_neg_ll(lm, v, cfg, np.ones_like(v))
         assert prox.kkt_residual(lm, v, rho, x) < 1e-8
         assert np.max(np.abs(x - want)) < 1e-6
@@ -83,7 +83,7 @@ def test_objective_monotone_along_surrogate_iterations():
     v = rng.normal(0.3, 0.5, (16, 16))
     rho = 5.0
     objs = []
-    cfg = prox.ProxConfig(rho=rho, n_inner=60, tol=0.0)
+    cfg = prox.ProxConfig(rho=rho, n_inner=60)
     prox.prox_neg_ll(lm, v, cfg, np.ones((16, 16)),
                      callback=lambda it, x: objs.append(
                          prox.subproblem_objective(lm, v, rho, x)))
@@ -97,11 +97,26 @@ def test_kkt_decreases_along_iterations():
     v = rng.normal(0.3, 0.5, (16, 16))
     rho = 30.0
     kkts = []
-    cfg = prox.ProxConfig(rho=rho, n_inner=200, tol=0.0)
+    cfg = prox.ProxConfig(rho=rho, n_inner=200)
     prox.prox_neg_ll(lm, v, cfg, np.ones((16, 16)),
                      callback=lambda it, x: kkts.append(
                          prox.kkt_residual(lm, v, rho, x)))
     assert kkts[-1] < kkts[0] * 1e-3
+
+
+def test_prox_runs_n_inner_iterations_at_exact_fixed_point():
+    # exact data and v at the true image make it the minimizer and a fixed
+    # point of the surrogate map, so only the cap can end the iterations
+    activity, lm = make_test_problem(grid=16, seed=16)
+    x_true = np.where(lm.mask, activity + 0.1, 0.0)
+    exact = recon.LikelihoodModel(model=lm.model,
+                                  y=sim.forward_project(lm.model, x_true))
+    its = []
+    cfg = prox.ProxConfig(rho=5.0, n_inner=9)
+    x = prox.prox_neg_ll(exact, x_true, cfg, x_true,
+                         callback=lambda it, x: its.append(it))
+    assert its == list(range(9))
+    np.testing.assert_allclose(x, x_true, rtol=1e-12, atol=0.0)
 
 
 def test_kkt_positive_away_from_optimum():
@@ -124,7 +139,7 @@ def test_surrogate_root_rho_zero_is_em_update_bitwise():
         x = recon.mlem_step(lm, x)
     sens = lm.sensitivity.ravel()
     mask = lm.mask.ravel()
-    num = recon._em_ratio_backproj(lm, x).ravel()
+    num = recon._em_ratio_backproj(lm.counted, x).ravel()
     b = x.ravel() * num
     em = recon.mlem_step(lm, x).ravel()
     root = prox.surrogate_root(sens[mask], b[mask], np.zeros(mask.sum()), 0.0)
@@ -155,7 +170,7 @@ def test_surrogate_root_solves_quadratic(s, b, v, rho):
 def test_prox_accepts_negative_v():
     _, lm = make_test_problem(grid=16, seed=11)
     v = np.full((16, 16), -2.0)
-    cfg = prox.ProxConfig(rho=50.0, n_inner=100, tol=1e-12)
+    cfg = prox.ProxConfig(rho=50.0, n_inner=100)
     x = prox.prox_neg_ll(lm, v, cfg, np.ones((16, 16)))
     assert np.all(x >= 0.0)
     assert np.all(np.isfinite(x))
@@ -170,7 +185,7 @@ def _full_em_ratio_backproj(lm, x):
 
 def _full_prox(lm, v, rho, x_init, n_inner):
     """The data step on the whole sinogram: masked gathers and scatters and
-    the guarded b-form root, for n_inner iterations (tol = 0)."""
+    the guarded b-form root, for n_inner iterations."""
     sens = lm.sensitivity.ravel()
     mask = sens > 0
     x = np.asarray(x_init, dtype=float).ravel().copy()
@@ -234,7 +249,7 @@ def test_counted_bins_match_full_sinogram_bitwise():
         signs = set()
         for rho in (0.1 * scale, scale, 10.0 * scale):
             signs |= set((rho * v - lm.sensitivity)[lm.mask] < 0)
-            cfg = prox.ProxConfig(rho=rho, n_inner=12, tol=0.0)
+            cfg = prox.ProxConfig(rho=rho, n_inner=12)
             _bitwise_equal(prox.prox_neg_ll(lm, v, cfg, np.ones_like(v)),
                            _full_prox(lm, v, rho, np.ones_like(v), 12))
         x = recon.uniform_start(lm.model).ravel()
@@ -254,7 +269,7 @@ def test_prox_projects_only_counted_bins(monkeypatch):
             calls.append(_name)
             return _fn(*args)
         monkeypatch.setattr(sim, name, counting)
-    cfg = prox.ProxConfig(rho=10.0, n_inner=5, tol=0.0)
+    cfg = prox.ProxConfig(rho=10.0, n_inner=5)
     prox.prox_neg_ll(lm, activity, cfg, np.ones_like(activity))
     assert calls == []
     rows = lm.counted[0]
