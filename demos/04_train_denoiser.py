@@ -31,7 +31,8 @@ def certify(tag, params, n=40):
     for j in range(n):
         item = test[j % len(test)]
         out = net.forward(params, item.x_noisy)
-        sigmas.append(train.sigma_at_tilde(params, item.x_ref, out, rng, 20)[2])
+        sigmas.append(train.sigma_at_tilde(params, item.x_ref, out,
+                                           train.draw_tilde(rng), 20)[1])
     sigmas = np.array(sigmas)
     print(f"{tag}: sigma(2D - Id) over {n} test points: "
           f"min {sigmas.min():.3f}, mean {sigmas.mean():.3f}, "

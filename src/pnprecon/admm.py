@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import net, prox, recon
-from .util import NumericalAbort
+from .util import NumericalAbort, ordered_map
 
 __all__ = ["AdmmConfig", "AdmmState", "History", "CURVE_HEADER",
            "SUMMARY_HEADER", "admm_pnp", "rho_sweep", "curve_rows", "summary_row",
@@ -184,11 +184,21 @@ def _is_monotone(curve, slack=0.05):
 
 
 def rho_sweep(lm, denoiser, rhos, cfg, z0=None, x_ref=None):
-    """One History per rho, each from admm_pnp run with cfg at that rho."""
+    """One History per rho, each from admm_pnp run with cfg at that rho.
+
+    The runs share nothing but lm and run in parallel (util.ordered_map);
+    a NumericalAbort names the first failing rho in input order."""
     cfgs = [cfg.with_rho(rho) for rho in rhos]
     if not cfgs:
         raise ValueError("rhos must be nonempty")
-    return [admm_pnp(lm, denoiser, c, z0=z0, x_ref=x_ref)[1] for c in cfgs]
+    lm.counted, lm.mask      # build the cached blocks once, before the fan-out
+
+    def run(c):
+        try:
+            return admm_pnp(lm, denoiser, c, z0=z0, x_ref=x_ref)[1]
+        except NumericalAbort as exc:
+            raise NumericalAbort(f"rho = {c.rho:g}: {exc}") from exc
+    return list(ordered_map(run, cfgs))
 
 
 def default_rho_grid(lm, denoiser, cfg, z0=None, n_values=8, decades=4.0,

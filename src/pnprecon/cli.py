@@ -16,7 +16,8 @@ import numpy as np
 
 from . import __version__, admm, net, recon, sim, train
 from .config import ConfigError, FileFormatError, config_hash, load_config
-from .util import NumericalAbort, atomic_write_text, derive_seed, write_csv
+from .util import (NumericalAbort, atomic_write_text, derive_seed, ordered_map,
+                   write_csv)
 
 __all__ = ["main"]
 
@@ -258,18 +259,30 @@ def cmd_reconstruct(exp, checkpoint, out_dir):
     dataset = _load_dataset(exp.paths["data"])
     params = net.load_checkpoint(checkpoint)
     rho, iters = exp.admm.rho, exp.admm.n_iterations
+    sims = [(item_idx, item, _likelihood_for_item(exp, item))
+            for item_idx, item in _select_test_sims(exp, dataset)]
+    for _, _, lm in sims:
+        lm.counted, lm.mask     # build the cached blocks before the fan-out
+
+    def run(sim_):
+        item_idx, item, lm = sim_
+        try:
+            x, hist = admm.admm_pnp(lm, params, exp.admm, z0=item.x_noisy,
+                                    x_ref=item.x_ref)
+        except NumericalAbort as exc:
+            raise NumericalAbort(f"item {item_idx:03d}: {exc}") from exc
+        return x, hist, recon.gaussian_postfilter_sweep(
+            item.x_noisy, item.x_ref, exp.filter_sigmas)
+
     summary = []
-    for item_idx, item in _select_test_sims(exp, dataset):
-        lm = _likelihood_for_item(exp, item)
-        x, hist = admm.admm_pnp(lm, params, exp.admm, z0=item.x_noisy,
-                                x_ref=item.x_ref)
+    # outputs are written in item order as the parallel runs finish
+    for (item_idx, item, lm), (x, hist, (best_sigma, x_filt)) in zip(
+            sims, ordered_map(run, sims)):
         tag = f"item{item_idx:03d}"
         write_csv(os.path.join(out_dir, f"{tag}_history.csv"),
                   admm.History.HEADER, hist.as_rows())
         sim.write_image(os.path.join(out_dir, f"{tag}_admm.img"), x)
         sim.write_pgm(os.path.join(out_dir, f"{tag}_admm.pgm"), x)
-        best_sigma, x_filt = recon.gaussian_postfilter_sweep(
-            item.x_noisy, item.x_ref, exp.filter_sigmas)
         sim.write_image(os.path.join(out_dir, f"{tag}_osem_filtered.img"), x_filt)
         summary.append([item_idx, "osem", recon.mse(item.x_noisy, item.x_ref),
                         recon.log_likelihood(lm, item.x_noisy), "", "", ""])
@@ -326,14 +339,18 @@ def cmd_certify(exp, checkpoint, out_dir):
     points = [(item, net.forward(params, item.x_noisy)) for item in test_items]
     rng = np.random.default_rng(derive_seed(exp.cfg.seed, 401))
     n_samples = exp.n_samples
+    picks = [points[j % len(points)] for j in range(n_samples)]
+    draws = [train.draw_tilde(rng) for _ in picks]
+
+    def sample_sigma(j):
+        item, out = picks[j]
+        return train.sigma_at_tilde(params, item.x_ref, out, draws[j],
+                                    exp.certify_power_iters)[1]
     rows = []
-    for j in range(n_samples):
-        item, out = points[j % len(points)]
-        kappa, _, sigma, _ = train.sigma_at_tilde(
-            params, item.x_ref, out, rng, exp.certify_power_iters)
+    for j, sigma in enumerate(ordered_map(sample_sigma, range(n_samples))):
         if not np.isfinite(sigma):
             raise NumericalAbort(f"non-finite sigma at sample {j}")
-        rows.append([j, item.phantom_id, kappa, sigma])
+        rows.append([j, picks[j][0].phantom_id, draws[j][0], sigma])
     sigmas = [row[3] for row in rows]
     write_csv(os.path.join(out_dir, "certify.csv"),
               ("sample", "phantom", "kappa", "sigma"), rows)

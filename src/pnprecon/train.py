@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import net, recon, sim
-from .util import NumericalAbort, derive_seed
+from .util import NumericalAbort, derive_seed, ordered_map
 
 __all__ = [
     "DatasetItem",
@@ -17,6 +17,7 @@ __all__ = [
     "AdamState",
     "build_dataset",
     "sample_tilde",
+    "draw_tilde",
     "sigma_at_tilde",
     "loss_and_grad",
     "adam_step",
@@ -128,14 +129,21 @@ def sample_tilde(x_ref, d_out, kappa):
     return kappa * np.asarray(x_ref, float) + (1.0 - kappa) * np.asarray(d_out, float)
 
 
-def sigma_at_tilde(params, x_ref, d_out, rng, power_iters, u0=None):
-    """(kappa, lin, sigma, u) at x_tilde = sample_tilde(x_ref, d_out, kappa):
-    kappa, then the power-iteration seed (unused when u0 is given), from rng."""
-    kappa = float(rng.uniform())
+def draw_tilde(rng):
+    """(kappa, seed): kappa first, then the power-iteration seed, from rng.
+    The seed is drawn even when the power iteration is warm-started, so
+    every certification point takes the same two draws."""
+    return float(rng.uniform()), int(rng.integers(2 ** 62))
+
+
+def sigma_at_tilde(params, x_ref, d_out, draw, power_iters, u0=None):
+    """(lin, sigma, u) at x_tilde = sample_tilde(x_ref, d_out, kappa) for
+    draw = (kappa, seed) from draw_tilde; the seed is unused when u0 is
+    given."""
+    kappa, seed = draw
     lin = net.Linearization(params, sample_tilde(x_ref, d_out, kappa))
-    sigma, u = net.spectral_norm_l(lin, max_iters=power_iters,
-                                   seed=int(rng.integers(2 ** 62)), u0=u0)
-    return kappa, lin, sigma, u
+    sigma, u = net.spectral_norm_l(lin, max_iters=power_iters, seed=seed, u0=u0)
+    return lin, sigma, u
 
 
 def loss_and_grad(params, batch, cfg, rng, power_warm=None):
@@ -146,31 +154,47 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
     power-iteration direction is reused, frozen, inside the gradient, and
     both read one linearization at x_tilde.
     In the PRE phase the penalty is skipped entirely.
+
+    The items run in parallel (util.ordered_map).  The draws, the warm
+    starts read from power_warm, the sums and the power_warm stores stay
+    in item order in the caller, so the result does not depend on the
+    worker count; two items with one key both start from the value stored
+    before the batch.
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    loss_mse = 0.0
-    loss_pen = 0.0
-    gvec = np.zeros(net.n_params(params.arch))
     with_penalty = cfg.phase == "jac" and cfg.beta > 0
-    for item in batch:
+    # every warm start is read before any is stored
+    power_warm = {} if power_warm is None else power_warm
+    keys = [(item.phantom_id, round(item.dose_scale, 12)) for item in batch]
+    draws = [draw_tilde(rng) if with_penalty else None for _ in batch]
+    warm = [power_warm.get(key) for key in keys]
+
+    def unit(args):
+        item, draw, u0 = args
         grad, out = net.param_grad_mse(params, item.x_noisy, item.x_ref)
         diff = out - item.x_ref
-        loss_mse += float(np.sum(diff * diff))
-        gvec += grad.vec
+        mse_part = float(np.sum(diff * diff))
         if not with_penalty:
-            continue
-        key = (item.phantom_id, round(item.dose_scale, 12))
-        u0 = power_warm.get(key) if power_warm is not None else None
-        _, lin, _, u = sigma_at_tilde(params, item.x_ref, out, rng,
-                                      cfg.power_iters, u0)
-        if power_warm is not None:
-            power_warm[key] = u
+            return mse_part, grad.vec, None
+        lin, _, u = sigma_at_tilde(params, item.x_ref, out, draw,
+                                   cfg.power_iters, u0)
         pen_grad, sigma_hat = net.param_grad_penalty(
             lin, u, epsilon=cfg.epsilon, alpha=cfg.alpha)
         value, _ = net.hinge(sigma_hat, cfg.epsilon, cfg.alpha)
-        loss_pen += value
-        gvec += cfg.beta * pen_grad.vec
+        return mse_part, grad.vec, (u, value, pen_grad.vec)
+
+    loss_mse = 0.0
+    loss_pen = 0.0
+    gvec = np.zeros(net.n_params(params.arch))
+    for key, (mse_part, grad_vec, pen) in zip(
+            keys, ordered_map(unit, zip(batch, draws, warm))):
+        loss_mse += mse_part
+        gvec += grad_vec
+        if pen is not None:
+            power_warm[key], value, pen_vec = pen
+            loss_pen += value
+            gvec += cfg.beta * pen_vec
     loss_total = loss_mse + cfg.beta * loss_pen
     return loss_total, loss_mse, loss_pen, gvec
 
@@ -210,16 +234,22 @@ class TrainingLog:
 
 
 def _test_metrics(params, test_items, cfg, rng):
-    """Mean test MSE plus sampled test spectral norms for the epoch log."""
+    """Mean test MSE plus sampled test spectral norms for the epoch log;
+    the item picks and draws come from rng in order, the samples run in
+    parallel."""
     if not test_items:
         return float("nan"), float("nan"), float("nan")
     outs = [net.forward(params, item.x_noisy) for item in test_items]
     mses = [recon.mse(out, item.x_ref) for out, item in zip(outs, test_items)]
-    sigmas = []
-    for _ in range(min(cfg.sigma_eval_samples, len(test_items))):
-        idx = int(rng.integers(len(test_items)))
-        sigmas.append(sigma_at_tilde(params, test_items[idx].x_ref, outs[idx],
-                                     rng, cfg.power_iters)[2])
+    n = len(test_items)
+    picks = [(int(rng.integers(n)), draw_tilde(rng))    # the item, then its draw
+             for _ in range(min(cfg.sigma_eval_samples, n))]
+
+    def sample_sigma(pick):
+        idx, draw = pick
+        return sigma_at_tilde(params, test_items[idx].x_ref, outs[idx], draw,
+                              cfg.power_iters)[1]
+    sigmas = list(ordered_map(sample_sigma, picks))
     return (float(np.mean(mses)),
             float(np.max(sigmas)) if sigmas else float("nan"),
             float(np.mean(sigmas)) if sigmas else float("nan"))

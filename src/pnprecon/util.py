@@ -1,11 +1,17 @@
-"""Small shared helpers: atomic writes, CSV with pinned float format, seeds."""
+"""Small shared helpers: atomic writes, CSV with pinned float format, seeds,
+and the order-preserving map that runs independent units on every usable
+core."""
 
+import collections
+import contextvars
 import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 __all__ = ["NumericalAbort", "fmt", "atomic_write_text", "atomic_write_bytes",
-           "write_csv", "derive_seed"]
+           "write_csv", "derive_seed", "N_WORKERS", "ordered_map"]
 
 
 class NumericalAbort(RuntimeError):
@@ -48,3 +54,56 @@ def derive_seed(*keys):
     """Deterministic 63-bit child seed from an ordered key tuple."""
     ss = np.random.SeedSequence([int(k) & 0x7FFFFFFFFFFFFFFF for k in keys])
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:          # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# One worker thread per usable core (`taskset -c 0` gives one, the serial
+# path).  numpy's matmul and scipy's sparse products release the GIL, so
+# units on different workers overlap.
+N_WORKERS = _usable_cores()
+_in_worker = threading.local()
+_POOL = ThreadPoolExecutor(max_workers=N_WORKERS, thread_name_prefix="pnprecon",
+                           initializer=setattr, initargs=(_in_worker, "flag", True))
+
+
+def ordered_map(fn, items):
+    """fn over items, lazily yielding results in input order.
+
+    Independent units run on the worker pool, with at most 2 * N_WORKERS
+    queued or running.  A list of 0 or 1 units, a single worker and a call from inside
+    a worker (which would wait on its own pool) run in the calling
+    thread.  A unit's exception is raised at its position, after the
+    results of every earlier unit.  Units must not draw from a shared RNG:
+    draw in the caller, in order, and pass the draws in, so results do not
+    depend on the worker count.
+    """
+    items = list(items)
+    if len(items) < 2 or N_WORKERS < 2 or getattr(_in_worker, "flag", False):
+        return map(fn, items)
+    window = 2 * N_WORKERS
+    futures = collections.deque(_submit(fn, item) for item in items[:window])
+    return _results(fn, futures, items[window:])
+
+
+def _submit(fn, item):
+    # the unit sees the caller's context, so np.errstate applies as in a loop
+    return _POOL.submit(contextvars.copy_context().run, fn, item)
+
+
+def _results(fn, futures, rest):
+    try:
+        for item in rest:
+            done = futures.popleft()
+            futures.append(_submit(fn, item))
+            yield done.result()
+        while futures:
+            yield futures.popleft().result()
+    finally:                        # a raise or an early stop: drop the queue
+        for future in futures:
+            future.cancel()

@@ -1,11 +1,13 @@
 """PnP-ADMM loop: fixed points, convex-oracle equivalence, DR residual."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pnprecon import admm, net, prox, recon, sim
+from pnprecon import admm, net, prox, recon, sim, util
 from pnprecon.util import NumericalAbort
 from oracles import make_test_problem, penalized_solver
 
@@ -258,3 +260,58 @@ def test_history_rows_shape():
     assert rows[0][0] == 1 and rows[-1][0] == 3
     assert all(len(r) == len(admm.History.HEADER) for r in rows)
     assert len(hist.mse) == 3
+
+
+@pytest.mark.parametrize("start", ["osem", "given"])
+def test_rho_sweep_matches_serial_loop_bitwise(start):
+    # the loop rho_sweep replaced, run on a separately built model so the
+    # parallel runs build their own caches; z0 = None runs OSEM per run
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    params = net.vector_to_params(
+        arch, np.random.default_rng(6).normal(0, 0.2, net.n_params(arch)))
+    rhos = [0.3, 3.0, 30.0]
+    cfg = admm.AdmmConfig.make(1.0, n_iterations=6, n_inner=5)
+    runs = []
+    for _ in range(2):
+        activity, lm = make_test_problem(grid=16, seed=14)
+        z0 = None if start == "osem" else recon.osem_reconstruct(
+            lm, recon.OsemConfig(2, 4))
+        runs.append((activity, lm, z0))
+    activity, lm, z0 = runs[0]
+    want = [admm.admm_pnp(lm, params, cfg.with_rho(rho), z0=z0, x_ref=activity)[1]
+            for rho in rhos]
+    activity, lm, z0 = runs[1]
+    got = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
+    assert [h.rho for h in got] == rhos
+    for g, w in zip(got, want):
+        assert g == w       # every recorded list, float for float
+        assert g.as_rows() == w.as_rows()
+
+
+def test_rho_sweep_stress_more_workers_than_cores(monkeypatch):
+    # 8 workers, a 1 us switch interval and z0 = None on a fresh projector,
+    # so the runs race to build its shared subset-block cache: the
+    # histories stay bitwise those of the serial loop
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    params = net.vector_to_params(
+        arch, np.random.default_rng(7).normal(0, 0.2, net.n_params(arch)))
+    rhos = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0]
+    cfg = admm.AdmmConfig.make(1.0, n_iterations=3, n_inner=3)
+    pool = ThreadPoolExecutor(max_workers=8, initializer=setattr,
+                              initargs=(util._in_worker, "flag", True))
+    monkeypatch.setattr(util, "_POOL", pool)
+    monkeypatch.setattr(util, "N_WORKERS", 8)
+    sim._assemble_projector.cache_clear()
+    activity, lm = make_test_problem(grid=12, seed=15)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = admm.rho_sweep(lm, params, rhos, cfg, x_ref=activity)
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown(wait=True)
+    sim._assemble_projector.cache_clear()
+    activity, lm = make_test_problem(grid=12, seed=15)
+    want = [admm.admm_pnp(lm, params, cfg.with_rho(rho), x_ref=activity)[1]
+            for rho in rhos]
+    assert got == want

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from pnprecon import admm, cli, net, prox, recon, sim, train
 from pnprecon.config import (ConfigError, canonical_text, config_hash,
                              load_config, parse_config)
-from pnprecon.util import derive_seed
+from pnprecon.util import derive_seed, write_csv
 
 DEMO_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
@@ -692,3 +692,119 @@ def test_train_without_train_items_exits_2(fuzz_run, tmp_path, capsys, phase):
     assert rc == 2
     assert capsys.readouterr().err == "config error: dataset has no training items\n"
     assert not (out / f"train_{phase}.csv").exists()
+
+
+def test_certify_csv_matches_serial_loop(fuzz_run, tmp_path):
+    # certify.csv written from the per-sample loop certify ran before its
+    # samples were fanned out
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", str(fuzz_run / "tiny.cfg"),
+                     "--checkpoint", str(fuzz_run / "net.ckpt"),
+                     "--out", str(out), "--n-samples", "5"]) == 0
+    dataset = cli._load_dataset(fuzz_run / "runs" / "data")
+    params = net.load_checkpoint(fuzz_run / "net.ckpt")
+    points = [(item, net.forward(params, item.x_noisy))
+              for item in dataset.split("test")]
+    rng = np.random.default_rng(derive_seed(2024, 401))
+    rows = []
+    for j in range(5):
+        item, d_out = points[j % len(points)]
+        kappa = float(rng.uniform())
+        lin = net.Linearization(params, train.sample_tilde(item.x_ref, d_out, kappa))
+        sigma, _ = net.spectral_norm_l(lin, max_iters=10,
+                                       seed=int(rng.integers(2 ** 62)))
+        rows.append([j, item.phantom_id, kappa, sigma])
+    write_csv(tmp_path / "want.csv", ("sample", "phantom", "kappa", "sigma"), rows)
+    assert (out / "certify.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def _nan_prox(monkeypatch, fails_at):
+    """prox_neg_ll returning NaN from call fails_at(lm, rho) on (counted per
+    lm and rho, 1-based; None: never), so the ADMM run aborts there."""
+    original = prox.prox_neg_ll
+    calls = collections.Counter()
+
+    def patched(lm, v, cfg, *args, **kwargs):
+        key = (id(lm), cfg.rho)
+        calls[key] += 1          # each (lm, rho) runs on one thread
+        at = fails_at(lm, cfg.rho)
+        if at is not None and calls[key] >= at:
+            return np.full_like(v, np.nan)
+        return original(lm, v, cfg, *args, **kwargs)
+    monkeypatch.setattr(prox, "prox_neg_ll", patched)
+
+
+def test_sweep_abort_names_first_failing_rho(fuzz_run, tmp_path, capsys, monkeypatch):
+    # rho 300 fails at its first iteration, rho 100 at its third: the
+    # message names rho 100, the first failing run in input order
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(_with_data(TINY_CFG.replace(
+        "rhos = 10.0,300.0", "rhos = 10.0,100.0,300.0"), fuzz_run))
+    _nan_prox(monkeypatch, lambda lm, rho: {100.0: 3, 300.0: 1}.get(rho))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = cli.main(["sweep", "--config", str(cfg_path), "--checkpoint",
+                   str(fuzz_run / "net.ckpt"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical abort: rho = 100: non-finite denoiser input at iteration 3\n")
+    assert not list(out.glob("*.csv"))
+
+
+def test_certify_abort_names_first_failing_sample(fuzz_run, tmp_path, capsys,
+                                                  monkeypatch):
+    # samples 2 and 4 get a NaN sigma; the message names sample 2
+    draws_rng = np.random.default_rng(derive_seed(2024, 401))
+    seeds = [train.draw_tilde(draws_rng)[1] for _ in range(5)]
+    bad = {seeds[2], seeds[4]}
+    original = net.spectral_norm_l
+
+    def patched(lin, *args, seed, **kwargs):
+        sigma, u = original(lin, *args, seed=seed, **kwargs)
+        return (float("nan") if seed in bad else sigma), u
+    monkeypatch.setattr(net, "spectral_norm_l", patched)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = cli.main(["certify", "--config", str(fuzz_run / "tiny.cfg"),
+                   "--checkpoint", str(fuzz_run / "net.ckpt"),
+                   "--out", str(out), "--n-samples", "5"])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "numerical abort: non-finite sigma at sample 2\n")
+    assert not list(out.glob("*.csv"))
+
+
+def test_reconstruct_abort_names_first_failing_item(tmp_path, capsys, monkeypatch):
+    # three test sims: the second fails at ADMM iteration 2, the third at
+    # iteration 1; the message names the second, whose files are not
+    # written, and the first one's files are
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CFG.replace("n_doses = 2", "n_doses = 3")
+                        .replace("n_test_sims = 2", "n_test_sims = 3"))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    net.save_checkpoint(tmp_path / "net.ckpt", net.init_params(arch, seed=1, scale=0.2))
+    exp = cli.build_experiment(load_config(str(cfg_path)), {})
+    tags = [f"item{i:03d}" for i, _ in
+            cli._select_test_sims(exp, cli._load_dataset(exp.paths["data"]))]
+    assert len(tags) == 3
+    models = []
+    original = cli._likelihood_for_item
+
+    def recorded(exp, item):
+        models.append(original(exp, item))
+        return models[-1]
+    monkeypatch.setattr(cli, "_likelihood_for_item", recorded)
+    _nan_prox(monkeypatch, lambda lm, rho: {1: 2, 2: 1}.get(
+        next(i for i, m in enumerate(models) if m is lm)))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = cli.main(["reconstruct", "--config", str(cfg_path), "--checkpoint",
+                   str(tmp_path / "net.ckpt"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"numerical abort: item {tags[1][4:]}: "
+        "non-finite denoiser input at iteration 2\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"{tags[0]}_{name}" for name in
+        ("admm.img", "admm.pgm", "history.csv", "osem_filtered.img")]

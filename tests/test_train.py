@@ -78,7 +78,8 @@ def test_sigma_at_tilde_matches_inline_draw(warm):
     rng_want, rng_got = np.random.default_rng(23), np.random.default_rng(23)
     for _ in range(3):
         want = _inline_sigma_draw(params, item.x_ref, out, rng_want, 4, u0)
-        got = train.sigma_at_tilde(params, item.x_ref, out, rng_got, 4, u0)
+        draw = train.draw_tilde(rng_got)
+        got = (draw[0],) + train.sigma_at_tilde(params, item.x_ref, out, draw, 4, u0)
         assert (got[0], got[2]) == (want[0], want[2])
         np.testing.assert_array_equal(got[1].x, want[1].x)
         np.testing.assert_array_equal(got[1].out, want[1].out)
@@ -201,6 +202,74 @@ def test_jac_loss_and_grad_matches_separate_linearizations(activation):
     assert loss_pen > 0.0, "test setup must activate the hinge"
     assert got[:3] == (loss_mse + cfg.beta * loss_pen, loss_mse, loss_pen)
     np.testing.assert_array_equal(got[3], gvec)
+
+
+def test_jac_loss_and_grad_matches_serial_loop_bitwise():
+    # the per-item loop loss_and_grad ran before its items were fanned out:
+    # losses, gradient, the stored warm starts and the final RNG state
+    ds = tiny_dataset()
+    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+    params = net.vector_to_params(
+        arch, np.random.default_rng(24).normal(0, 0.5, net.n_params(arch)))
+    batch = list(ds.items[:3])
+    cfg = _jac_cfg(batch_size=3)
+    keys = [(it.phantom_id, round(it.dose_scale, 12)) for it in batch]
+    u0 = np.random.default_rng(25).standard_normal(batch[1].x_ref.shape)
+    warm_got, warm_want = {keys[1]: u0.copy()}, {keys[1]: u0.copy()}
+    rng_got, rng_want = np.random.default_rng(26), np.random.default_rng(26)
+    got = train.loss_and_grad(params, batch, cfg, rng_got, power_warm=warm_got)
+
+    loss_mse = loss_pen = 0.0
+    gvec = np.zeros(net.n_params(arch))
+    for item, key in zip(batch, keys):
+        grad, out = net.param_grad_mse(params, item.x_noisy, item.x_ref)
+        diff = out - item.x_ref
+        loss_mse += float(np.sum(diff * diff))
+        gvec += grad.vec
+        kappa = float(rng_want.uniform())
+        lin = net.Linearization(params, train.sample_tilde(item.x_ref, out, kappa))
+        _, u = net.spectral_norm_l(lin, max_iters=cfg.power_iters,
+                                   seed=int(rng_want.integers(2 ** 62)),
+                                   u0=warm_want.get(key))
+        warm_want[key] = u
+        pen_grad, sigma_hat = net.param_grad_penalty(
+            lin, u, epsilon=cfg.epsilon, alpha=cfg.alpha)
+        loss_pen += net.hinge(sigma_hat, cfg.epsilon, cfg.alpha)[0]
+        gvec += cfg.beta * pen_grad.vec
+    assert loss_pen > 0.0, "test setup must activate the hinge"
+    assert got[:3] == (loss_mse + cfg.beta * loss_pen, loss_mse, loss_pen)
+    np.testing.assert_array_equal(got[3], gvec)
+    assert got[3].tobytes() == gvec.tobytes()
+    assert list(warm_got) == list(warm_want)
+    for key in keys:
+        assert warm_got[key].tobytes() == warm_want[key].tobytes()
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+
+def test_test_metrics_match_serial_loop_bitwise():
+    # the epoch-log loop _test_metrics ran before its samples were fanned
+    # out: item pick, kappa, then the power-iteration seed, per sample
+    ds = tiny_dataset(n_phantoms=3, n_doses=3)
+    test_items = ds.split("test")
+    assert len(test_items) == 3
+    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+    params = net.vector_to_params(
+        arch, np.random.default_rng(27).normal(0, 0.5, net.n_params(arch)))
+    cfg = _pre_cfg(sigma_eval_samples=3, power_iters=6)
+    rng_got, rng_want = np.random.default_rng(28), np.random.default_rng(28)
+    got = train._test_metrics(params, test_items, cfg, rng_got)
+
+    outs = [net.forward(params, it.x_noisy) for it in test_items]
+    mses = [recon.mse(out, it.x_ref) for out, it in zip(outs, test_items)]
+    sigmas = []
+    for _ in range(3):
+        idx = int(rng_want.integers(len(test_items)))
+        sigmas.append(_inline_sigma_draw(params, test_items[idx].x_ref, outs[idx],
+                                         rng_want, cfg.power_iters)[2])
+    assert got == (float(np.mean(mses)), float(np.max(sigmas)),
+                   float(np.mean(sigmas)))
+    assert len(set(sigmas)) == 3
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 def test_full_loss_gradient_matches_finite_differences():
