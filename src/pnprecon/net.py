@@ -127,14 +127,17 @@ def init_params(arch, seed, scale=0.1):
 
 
 # ---------------------------------------------------------------------------
-# activations (value, first and second derivative)
+# activations (value and first derivative; param_grad_penalty forms the
+# second from the first)
 
 
 def _sigmoid(t):
-    # 1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) below, never overflowing
+    # 1 / (1 + e^-t) for t >= 0 and e^t / (1 + e^t) below, never
+    # overflowing: the last factor is e (<= 1) where t < 0, 1.0 elsewhere
+    # and NaN where t is NaN
     e = np.exp(-np.abs(t))
     out = 1.0 / (1.0 + e)
-    np.multiply(out, e, out=out, where=t < 0)
+    out *= np.maximum(e, t >= 0)
     return out
 
 
@@ -149,13 +152,6 @@ def _act_d(name, t):
     if name == "softplus":
         return _sigmoid(t)
     return (t > 0).astype(float)
-
-
-def _act_dd(name, t):
-    if name == "softplus":
-        s = _sigmoid(t)
-        return s * (1.0 - s)
-    return np.zeros_like(t)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +435,9 @@ def param_grad_penalty(lin, u_fixed, epsilon=0.05, alpha=0.1):
         a_bar = _conv_adjoint(z_bar, params.kernels[layer], h, wd)
         d1 = lin.dacts[layer - 1]
         zt_bar = d1 * t_bar
-        z_bar = (_act_dd(arch.activation, lin.z_list[layer - 1])
-                 * zt_list[layer - 1] * t_bar + d1 * a_bar)
+        # act'' = s (1 - s) for softplus (act' = s, the sigmoid); for relu
+        # act' is 0 or 1, so this is 0, its second derivative
+        z_bar = d1 * (1.0 - d1) * zt_list[layer - 1] * t_bar + d1 * a_bar
     grad.vec *= slope
     return grad, sigma
 

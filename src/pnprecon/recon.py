@@ -4,7 +4,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.ndimage as ndi
 
 from . import sim
 from .util import NumericalAbort
@@ -179,6 +178,10 @@ def mse(a, b):
 def gaussian_postfilter_sweep(x_osem, x_ref, sigmas):
     """Pick the separable reflective-Gaussian sigma minimizing MSE to x_ref;
     NumericalAbort when no sigma gives a finite MSE."""
+    # imported here, its one use: scipy.ndimage is most of the package's
+    # import time, and only reconstruct needs it
+    import scipy.ndimage as ndi
+
     if len(sigmas) == 0 or not all(np.isfinite(s) and s >= 0 for s in sigmas):
         raise ValueError("sigmas must be nonempty, each finite and >= 0")
     best_err, best = np.inf, None

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import FileFormatError
 from .util import atomic_write_bytes, atomic_write_text
@@ -171,7 +170,7 @@ class SystemModel:
 
     geometry: GeometryConfig
     grid_size: int
-    weights: sp.csr_matrix            # (n_angles*n_bins, grid_size**2)
+    weights: "scipy.sparse.csr_matrix"  # (n_angles*n_bins, grid_size**2)
     mult_factors: np.ndarray          # (M,) > 0
     background: np.ndarray            # (M,) >= 0
 
@@ -220,6 +219,10 @@ def _assemble_projector(geom, grid_size):
     the grid contribute nothing.  Memoized per (geometry, grid_size); the
     returned matrix is shared, so its arrays are made read-only.
     """
+    # imported here, its one use, so that commands which never assemble a
+    # projector (train, certify) start without scipy.sparse
+    import scipy.sparse as sp
+
     n = grid_size
     half = (n - 1) / 2.0
     t = (np.arange(geom.n_bins) - (geom.n_bins - 1) / 2.0) * geom.bin_width

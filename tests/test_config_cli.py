@@ -17,6 +17,7 @@ from pnprecon import admm, cli, net, prox, recon, sim, train
 from pnprecon.config import (ConfigError, canonical_text, config_hash,
                              load_config, parse_config)
 from pnprecon.util import derive_seed, write_csv
+from test_acceptance import _run_python
 
 DEMO_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
@@ -808,3 +809,38 @@ def test_reconstruct_abort_names_first_failing_item(tmp_path, capsys, monkeypatc
     assert sorted(p.name for p in out.iterdir()) == [
         f"{tags[0]}_{name}" for name in
         ("admm.img", "admm.pgm", "history.csv", "osem_filtered.img")]
+
+
+# A fresh `python -c` child that runs cli.main on its arguments (none: the
+# bare import) and prints the exit code and which of the two slow scipy
+# modules are loaded.
+_LOADED_PROG = """
+import sys
+from pnprecon import cli
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *[m for m in ("scipy.sparse", "scipy.ndimage") if m in sys.modules])
+"""
+
+
+def test_commands_import_scipy_only_where_a_stage_uses_it(tmp_path):
+    """scipy.sparse (the projector) and scipy.ndimage (the post-filter) are
+    most of the package's import time: `import pnprecon.cli`, train and
+    certify load neither, simulate and sweep load only scipy.sparse, and
+    reconstruct both."""
+    cfg = str(tmp_path / "tiny.cfg")
+    (tmp_path / "tiny.cfg").write_text(TINY_CFG.replace("n_angles = 12",
+                                                        "n_angles = 8"))
+    pre = str(tmp_path / "runs" / "train" / "pre.ckpt")
+    cases = [
+        ([], ""),
+        (["simulate", "--config", cfg], "scipy.sparse"),
+        (["train", "--config", cfg, "--phase", "pre"], ""),
+        (["certify", "--config", cfg, "--checkpoint", pre, "--n-samples", "2"], ""),
+        (["sweep", "--config", cfg, "--checkpoint", pre], "scipy.sparse"),
+        (["reconstruct", "--config", cfg, "--checkpoint", pre],
+         "scipy.sparse scipy.ndimage"),
+    ]
+    for argv, loaded in cases:
+        res = _run_python(["-c", _LOADED_PROG, *argv], str(tmp_path))
+        assert res.returncode == 0, f"{argv}: {res.stderr}"
+        assert res.stdout.splitlines()[-1] == f"0 {loaded}".strip(), argv

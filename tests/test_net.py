@@ -309,6 +309,43 @@ def test_arch_validation():
         net.ArchConfig(activation="tanh")
 
 
+def _old_sigmoid(t):
+    """The masked-multiply form _sigmoid replaced."""
+    e = np.exp(-np.abs(t))
+    out = 1.0 / (1.0 + e)
+    np.multiply(out, e, out=out, where=t < 0)
+    return out
+
+
+def test_sigmoid_bitwise_equals_masked_form():
+    rng = np.random.default_rng(71)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                        745.0, -745.0, 1e-320, -1e-320])
+    arrays = [special, rng.standard_normal((16, 48, 48))]
+    for scale in 10.0 ** np.arange(-300, 301, 25):
+        arrays.append(scale * rng.standard_normal(4096))
+    for t in arrays:
+        got, want = net._sigmoid(t), _old_sigmoid(t)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("activation", ["softplus", "relu"])
+def test_second_derivative_from_dacts_matches_direct_form(activation):
+    """param_grad_penalty forms act'' as d1 (1 - d1) from lin.dacts; bitwise
+    that is sigmoid(z) (1 - sigmoid(z)) for softplus and +0.0 for relu."""
+    arch = net.ArchConfig(n_layers=3, channels=3, kernel=3, activation=activation)
+    lin = net.Linearization(random_params(arch, 72), random_image((10, 12), 73))
+    for d1, z in zip(lin.dacts, lin.z_list[:-1]):
+        if activation == "softplus":
+            s = _old_sigmoid(z)
+            want = s * (1.0 - s)
+        else:
+            want = np.zeros_like(z)
+        got = d1 * (1.0 - d1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_relu_variant_runs():
     arch = net.ArchConfig(n_layers=2, channels=2, kernel=3, activation="relu")
     params = random_params(arch, 34)

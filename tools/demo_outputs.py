@@ -10,12 +10,15 @@ samples), sweep and reconstruct; then reconstruct with pre.ckpt at
 --rho 3.0 --iters 5, and sweep with [sweep] rhos = auto.  Everything lands
 in OUT_DIR, which must not exist or be empty.  Two checkouts behave the
 same on the demo when `diff -r` of their two OUT_DIR trees is empty.
+Each stage's wall time, that of its whole process, goes to standard
+output only, so OUT_DIR holds the same files either way.
 """
 
 import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SHORT = {("train.pre", "epochs"): "4", ("train.jac", "epochs"): "2"}
@@ -66,10 +69,16 @@ def main(argv):
     (out / "auto.cfg").write_text(edited(demo, AUTO))
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    total = 0.0
     for cfg, args in STAGES:
         print(f"== {' '.join(args)} ({cfg})", flush=True)
+        start = time.perf_counter()
         subprocess.run([sys.executable, "-m", "pnprecon.cli", *args, "--config", cfg],
                        cwd=out, env=env, check=True)
+        wall = time.perf_counter() - start
+        total += wall
+        print(f"== {' '.join(args)} ({cfg}) took {wall:.2f} s", flush=True)
+    print(f"== all stages took {total:.2f} s", flush=True)
 
 
 if __name__ == "__main__":
