@@ -344,16 +344,18 @@ def cmd_certify(exp, checkpoint, out_dir):
 
     def sample_sigma(j):
         item, out = picks[j]
-        return train.sigma_at_tilde(params, item.x_ref, out, draws[j],
-                                    exp.certify_power_iters)[1]
+        _, sigma, _, steps = train.sigma_at_tilde(
+            params, item.x_ref, out, draws[j], exp.certify_power_iters)
+        return sigma, steps
     rows = []
-    for j, sigma in enumerate(ordered_map(sample_sigma, range(n_samples))):
+    for j, (sigma, steps) in enumerate(ordered_map(sample_sigma, range(n_samples))):
         if not np.isfinite(sigma):
             raise NumericalAbort(f"non-finite sigma at sample {j}")
-        rows.append([j, picks[j][0].phantom_id, draws[j][0], sigma])
-    sigmas = [row[3] for row in rows]
+        rows.append([j, picks[j][0].phantom_id, draws[j][0], steps, sigma])
+    sigmas = [row[4] for row in rows]
+    n_capped = sum(row[3] == exp.certify_power_iters for row in rows)
     write_csv(os.path.join(out_dir, "certify.csv"),
-              ("sample", "phantom", "kappa", "sigma"), rows)
+              ("sample", "phantom", "kappa", "steps", "sigma"), rows)
     margin = exp.certify_margin
     frac = float(np.mean([s <= 1.0 + margin for s in sigmas]))
     write_csv(os.path.join(out_dir, "certify_summary.csv"),
@@ -363,7 +365,8 @@ def cmd_certify(exp, checkpoint, out_dir):
                 margin, frac]])
     _write_provenance(out_dir, exp)
     print(f"certify: {n_samples} samples, sigma max {max(sigmas):.4f}, "
-          f"{100 * frac:.0f}% within 1+{margin:g} -> {out_dir}")
+          f"{100 * frac:.0f}% within 1+{margin:g}, {n_capped} at the "
+          f"{exp.certify_power_iters}-step cap -> {out_dir}")
     return 0
 
 

@@ -16,7 +16,8 @@ x: D(x), s, each layer's padded input and pre-activation, and (on first
 use) the activation derivatives.  Every product reads it:
   forward              D(x); computes no derivatives,
   Linearization.jvp/vjp  first-order input derivatives,
-  spectral_norm_l      power iteration for sigma(2 J - I) at lin,
+  spectral_norm_l      Golub-Kahan-Lanczos for sigma(2 J - I) at lin and its
+                       top Ritz vector,
   param_grad_mse       d ||D(x) - target||^2 / d theta, returned with D(x),
   param_grad_penalty   d h(||2 J u - u||) / d theta for a frozen unit u at
                        lin, through the jvp graph (the mixed second-order
@@ -59,6 +60,10 @@ _NET_MAGIC = b"PNPNET1\x00"
 _ACTIVATIONS = {"softplus": 0, "relu": 1}
 _LOG2 = math.log(2.0)
 _SCALE_FLOOR = 1e-12
+# spectral_norm_l stops once the top Ritz value rises by at most LANCZOS_TOL
+# times itself, or once beta falls to _BREAKDOWN times it
+LANCZOS_TOL = 1e-4
+_BREAKDOWN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,14 @@ def _sigmoid(t):
 
 def _act(name, t):
     if name == "softplus":
+        # max(t, 0) + log1p(exp(-|t|)) - log 2 in one buffer, the same bits;
         # shifted so that act(0) = 0, keeping zero parameters = identity
-        return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - _LOG2
+        out = np.abs(t)
+        np.exp(np.negative(out, out=out), out=out)
+        np.log1p(out, out=out)
+        out += np.maximum(t, 0.0)
+        out -= _LOG2
+        return out
     return np.maximum(t, 0.0)
 
 
@@ -329,36 +340,47 @@ def forward(params, x):
     return Linearization(params, _finite(x)).out
 
 
-def spectral_norm_l(lin, max_iters=10, tol=1e-7, seed=0, u0=None):
-    """Power iteration for sigma(J_L) with L = 2 D - Id at the point of lin.
+def spectral_norm_l(lin, max_iters=10, tol=LANCZOS_TOL, seed=0, u0=None):
+    """sigma(J_L), L = 2 D - Id at the point of lin, by Golub-Kahan-Lanczos
+    bidiagonalization with full reorthogonalization, started from u0 or a
+    seeded normal draw.  Each step is one jvp and, unless it is the last,
+    one vjp.  Stops once the top Ritz value rises by at most tol times
+    itself, on breakdown (beta at rounding level: the Krylov space is
+    invariant and the value exact) or after max_iters steps.
 
-    Iterates u <- normalize(J^T J u); returns (||J u||, u) after at most
-    max_iters applications or once the estimate changes by less than tol.
-    The returned sigma is always a valid lower bound on the true norm.
+    Returns (sigma, u, steps): the top singular value of the bidiagonal, a
+    lower bound on the true norm; its unit right Ritz vector, with
+    ||J_L u|| = sigma; and the steps used.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
-    if u0 is None:
-        rng = np.random.default_rng(seed)
-        u = rng.standard_normal(lin.x.shape)
-    else:
-        u = np.asarray(u0, dtype=float).copy()
-    u /= np.linalg.norm(u)
-    sigma = None
-    for _ in range(max_iters):
-        ju = 2.0 * lin.jvp(u) - u
-        new_sigma = float(np.linalg.norm(ju))
-        if sigma is not None and abs(new_sigma - sigma) < tol:
-            sigma = new_sigma
+    shape = lin.x.shape
+    v = (np.random.default_rng(seed).standard_normal(shape) if u0 is None
+         else np.asarray(u0, dtype=float)).ravel()
+    v = v / np.linalg.norm(v)
+    vs, us = np.zeros((2, max_iters, v.size))
+    bid = np.zeros((max_iters, max_iters))      # upper bidiagonal B = U^T J_L V
+    sigma = beta = 0.0
+    for k in range(max_iters):
+        vs[k] = v
+        p = 2.0 * lin.jvp(v.reshape(shape)).ravel() - v - beta * us[k - 1]
+        p -= us[:k].T @ (us[:k] @ p)
+        # over ||v||, so a start vector 1 ulp off unit norm still gives the
+        # identity net exactly 1.0
+        bid[k, k] = alpha = np.linalg.norm(p) / np.linalg.norm(v)
+        lam, ritz = np.linalg.eigh(bid[:k + 1, :k + 1].T @ bid[:k + 1, :k + 1])
+        prev, sigma = sigma, float(np.sqrt(lam[-1]))
+        if not sigma - prev > tol * sigma or k + 1 == max_iters:
             break
-        sigma = new_sigma
-        w = 2.0 * lin.vjp(ju) - ju
-        nw = np.linalg.norm(w)
-        if nw == 0:
+        us[k] = p / np.linalg.norm(p)
+        r = 2.0 * lin.vjp(us[k].reshape(shape)).ravel() - us[k] - alpha * v
+        r -= vs[:k + 1].T @ (vs[:k + 1] @ r)
+        beta = np.linalg.norm(r)
+        if not beta > _BREAKDOWN * sigma:
             break
-        u = w / nw
-    sigma = float(np.linalg.norm(2.0 * lin.jvp(u) - u))
-    return sigma, u
+        bid[k, k + 1] = beta
+        v = r / beta
+    return sigma, (ritz[:, -1] @ vs[:k + 1]).reshape(shape), k + 1
 
 
 # ---------------------------------------------------------------------------

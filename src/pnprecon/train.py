@@ -61,7 +61,7 @@ class TrainConfig:
     beta: float = 0.0
     alpha: float = 0.1
     epsilon: float = 0.05
-    power_iters: int = 10
+    power_iters: int = 10           # Lanczos step cap of each sigma
     seed: int = 0
     sigma_eval_samples: int = 8     # test-sigma samples logged per epoch
 
@@ -130,29 +130,30 @@ def sample_tilde(x_ref, d_out, kappa):
 
 
 def draw_tilde(rng):
-    """(kappa, seed): kappa first, then the power-iteration seed, from rng.
-    The seed is drawn even when the power iteration is warm-started, so
-    every certification point takes the same two draws."""
+    """(kappa, seed): kappa first, then the seed of the Lanczos start, from
+    rng.  The seed is drawn even when the start is warm, so every
+    certification point takes the same two draws."""
     return float(rng.uniform()), int(rng.integers(2 ** 62))
 
 
 def sigma_at_tilde(params, x_ref, d_out, draw, power_iters, u0=None):
-    """(lin, sigma, u) at x_tilde = sample_tilde(x_ref, d_out, kappa) for
-    draw = (kappa, seed) from draw_tilde; the seed is unused when u0 is
+    """(lin, sigma, u, steps) at x_tilde = sample_tilde(x_ref, d_out, kappa)
+    for draw = (kappa, seed) from draw_tilde, from net.spectral_norm_l
+    capped at power_iters Lanczos steps; the seed is unused when u0 is
     given."""
     kappa, seed = draw
     lin = net.Linearization(params, sample_tilde(x_ref, d_out, kappa))
-    sigma, u = net.spectral_norm_l(lin, max_iters=power_iters, seed=seed, u0=u0)
-    return lin, sigma, u
+    return (lin,) + net.spectral_norm_l(lin, max_iters=power_iters, seed=seed,
+                                        u0=u0)
 
 
 def loss_and_grad(params, batch, cfg, rng, power_warm=None):
     """Batch loss  sum_b ||D(x_b) - ref_b||^2 + beta * hinge_b  and gradient.
 
     The hinge is evaluated at x_tilde drawn per element (fresh kappa), with
-    the spectral norm estimated by warm-started power iteration; the same
-    power-iteration direction is reused, frozen, inside the gradient, and
-    both read one linearization at x_tilde.
+    the spectral norm estimated by warm-started Lanczos; its top Ritz
+    vector is reused, frozen, inside the gradient, and both read one
+    linearization at x_tilde.
     In the PRE phase the penalty is skipped entirely.
 
     The items run in parallel (util.ordered_map).  The draws, the warm
@@ -177,8 +178,8 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
         mse_part = float(np.sum(diff * diff))
         if not with_penalty:
             return mse_part, grad.vec, None
-        lin, _, u = sigma_at_tilde(params, item.x_ref, out, draw,
-                                   cfg.power_iters, u0)
+        lin, _, u, _ = sigma_at_tilde(params, item.x_ref, out, draw,
+                                      cfg.power_iters, u0)
         pen_grad, sigma_hat = net.param_grad_penalty(
             lin, u, epsilon=cfg.epsilon, alpha=cfg.alpha)
         value, _ = net.hinge(sigma_hat, cfg.epsilon, cfg.alpha)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: the prox oracle is a
 projected-gradient method with a projected-Newton polish, the convolution
-oracle is a plain six-loop implementation, and the spectral oracle builds
-the dense Jacobian column by column.
+oracle is a plain six-loop implementation, the spectral oracle builds
+the dense Jacobian column by column, and the power-iteration reference is
+the plain iteration that the Lanczos spectral norm must beat.
 """
 
 import numpy as np
@@ -178,3 +179,16 @@ def dense_jacobian_l(params, x):
         J[:, j] = (2.0 * net.Linearization(params, x).jvp(e.reshape(x.shape))
                    - e.reshape(x.shape)).ravel()
     return J
+
+
+def power_iteration_l(lin, iters, u0):
+    """Plain power iteration for sigma(2 J - I) at the point of lin: iters
+    applications of J_L^T J_L to u0, then ||J_L u|| at the unit u reached."""
+    def apply(u):
+        return 2.0 * lin.jvp(u) - u
+    u = u0 / np.linalg.norm(u0)
+    for _ in range(iters):
+        ju = apply(u)
+        w = 2.0 * lin.vjp(ju) - ju
+        u = w / np.linalg.norm(w)
+    return float(np.linalg.norm(apply(u)))

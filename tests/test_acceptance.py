@@ -201,15 +201,15 @@ def test_criterion_05_power_iteration():
         x = np.abs(rng.normal(1.0, 0.5, (8, 8))) + 0.1
         dense_sigma = np.linalg.svd(dense_jacobian_l(params, x),
                                     compute_uv=False)[0]
-        sigma, _ = net.spectral_norm_l(net.Linearization(params, x),
-                                       max_iters=50, tol=0.0,
-                                       seed=510 + i)
+        sigma, _, _ = net.spectral_norm_l(net.Linearization(params, x),
+                                          max_iters=50, tol=0.0,
+                                          seed=510 + i)
         rel = abs(sigma - dense_sigma) / dense_sigma
         worst = max(worst, rel)
         assert rel < 1e-3
         assert sigma <= dense_sigma + 1e-9
     ident = net.identity_params(arch)
-    sigma, _ = net.spectral_norm_l(
+    sigma, _, _ = net.spectral_norm_l(
         net.Linearization(ident, np.abs(rng.normal(1, 0.4, (8, 8)))),
         max_iters=10, seed=0)
     assert sigma == 1.0

@@ -501,7 +501,7 @@ def fuzz_run(tmp_path_factory):
 
 def test_certify_primal_passes(fuzz_run, tmp_path, monkeypatch):
     # one pass per test item for the outputs, one per sample for the
-    # linearization its power iteration reads
+    # linearization its Lanczos run reads
     calls = [0]
     original = net._stack_forward
 
@@ -712,10 +712,11 @@ def test_certify_csv_matches_serial_loop(fuzz_run, tmp_path):
         item, d_out = points[j % len(points)]
         kappa = float(rng.uniform())
         lin = net.Linearization(params, train.sample_tilde(item.x_ref, d_out, kappa))
-        sigma, _ = net.spectral_norm_l(lin, max_iters=10,
-                                       seed=int(rng.integers(2 ** 62)))
-        rows.append([j, item.phantom_id, kappa, sigma])
-    write_csv(tmp_path / "want.csv", ("sample", "phantom", "kappa", "sigma"), rows)
+        sigma, _, steps = net.spectral_norm_l(lin, max_iters=10,
+                                              seed=int(rng.integers(2 ** 62)))
+        rows.append([j, item.phantom_id, kappa, steps, sigma])
+    write_csv(tmp_path / "want.csv", ("sample", "phantom", "kappa", "steps", "sigma"),
+              rows)
     assert (out / "certify.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -761,8 +762,8 @@ def test_certify_abort_names_first_failing_sample(fuzz_run, tmp_path, capsys,
     original = net.spectral_norm_l
 
     def patched(lin, *args, seed, **kwargs):
-        sigma, u = original(lin, *args, seed=seed, **kwargs)
-        return (float("nan") if seed in bad else sigma), u
+        sigma, u, steps = original(lin, *args, seed=seed, **kwargs)
+        return (float("nan") if seed in bad else sigma), u, steps
     monkeypatch.setattr(net, "spectral_norm_l", patched)
     out = tmp_path / "out"
     capsys.readouterr()

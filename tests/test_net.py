@@ -1,4 +1,4 @@
-"""Denoiser forward, JVP/VJP, power iteration, parameter gradients."""
+"""Denoiser forward, JVP/VJP, Lanczos spectral norm, parameter gradients."""
 
 import math
 
@@ -7,10 +7,11 @@ import pytest
 
 from pnprecon import net
 from pnprecon.config import FileFormatError
-from oracles import dense_jacobian_l, naive_net_forward
+from oracles import dense_jacobian_l, naive_net_forward, power_iteration_l
 
 ARCH2 = net.ArchConfig(n_layers=2, channels=3, kernel=3)
 ARCH3 = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+ARCH_DEMO = net.ArchConfig(n_layers=5, channels=16, kernel=3)
 
 
 def random_params(arch, seed, scale=0.5, zero_bias=False):
@@ -98,8 +99,8 @@ def test_jvp_matches_finite_differences():
 def test_spectral_norm_identity_is_one():
     params = net.identity_params(ARCH3)
     x = random_image((8, 8), 13)
-    sigma, u = net.spectral_norm_l(net.Linearization(params, x), max_iters=10,
-                                   seed=0)
+    sigma, u, _ = net.spectral_norm_l(net.Linearization(params, x),
+                                      max_iters=10, seed=0)
     assert sigma == 1.0
     assert np.linalg.norm(u) == pytest.approx(1.0)
 
@@ -110,8 +111,8 @@ def test_spectral_norm_reflection_is_one(monkeypatch):
     monkeypatch.setattr(net.Linearization, "jvp", lambda lin, t: np.zeros_like(t))
     monkeypatch.setattr(net.Linearization, "vjp", lambda lin, t: np.zeros_like(t))
     x = random_image((8, 8), 14)
-    sigma, _ = net.spectral_norm_l(net.Linearization(params, x), max_iters=5,
-                                   seed=1)
+    sigma, _, _ = net.spectral_norm_l(net.Linearization(params, x),
+                                      max_iters=5, seed=1)
     assert sigma == pytest.approx(1.0, abs=1e-14)
 
 
@@ -120,10 +121,61 @@ def test_spectral_norm_matches_dense_svd():
     x = random_image((8, 8), 16)
     jl = dense_jacobian_l(params, x)
     want = np.linalg.svd(jl, compute_uv=False)[0]
-    sigma, _ = net.spectral_norm_l(net.Linearization(params, x), max_iters=50,
-                                   tol=0.0, seed=2)
+    sigma, _, _ = net.spectral_norm_l(net.Linearization(params, x),
+                                      max_iters=50, tol=0.0, seed=2)
     assert abs(sigma - want) / want < 1e-3
     assert sigma <= want + 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_spectral_norm_demo_arch_matches_dense_svd(seed):
+    # the demo architecture at 16x16, run to the certify cap of 30 steps: a
+    # clustered top of the spectrum (sigma_2 / sigma_1 above 0.999)
+    params = random_params(ARCH_DEMO, seed, scale=0.1)
+    x = random_image((16, 16), seed + 100)
+    want = np.linalg.svd(dense_jacobian_l(params, x), compute_uv=False)[0]
+    sigma, u, steps = net.spectral_norm_l(net.Linearization(params, x),
+                                          max_iters=30, tol=0.0, seed=seed)
+    assert abs(sigma - want) / want < 1e-4
+    assert sigma <= want + 1e-9
+    assert 1 <= steps <= 30
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lanczos_beats_power_iteration_from_same_start():
+    # m power iterations reach a vector of the Krylov space that m + 1
+    # Lanczos steps maximize over
+    params = random_params(ARCH_DEMO, 1, scale=0.1)
+    lin = net.Linearization(params, random_image((16, 16), 30))
+    u0 = np.random.default_rng(31).standard_normal((16, 16))
+    for m in (1, 2, 3, 5, 10, 30):
+        sigma, _, _ = net.spectral_norm_l(lin, max_iters=m + 1, tol=0.0, u0=u0)
+        assert sigma >= power_iteration_l(lin, m, u0)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 5, 30])
+def test_spectral_norm_products_within_cap(monkeypatch, cap):
+    # a step is one jvp and one vjp: a cap of m costs at most 2m + 1, the
+    # price of m power iterations
+    calls = [0]
+
+    def counted(method):
+        def wrapped(lin, t):
+            calls[0] += 1
+            return method(lin, t)
+        return wrapped
+    monkeypatch.setattr(net.Linearization, "jvp", counted(net.Linearization.jvp))
+    monkeypatch.setattr(net.Linearization, "vjp", counted(net.Linearization.vjp))
+    lin = net.Linearization(random_params(ARCH_DEMO, 2, scale=0.1),
+                            random_image((16, 16), 32))
+    _, _, steps = net.spectral_norm_l(lin, max_iters=cap, tol=0.0, seed=5)
+    assert steps == cap
+    assert calls[0] <= 2 * cap + 1
+    calls[0] = 0
+    ident = net.Linearization(net.identity_params(ARCH3), random_image((8, 8), 33))
+    sigma, _, steps = net.spectral_norm_l(ident, max_iters=cap, seed=6)
+    assert (sigma, steps) == (1.0, 1)
+    assert calls[0] <= 2
 
 
 def test_spectral_norm_deterministic():
@@ -133,6 +185,17 @@ def test_spectral_norm_deterministic():
     b = net.spectral_norm_l(net.Linearization(params, x), max_iters=10, seed=3)
     assert a[0] == b[0]
     np.testing.assert_array_equal(a[1], b[1])
+
+
+def test_softplus_in_place_matches_expression():
+    rng = np.random.default_rng(40)
+    t = np.concatenate([rng.standard_normal(1000), 800.0 * rng.standard_normal(1000),
+                        [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan]])
+    want = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - math.log(2.0)
+    got = net._act("softplus", t.reshape(2, 4, -1))
+    np.testing.assert_array_equal(got.ravel(), want)
+    finite = np.isfinite(want)
+    assert got.ravel()[finite].tobytes() == want[finite].tobytes()
 
 
 def test_param_grad_mse_zero_at_fit():

@@ -58,12 +58,12 @@ def test_sample_tilde_endpoints_and_midpoint():
 
 def _inline_sigma_draw(params, x_ref, d_out, rng, power_iters, u0=None):
     """The draw sigma_at_tilde replaced, as the JAC step, the epoch log and
-    certify each wrote it: kappa first, then the power-iteration seed."""
+    certify each wrote it: kappa first, then the seed of the Lanczos start."""
     kappa = float(rng.uniform())
     lin = net.Linearization(params, train.sample_tilde(x_ref, d_out, kappa))
-    sigma, u = net.spectral_norm_l(lin, max_iters=power_iters,
-                                   seed=int(rng.integers(2 ** 62)), u0=u0)
-    return kappa, lin, sigma, u
+    sigma, u, steps = net.spectral_norm_l(lin, max_iters=power_iters,
+                                          seed=int(rng.integers(2 ** 62)), u0=u0)
+    return kappa, lin, sigma, u, steps
 
 
 @pytest.mark.parametrize("warm", [True, False])
@@ -80,7 +80,7 @@ def test_sigma_at_tilde_matches_inline_draw(warm):
         want = _inline_sigma_draw(params, item.x_ref, out, rng_want, 4, u0)
         draw = train.draw_tilde(rng_got)
         got = (draw[0],) + train.sigma_at_tilde(params, item.x_ref, out, draw, 4, u0)
-        assert (got[0], got[2]) == (want[0], want[2])
+        assert (got[0], got[2], got[4]) == (want[0], want[2], want[4])
         np.testing.assert_array_equal(got[1].x, want[1].x)
         np.testing.assert_array_equal(got[1].out, want[1].out)
         np.testing.assert_array_equal(got[3], want[3])
@@ -190,10 +190,10 @@ def test_jac_loss_and_grad_matches_separate_linearizations(activation):
         loss_mse += float(np.sum((out - item.x_ref) ** 2))
         gvec += grad.vec
         x_tilde = train.sample_tilde(item.x_ref, out, float(rng.uniform()))
-        _, u = net.spectral_norm_l(net.Linearization(params, x_tilde),
-                                   max_iters=cfg.power_iters,
-                                   seed=int(rng.integers(2 ** 62)),
-                                   u0=u0 if i == 0 else None)
+        _, u, _ = net.spectral_norm_l(net.Linearization(params, x_tilde),
+                                      max_iters=cfg.power_iters,
+                                      seed=int(rng.integers(2 ** 62)),
+                                      u0=u0 if i == 0 else None)
         pen_grad, sigma_hat = net.param_grad_penalty(
             net.Linearization(params, x_tilde), u,
             epsilon=cfg.epsilon, alpha=cfg.alpha)
@@ -228,9 +228,9 @@ def test_jac_loss_and_grad_matches_serial_loop_bitwise():
         gvec += grad.vec
         kappa = float(rng_want.uniform())
         lin = net.Linearization(params, train.sample_tilde(item.x_ref, out, kappa))
-        _, u = net.spectral_norm_l(lin, max_iters=cfg.power_iters,
-                                   seed=int(rng_want.integers(2 ** 62)),
-                                   u0=warm_want.get(key))
+        _, u, _ = net.spectral_norm_l(lin, max_iters=cfg.power_iters,
+                                      seed=int(rng_want.integers(2 ** 62)),
+                                      u0=warm_want.get(key))
         warm_want[key] = u
         pen_grad, sigma_hat = net.param_grad_penalty(
             lin, u, epsilon=cfg.epsilon, alpha=cfg.alpha)
@@ -284,8 +284,8 @@ def test_full_loss_gradient_matches_finite_differences():
     kappa = 0.4
     x_tilde0 = train.sample_tilde(item.x_ref,
                                   net.forward(params0, item.x_noisy), kappa)
-    _, u = net.spectral_norm_l(net.Linearization(params0, x_tilde0),
-                               max_iters=10, seed=6)
+    _, u, _ = net.spectral_norm_l(net.Linearization(params0, x_tilde0),
+                                  max_iters=10, seed=6)
 
     def loss(vec):
         p = net.vector_to_params(arch, vec)
@@ -382,9 +382,9 @@ def test_train_jac_enforces_sigma_on_toy_set():
         x_tilde = train.sample_tilde(item.x_ref,
                                      net.forward(jac, item.x_noisy),
                                      float(rng.uniform()))
-        sigma, _ = net.spectral_norm_l(net.Linearization(jac, x_tilde),
-                                       max_iters=15,
-                                       seed=int(rng.integers(2 ** 62)))
+        sigma, _, _ = net.spectral_norm_l(net.Linearization(jac, x_tilde),
+                                          max_iters=15,
+                                          seed=int(rng.integers(2 ** 62)))
         sigmas.append(sigma)
     assert max(sigmas) < 1.05
 

@@ -5,13 +5,13 @@
 Runs the package in CHECKOUT/src (CHECKOUT defaults to the checkout
 holding this script) on a copy of CHECKOUT/configs/demo.cfg with
 [train.pre] epochs = 4 and [train.jac] epochs = 2, each stage in its own
-process with one BLAS thread: simulate, train pre and jac, certify (100
-samples), sweep and reconstruct; then reconstruct with pre.ckpt at
---rho 3.0 --iters 5, and sweep with [sweep] rhos = auto.  Everything lands
-in OUT_DIR, which must not exist or be empty.  Two checkouts behave the
-same on the demo when `diff -r` of their two OUT_DIR trees is empty.
-Each stage's wall time, that of its whole process, goes to standard
-output only, so OUT_DIR holds the same files either way.
+process with one BLAS thread: simulate, train pre and jac, certify jac.ckpt
+and pre.ckpt (100 samples each), sweep and reconstruct; then reconstruct
+with pre.ckpt at --rho 3.0 --iters 5, and sweep with [sweep] rhos = auto.
+Everything lands in OUT_DIR, which must not exist or be empty.  Two
+checkouts behave the same on the demo when `diff -r` of their two OUT_DIR
+trees is empty.  Each stage's wall time, that of its whole process, goes
+to standard output only, so OUT_DIR holds the same files either way.
 """
 
 import os
@@ -30,6 +30,8 @@ STAGES = (
     ("demo.cfg", ["train", "--phase", "pre"]),
     ("demo.cfg", ["train", "--phase", "jac"]),
     ("demo.cfg", ["certify", "--checkpoint", JAC, "--n-samples", "100"]),
+    ("demo.cfg", ["certify", "--checkpoint", PRE, "--n-samples", "100",
+                  "--out", "runs/certify_pre"]),
     ("demo.cfg", ["sweep", "--checkpoint", JAC]),
     ("demo.cfg", ["reconstruct", "--checkpoint", JAC]),
     ("demo.cfg", ["reconstruct", "--checkpoint", PRE, "--rho", "3.0",
