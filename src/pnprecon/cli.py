@@ -391,7 +391,23 @@ def _build_parser():
     return parser
 
 
+def _keep_heap():
+    """Pin glibc's trim and mmap thresholds: a freed heap is kept for the
+    next allocation, not handed back to the kernel and faulted in again.
+    Setting one stops glibc adjusting the other, so both are set.  No
+    output depends on them; where libc has no mallopt this does nothing."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 16 << 20)   # M_TRIM_THRESHOLD
+    mallopt(-3, 1 << 20)    # M_MMAP_THRESHOLD
+
+
 def main(argv=None):
+    _keep_heap()
     args = _build_parser().parse_args(argv)
     try:
         exp = build_experiment(load_config(args.config), vars(args))

@@ -216,8 +216,9 @@ def _assemble_projector(geom, grid_size):
 
     Row (angle, bin) approximates the line integral along the ray through
     the bin center: step * sum of bilinear image samples.  Samples outside
-    the grid contribute nothing.  Memoized per (geometry, grid_size); the
-    returned matrix is shared, so its arrays are made read-only.
+    the grid contribute nothing.  Built one angle's rows at a time, so only
+    one angle's triplets are held at once.  Memoized per (geometry,
+    grid_size); the returned matrix is shared, so its arrays are read-only.
     """
     # imported here, its one use, so that commands which never assemble a
     # projector (train, certify) start without scipy.sparse
@@ -230,10 +231,9 @@ def _assemble_projector(geom, grid_size):
     n_samples = int(np.ceil(2.0 * reach / _RAY_STEP))
     s = -reach + (np.arange(n_samples) + 0.5) * _RAY_STEP
 
-    rows = []
-    cols = []
-    vals = []
-    bin_rows = np.arange(geom.n_bins)
+    blocks = []
+    bin_rows = np.broadcast_to(np.arange(geom.n_bins)[:, None],
+                               (geom.n_bins, n_samples))
     for ia in range(geom.n_angles):
         phi = ia * np.pi / geom.n_angles
         cphi, sphi = np.cos(phi), np.sin(phi)
@@ -244,21 +244,23 @@ def _assemble_projector(geom, grid_size):
         iy = np.floor(py).astype(np.int64)
         fx = px - ix
         fy = py - iy
-        row_idx = np.broadcast_to((ia * geom.n_bins + bin_rows)[:, None],
-                                  px.shape)
+        rows, cols, vals = [], [], []
         for dx, dy, wt in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
                            (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
             jx = ix + dx
             jy = iy + dy
             keep = (jx >= 0) & (jx < n) & (jy >= 0) & (jy < n) & (wt > 0)
-            rows.append(row_idx[keep])
+            rows.append(bin_rows[keep])
             cols.append((jy[keep] * n + jx[keep]))
             vals.append(wt[keep] * _RAY_STEP)
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(geom.n_angles * geom.n_bins, n * n))
-    A.sum_duplicates()
-    return _read_only(A.tocsr())
+        # a row's entries all come from its angle, and the stable sort keeps
+        # each duplicate group's order, so these sums are a global COO's bits
+        block = sp.coo_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(geom.n_bins, n * n))
+        block.sum_duplicates()
+        blocks.append(block.tocsr())
+    return _read_only(sp.vstack(blocks, format="csr"))
 
 
 def build_system_model(geom, mu_map, norm_seed=None):
@@ -411,6 +413,6 @@ def write_pgm(path, arr):
     else:
         scaled = np.zeros(arr.shape, dtype=int)
     lines = [f"P2\n{arr.shape[1]} {arr.shape[0]}\n255\n"]
-    for row in scaled:
-        lines.append(" ".join(str(v) for v in row) + "\n")
+    for row in scaled.tolist():
+        lines.append(" ".join(map(str, row)) + "\n")
     atomic_write_text(path, "".join(lines))

@@ -845,3 +845,36 @@ def test_commands_import_scipy_only_where_a_stage_uses_it(tmp_path):
         res = _run_python(["-c", _LOADED_PROG, *argv], str(tmp_path))
         assert res.returncode == 0, f"{argv}: {res.stderr}"
         assert res.stdout.splitlines()[-1] == f"0 {loaded}".strip(), argv
+
+
+def _has_mallopt():
+    import ctypes
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="libc has no mallopt")
+def test_train_keeps_its_heap(tmp_path):
+    """A `train --phase pre` child on the demo's 48x48 shape keeps its freed
+    heap instead of returning it to the kernel and faulting it in again:
+    about 10k minor faults, against about 200k with glibc's default
+    thresholds, which hand the heap back after each large free."""
+    import resource
+    text = DEMO_CFG.read_text()
+    for old, new in (("count = 5", "count = 2"), ("n_doses = 5", "n_doses = 3"),
+                     ("epochs = 50", "epochs = 10")):
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / "demo.cfg").write_text(text)
+    res = _run_python(["-m", "pnprecon.cli", "simulate", "--config", "demo.cfg"],
+                      str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    res = _run_python(["-m", "pnprecon.cli", "train", "--phase", "pre",
+                       "--config", "demo.cfg"], str(tmp_path))
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    assert res.returncode == 0, res.stderr
+    assert faults < 40_000, faults

@@ -209,6 +209,69 @@ def test_projector_shared_per_geometry_and_read_only():
             rows[0] = 0
 
 
+def _global_coo_projector(geom, n):
+    """The projector as one COO matrix of every angle's triplets, summed
+    and converted at once: the reference the per-angle assembly must match."""
+    import scipy.sparse as sp
+    half = (n - 1) / 2.0
+    t = (np.arange(geom.n_bins) - (geom.n_bins - 1) / 2.0) * geom.bin_width
+    reach = n * np.sqrt(2.0) / 2.0 + 1.0
+    n_samples = int(np.ceil(2.0 * reach / sim._RAY_STEP))
+    s = -reach + (np.arange(n_samples) + 0.5) * sim._RAY_STEP
+    rows, cols, vals = [], [], []
+    for ia in range(geom.n_angles):
+        phi = ia * np.pi / geom.n_angles
+        px = t[:, None] * np.cos(phi) - s[None, :] * np.sin(phi) + half
+        py = t[:, None] * np.sin(phi) + s[None, :] * np.cos(phi) + half
+        ix, iy = np.floor(px).astype(np.int64), np.floor(py).astype(np.int64)
+        fx, fy = px - ix, py - iy
+        row = np.broadcast_to((ia * geom.n_bins + np.arange(geom.n_bins))[:, None],
+                              px.shape)
+        for dx, dy, wt in ((0, 0, (1 - fx) * (1 - fy)), (1, 0, fx * (1 - fy)),
+                           (0, 1, (1 - fx) * fy), (1, 1, fx * fy)):
+            jx, jy = ix + dx, iy + dy
+            keep = (jx >= 0) & (jx < n) & (jy >= 0) & (jy < n) & (wt > 0)
+            rows.append(row[keep])
+            cols.append(jy[keep] * n + jx[keep])
+            vals.append(wt[keep] * sim._RAY_STEP)
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(geom.n_angles * geom.n_bins, n * n))
+    A.sum_duplicates()
+    return A.tocsr()
+
+
+@pytest.mark.parametrize("n_angles,n_bins,bin_width,grid", [
+    (8, 23, 1.0, 16), (12, 30, 1.6, 16), (10, 48, 1.0, 33), (48, 69, 1.0, 48),
+    (7, 80, 0.9, 48)])
+def test_per_angle_projector_matches_global_coo(n_angles, n_bins, bin_width, grid):
+    # odd and even n_bins, bin widths other than 1: the same arrays, bit for
+    # bit, as summing all duplicates of one global COO matrix
+    geom = sim.GeometryConfig(n_angles=n_angles, n_bins=n_bins, bin_width=bin_width)
+    got = sim._assemble_projector.__wrapped__(geom, grid)
+    want = _global_coo_projector(geom, grid)
+    assert type(got) is type(want) and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def test_projector_assembly_peak_memory():
+    # one angle's triplets at a time: the demo projector (48 angles x 69
+    # bins, 48x48) peaked at about 59 MB when every triplet was held at once
+    import tracemalloc
+    geom = sim.GeometryConfig(n_angles=48, n_bins=69, bin_width=1.0)
+    sim._assemble_projector.__wrapped__(geom, 48)   # scipy's own first-use set-up
+    tracemalloc.start()
+    try:
+        sim._assemble_projector.__wrapped__(geom, 48)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak / 2**20
+
+
 def test_image_roundtrip_exact(tmp_path):
     rng = np.random.default_rng(1)
     img = rng.standard_normal((13, 9))
@@ -245,6 +308,22 @@ def test_pgm_header_and_scaling(tmp_path):
     assert lines[2] == "255"
     assert lines[3].split() == ["0", "64"]
     assert lines[4].split() == ["128", "255"]
+
+
+def test_pgm_bytes_match_per_scalar_formatting(tmp_path):
+    # each row joined from Python ints writes the same bytes as formatting
+    # every numpy scalar on its own
+    rng = np.random.default_rng(3)
+    for img in (rng.standard_normal((7, 5)), rng.gamma(2.0, size=(48, 48)),
+                np.zeros((3, 4)), np.full((2, 6), -1.0)):
+        path = tmp_path / "img.pgm"
+        sim.write_pgm(path, img)
+        top = img.max()
+        scaled = (np.rint(255.0 * np.clip(img, 0.0, None) / top).astype(int) if top > 0
+                  else np.zeros(img.shape, dtype=int))
+        want = f"P2\n{img.shape[1]} {img.shape[0]}\n255\n" + "".join(
+            " ".join(str(v) for v in row) + "\n" for row in scaled)
+        assert path.read_bytes() == want.encode()
 
 
 def test_geometry_must_cover_grid():

@@ -10,8 +10,9 @@ and pre.ckpt (100 samples each), sweep and reconstruct; then reconstruct
 with pre.ckpt at --rho 3.0 --iters 5, and sweep with [sweep] rhos = auto.
 Everything lands in OUT_DIR, which must not exist or be empty.  Two
 checkouts behave the same on the demo when `diff -r` of their two OUT_DIR
-trees is empty.  Each stage's wall time, that of its whole process, goes
-to standard output only, so OUT_DIR holds the same files either way.
+trees is empty.  Each stage's wall time, minor page faults and maximum
+resident set size, those of its whole process (from os.wait4), go to
+standard output only, so OUT_DIR holds the same files either way.
 """
 
 import os
@@ -71,16 +72,23 @@ def main(argv):
     (out / "auto.cfg").write_text(edited(demo, AUTO))
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    total = 0.0
+    total, faults = 0.0, 0
     for cfg, args in STAGES:
         print(f"== {' '.join(args)} ({cfg})", flush=True)
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-m", "pnprecon.cli", *args, "--config", cfg],
-                       cwd=out, env=env, check=True)
+        proc = subprocess.Popen([sys.executable, "-m", "pnprecon.cli", *args,
+                                 "--config", cfg], cwd=out, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise subprocess.CalledProcessError(proc.returncode, proc.args)
         total += wall
-        print(f"== {' '.join(args)} ({cfg}) took {wall:.2f} s", flush=True)
-    print(f"== all stages took {total:.2f} s", flush=True)
+        faults += usage.ru_minflt
+        print(f"== {' '.join(args)} ({cfg}) took {wall:.2f} s, "
+              f"{usage.ru_minflt} minor faults, max RSS {usage.ru_maxrss / 1024:.1f} MB",
+              flush=True)
+    print(f"== all stages took {total:.2f} s, {faults} minor faults", flush=True)
 
 
 if __name__ == "__main__":
