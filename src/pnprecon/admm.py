@@ -22,8 +22,7 @@ from . import net, prox, recon
 from .util import NumericalAbort, ordered_map
 
 __all__ = ["AdmmConfig", "AdmmState", "History", "CURVE_HEADER",
-           "SUMMARY_HEADER", "admm_pnp", "rho_sweep", "curve_rows", "summary_row",
-           "default_rho_grid"]
+           "SUMMARY_HEADER", "admm_pnp", "rho_sweep", "curve_rows", "summary_row"]
 
 
 @dataclass(frozen=True)
@@ -199,17 +198,3 @@ def rho_sweep(lm, denoiser, rhos, cfg, z0=None, x_ref=None):
         except NumericalAbort as exc:
             raise NumericalAbort(f"rho = {c.rho:g}: {exc}") from exc
     return list(ordered_map(run, cfgs))
-
-
-def default_rho_grid(lm, denoiser, cfg, z0=None, n_values=8, decades=4.0,
-                     pilot_iterations=20, pilot_grid=None):
-    """Log-spaced grid centred on the pilot rho with the smallest final
-    primal residual; the pilots run cfg for pilot_iterations."""
-    if pilot_grid is None:
-        scale = float(np.mean(lm.sensitivity[lm.mask]))
-        pilot_grid = [scale * f for f in (0.01, 0.1, 1.0, 10.0)]
-    pilots = rho_sweep(lm, denoiser, pilot_grid,
-                       replace(cfg, n_iterations=pilot_iterations), z0=z0)
-    best = min(pilots, key=lambda h: h.primal[-1])
-    half = decades / 2.0
-    return list(best.rho * np.logspace(-half, half, n_values))

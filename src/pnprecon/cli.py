@@ -38,13 +38,12 @@ def _write_provenance(out_dir, exp, **extras):
 
 # Every config value and command-line flag in the typed form the commands
 # use (admm with --rho and --iters applied, train configs by phase, sweep
-# rhos as floats or "auto", the sweep's AdmmConfig, n_samples None outside
-# certify), built once by build_experiment.
+# rhos as floats, the sweep's AdmmConfig, n_samples None outside certify),
+# built once by build_experiment.
 Experiment = collections.namedtuple("Experiment", (
     "cfg paths specs n_test doses geometry norm_seed background_fraction osem "
     "arch init_scale train certify_power_iters certify_margin n_samples admm "
-    "n_test_sims filter_sigmas sweep_rhos sweep sweep_n_values "
-    "sweep_decades"))
+    "n_test_sims filter_sigmas sweep_rhos sweep"))
 
 
 @contextlib.contextmanager
@@ -113,15 +112,11 @@ def build_experiment(cfg, flags):
                  "need n_test_sims >= 1 and at least one filter sigma, "
                  "each finite and >= 0")
     with _naming("[sweep] rhos:"):
-        rhos = sw["rhos"]
-        if rhos != "auto":
-            rhos = tuple(float(tok) for tok in rhos.split(","))
-            _require(all(np.isfinite(r) and r > 0 for r in rhos),
-                     "each rho must be positive and finite")
+        rhos = tuple(float(tok) for tok in sw["rhos"].split(","))
+        _require(all(np.isfinite(r) and r > 0 for r in rhos),
+                 "each rho must be positive and finite")
     with _naming("[sweep]"):
-        _require(sw["iterations"] >= 1 and sw["n_values"] >= 2
-                 and np.isfinite(sw["decades"]) and sw["decades"] > 0,
-                 "need iterations >= 1, n_values >= 2 and finite decades > 0")
+        _require(sw["iterations"] >= 1, "need iterations >= 1")
         sweep = dataclasses.replace(acfg, n_iterations=sw["iterations"])
     with _naming("--rho:"):
         if flags.get("rho") is not None:
@@ -141,9 +136,7 @@ def build_experiment(cfg, flags):
         certify_power_iters=n["certify_power_iters"],
         certify_margin=n["certify_margin"], n_samples=flags.get("n_samples"),
         admm=acfg, n_test_sims=a["n_test_sims"],
-        filter_sigmas=tuple(a["filter_sigmas"]), sweep_rhos=rhos,
-        sweep=sweep, sweep_n_values=sw["n_values"],
-        sweep_decades=sw["decades"])
+        filter_sigmas=tuple(a["filter_sigmas"]), sweep_rhos=rhos, sweep=sweep)
 
 
 def cmd_simulate(exp, out_dir):
@@ -152,8 +145,7 @@ def cmd_simulate(exp, out_dir):
         exp.specs, exp.geometry, exp.doses, exp.cfg.seed, exp.osem,
         n_test_phantoms=exp.n_test,
         background_fraction=exp.background_fraction, norm_seed=exp.norm_seed)
-    for p, spec in enumerate(exp.specs):
-        activity, mu = sim.make_phantom(spec)
+    for p, (activity, mu) in enumerate(dataset.phantoms):
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_activity.img"), activity)
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_mu.img"), mu)
         sim.write_pgm(os.path.join(out_dir, f"phantom{p:02d}_activity.pgm"), activity)
@@ -307,16 +299,8 @@ def cmd_sweep(exp, checkpoint, out_dir):
     params = net.load_checkpoint(checkpoint)
     item_idx, item = _select_test_sims(exp, dataset)[0]
     lm = _likelihood_for_item(exp, item)
-    rhos = exp.sweep_rhos
-    if rhos == "auto":
-        rhos = admm.default_rho_grid(lm, params, exp.sweep, z0=item.x_noisy,
-                                     n_values=exp.sweep_n_values,
-                                     decades=exp.sweep_decades)
-        if not all(0 < r < np.inf for r in rhos):
-            raise NumericalAbort(f"[sweep] decades = {exp.sweep_decades:g} puts "
-                                 f"the auto rho grid outside (0, inf)")
-    histories = admm.rho_sweep(lm, params, rhos, exp.sweep, z0=item.x_noisy,
-                               x_ref=item.x_ref)
+    histories = admm.rho_sweep(lm, params, exp.sweep_rhos, exp.sweep,
+                               z0=item.x_noisy, x_ref=item.x_ref)
     summary = [admm.summary_row(h) for h in histories]
     write_csv(os.path.join(out_dir, "sweep_curves.csv"),
               admm.CURVE_HEADER, admm.curve_rows(histories))
@@ -324,7 +308,7 @@ def cmd_sweep(exp, checkpoint, out_dir):
               admm.SUMMARY_HEADER, summary)
     _write_provenance(out_dir, exp)
     n_ok = sum(row[5] for row in summary)       # meets_threshold
-    print(f"sweep: item {item_idx}, {len(rhos)} rho values, "
+    print(f"sweep: item {item_idx}, {len(histories)} rho values, "
           f"{n_ok} meet the residual-decrease threshold -> {out_dir}")
     return 0
 

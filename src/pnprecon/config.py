@@ -96,10 +96,8 @@ _SCHEMA = {
         "filter_sigmas": (_floats, [0.0, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0]),
     },
     "sweep": {
-        "rhos": (str, "auto"),
+        "rhos": (str, "0.001,0.01,0.3,3.0,30.0"),
         "iterations": (int, 40),
-        "n_values": (int, 8),
-        "decades": (float, 4.0),
     },
     "paths": {
         "data": (str, "runs/data"),

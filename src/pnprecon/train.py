@@ -47,6 +47,7 @@ class DatasetItem:
 @dataclass(frozen=True)
 class Dataset:
     items: tuple
+    phantoms: tuple = ()    # (activity, mu) per phantom; empty when read from disk
 
     def split(self, name):
         return [it for it in self.items if it.split == name]
@@ -103,9 +104,9 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
         raise ValueError("test phantoms must leave at least one for training")
     if np.ndim(doses[0]) == 0:
         doses = [list(doses)] * n_phantoms
+    phantoms = tuple(sim.make_phantom(spec) for spec in phantom_specs)
     items = []
-    for p, spec in enumerate(phantom_specs):
-        activity, mu = sim.make_phantom(spec)
+    for p, (activity, mu) in enumerate(phantoms):
         model = sim.phantom_model(geom, activity, mu, norm_seed,
                                   background_fraction)
         split = "test" if p >= n_phantoms - n_test_phantoms else "train"
@@ -119,7 +120,7 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
             items.append(DatasetItem(
                 phantom_id=p, dose_scale=float(dose), seed=seed, counts=counts,
                 x_noisy=x_noisy, x_ref=dose * activity, split=split))
-    return Dataset(items=tuple(items))
+    return Dataset(items=tuple(items), phantoms=phantoms)
 
 
 def sample_tilde(x_ref, d_out, kappa):

@@ -2,7 +2,6 @@
 and the order-preserving map that runs independent units on every usable
 core."""
 
-import collections
 import contextvars
 import os
 import threading
@@ -75,35 +74,19 @@ _POOL = ThreadPoolExecutor(max_workers=N_WORKERS, thread_name_prefix="pnprecon",
 def ordered_map(fn, items):
     """fn over items, lazily yielding results in input order.
 
-    Independent units run on the worker pool, with at most 2 * N_WORKERS
-    queued or running.  A list of 0 or 1 units, a single worker and a call from inside
-    a worker (which would wait on its own pool) run in the calling
-    thread.  A unit's exception is raised at its position, after the
-    results of every earlier unit.  Units must not draw from a shared RNG:
-    draw in the caller, in order, and pass the draws in, so results do not
-    depend on the worker count.
+    Independent units are all queued on the worker pool at once.  A list
+    of 0 or 1 units, a single worker and a call from inside a worker
+    (which would wait on its own pool) run in the calling thread.  A
+    unit's exception is raised at its position, after the results of
+    every earlier unit, and closing the generator early cancels the units
+    not yet started.  Units must not draw from a shared RNG: draw in the
+    caller, in order, and pass the draws in, so results do not depend on
+    the worker count.
     """
     items = list(items)
     if len(items) < 2 or N_WORKERS < 2 or getattr(_in_worker, "flag", False):
         return map(fn, items)
-    window = 2 * N_WORKERS
-    futures = collections.deque(_submit(fn, item) for item in items[:window])
-    return _results(fn, futures, items[window:])
-
-
-def _submit(fn, item):
-    # the unit sees the caller's context, so np.errstate applies as in a loop
-    return _POOL.submit(contextvars.copy_context().run, fn, item)
-
-
-def _results(fn, futures, rest):
-    try:
-        for item in rest:
-            done = futures.popleft()
-            futures.append(_submit(fn, item))
-            yield done.result()
-        while futures:
-            yield futures.popleft().result()
-    finally:                        # a raise or an early stop: drop the queue
-        for future in futures:
-            future.cancel()
+    # one copy of the caller's context per unit (a context cannot be entered
+    # by two threads at once), so np.errstate applies as in a loop
+    contexts = [contextvars.copy_context() for _ in items]
+    return _POOL.map(lambda ctx, item: ctx.run(fn, item), contexts, items)

@@ -236,20 +236,6 @@ def test_sweep_rows_match_per_rho_runs():
                                  "mse_vs_ref", "dr_residual", "secant")
 
 
-def test_default_rho_grid_centers_on_pilot_best():
-    _, lm = make_test_problem(grid=16, seed=12)
-    z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
-    cfg = admm.AdmmConfig.make(rho=1.0)
-    grid = admm.default_rho_grid(lm, IDENTITY, cfg, z0=z0, n_values=5, decades=2.0,
-                                 pilot_iterations=3, pilot_grid=[1.0, 100.0])
-    assert len(grid) == 5
-    assert all(r > 0 for r in grid)
-    assert grid == sorted(grid)
-    assert grid[-1] / grid[0] == pytest.approx(100.0)       # 2 decades
-    center = np.sqrt(grid[0] * grid[-1])
-    assert center == pytest.approx(1.0) or center == pytest.approx(100.0)
-
-
 def test_history_rows_shape():
     _, lm = make_test_problem(grid=16, seed=11)
     cfg = admm.AdmmConfig.make(rho=30.0, n_iterations=3)

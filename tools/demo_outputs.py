@@ -7,12 +7,12 @@ holding this script) on a copy of CHECKOUT/configs/demo.cfg with
 [train.pre] epochs = 4 and [train.jac] epochs = 2, each stage in its own
 process with one BLAS thread: simulate, train pre and jac, certify jac.ckpt
 and pre.ckpt (100 samples each), sweep and reconstruct; then reconstruct
-with pre.ckpt at --rho 3.0 --iters 5, and sweep with [sweep] rhos = auto.
-Everything lands in OUT_DIR, which must not exist or be empty.  Two
-checkouts behave the same on the demo when `diff -r` of their two OUT_DIR
-trees is empty.  Each stage's wall time, minor page faults and maximum
-resident set size, those of its whole process (from os.wait4), go to
-standard output only, so OUT_DIR holds the same files either way.
+with pre.ckpt at --rho 3.0 --iters 5.  Everything lands in OUT_DIR, which
+must not exist or be empty.  Two checkouts behave the same on the demo
+when `diff -r` of their two OUT_DIR trees is empty.  Each stage's wall
+time, minor page faults and maximum resident set size, those of its whole
+process (from os.wait4), go to standard output only, so OUT_DIR holds the
+same files either way.
 """
 
 import os
@@ -23,21 +23,18 @@ import time
 from pathlib import Path
 
 SHORT = {("train.pre", "epochs"): "4", ("train.jac", "epochs"): "2"}
-AUTO = {**SHORT, ("sweep", "rhos"): "auto"}
 
 JAC, PRE = "runs/train/jac.ckpt", "runs/train/pre.ckpt"
 STAGES = (
-    ("demo.cfg", ["simulate"]),
-    ("demo.cfg", ["train", "--phase", "pre"]),
-    ("demo.cfg", ["train", "--phase", "jac"]),
-    ("demo.cfg", ["certify", "--checkpoint", JAC, "--n-samples", "100"]),
-    ("demo.cfg", ["certify", "--checkpoint", PRE, "--n-samples", "100",
-                  "--out", "runs/certify_pre"]),
-    ("demo.cfg", ["sweep", "--checkpoint", JAC]),
-    ("demo.cfg", ["reconstruct", "--checkpoint", JAC]),
-    ("demo.cfg", ["reconstruct", "--checkpoint", PRE, "--rho", "3.0",
-                  "--iters", "5", "--out", "runs/recon_pre_rho3"]),
-    ("auto.cfg", ["sweep", "--checkpoint", JAC, "--out", "runs/sweep_auto"]),
+    ["simulate"],
+    ["train", "--phase", "pre"],
+    ["train", "--phase", "jac"],
+    ["certify", "--checkpoint", JAC, "--n-samples", "100"],
+    ["certify", "--checkpoint", PRE, "--n-samples", "100", "--out", "runs/certify_pre"],
+    ["sweep", "--checkpoint", JAC],
+    ["reconstruct", "--checkpoint", JAC],
+    ["reconstruct", "--checkpoint", PRE, "--rho", "3.0", "--iters", "5",
+     "--out", "runs/recon_pre_rho3"],
 )
 
 
@@ -69,15 +66,14 @@ def main(argv):
     out.mkdir(parents=True, exist_ok=True)
     demo = (checkout / "configs" / "demo.cfg").read_text()
     (out / "demo.cfg").write_text(edited(demo, SHORT))
-    (out / "auto.cfg").write_text(edited(demo, AUTO))
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     total, faults = 0.0, 0
-    for cfg, args in STAGES:
-        print(f"== {' '.join(args)} ({cfg})", flush=True)
+    for args in STAGES:
+        print(f"== {' '.join(args)}", flush=True)
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "pnprecon.cli", *args,
-                                 "--config", cfg], cwd=out, env=env)
+                                 "--config", "demo.cfg"], cwd=out, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
@@ -85,7 +81,7 @@ def main(argv):
             raise subprocess.CalledProcessError(proc.returncode, proc.args)
         total += wall
         faults += usage.ru_minflt
-        print(f"== {' '.join(args)} ({cfg}) took {wall:.2f} s, "
+        print(f"== {' '.join(args)} took {wall:.2f} s, "
               f"{usage.ru_minflt} minor faults, max RSS {usage.ru_maxrss / 1024:.1f} MB",
               flush=True)
     print(f"== all stages took {total:.2f} s, {faults} minor faults", flush=True)
