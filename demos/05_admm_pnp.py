@@ -27,7 +27,7 @@ rho = float(np.mean(lm.sensitivity))
 lam = rho
 m = np.clip(z0, 0.0, None)
 quad = lambda v: (rho * v + lam * m) / (rho + lam)
-cfg = admm.AdmmConfig.make(rho=rho, n_iterations=60, n_inner=60)
+cfg = admm.AdmmConfig(rho=rho, n_iterations=60, n_inner=60)
 x_quad, hist = admm.admm_pnp(lm, quad, cfg, z0=z0, x_ref=activity)
 print("quadratic-prox denoiser (convex case):")
 print(f"  primal residual {hist.primal[0]:.2e} -> {hist.primal[-1]:.2e}")
@@ -47,7 +47,7 @@ params, _ = train.train_phase(params, dataset, train.TrainConfig(
     phase="jac", epochs=10, learning_rate=2e-3, batch_size=3, beta=10.0,
     alpha=0.1, epsilon=0.05, power_iters=10, seed=6, sigma_eval_samples=2))
 
-cfg = admm.AdmmConfig.make(rho=rho, n_iterations=40)
+cfg = admm.AdmmConfig(rho=rho, n_iterations=40)
 x_net, hist = admm.admm_pnp(lm, params, cfg, z0=z0, x_ref=activity)
 print("trained network denoiser:")
 print(f"  primal residual ratio (it 40 / it 1): "
@@ -64,7 +64,7 @@ print(f"  max secant of 2D - Id: "
       f"{max(s for s in hist.secant if s is not None):.3f}")
 
 # 3. rho sensitivity: too small or too large stalls one of the residuals
-sweep_cfg = admm.AdmmConfig.make(rho=rho, n_iterations=40)
+sweep_cfg = admm.AdmmConfig(rho=rho, n_iterations=40)
 histories = admm.rho_sweep(lm, params, [rho / 100, rho, rho * 100], sweep_cfg,
                            z0=z0, x_ref=activity)
 print("rho sweep (residual ratios at iteration 40):")

@@ -1,9 +1,10 @@
 """Desk-scale 2D emission-tomography Plug-and-Play ADMM reconstruction.
 
-Subpackages: sim (phantoms, projector, Poisson data), recon (likelihood and
+Modules: sim (phantoms, projector, Poisson data), recon (likelihood and
 OSEM baselines), prox (penalized-likelihood data step), net (denoiser and
 differentiation engine), train (two-phase learning), admm (the PnP loop),
-cli (batch experiment commands).
+config (the config format), cli (batch experiment commands), util (atomic
+writes, CSV, seeds, the worker pool).
 """
 
 __version__ = "0.1.0"

@@ -26,25 +26,15 @@ __all__ = ["AdmmConfig", "AdmmState", "History", "CURVE_HEADER",
 
 
 @dataclass(frozen=True)
-class AdmmConfig:
-    prox: prox.ProxConfig
+class AdmmConfig(prox.ProxConfig):
+    """The prox settings of every data step plus the iteration count."""
+
     n_iterations: int = 40
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_iterations < 1:
             raise ValueError("need at least one iteration")
-
-    @property
-    def rho(self):
-        return self.prox.rho
-
-    def with_rho(self, rho):
-        return replace(self, prox=replace(self.prox, rho=rho))
-
-    @classmethod
-    def make(cls, rho, n_iterations=40, n_inner=30):
-        return cls(prox=prox.ProxConfig(rho=rho, n_inner=n_inner),
-                   n_iterations=n_iterations)
 
 
 @dataclass
@@ -122,7 +112,7 @@ def admm_pnp(lm, denoiser, cfg, z0=None, x_ref=None, on_iterate=None):
     t_prev = r_prev = None
     hist = History(rho=cfg.rho)
     for k in range(cfg.n_iterations):
-        x = prox.prox_neg_ll(lm, z - u, cfg.prox, x_warm)
+        x = prox.prox_neg_ll(lm, z - u, cfg, x_warm)
         t = x + u
         if not np.all(np.isfinite(t)):
             raise NumericalAbort(f"non-finite denoiser input at iteration {k + 1}")
@@ -187,7 +177,7 @@ def rho_sweep(lm, denoiser, rhos, cfg, z0=None, x_ref=None):
 
     The runs share nothing but lm and run in parallel (util.ordered_map);
     a NumericalAbort names the first failing rho in input order."""
-    cfgs = [cfg.with_rho(rho) for rho in rhos]
+    cfgs = [replace(cfg, rho=rho) for rho in rhos]
     if not cfgs:
         raise ValueError("rhos must be nonempty")
     lm.counted, lm.mask      # build the cached blocks once, before the fan-out

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import __version__, admm, net, recon, sim, train
 from .config import ConfigError, FileFormatError, config_hash, load_config
-from .util import (NumericalAbort, atomic_write_text, derive_seed, ordered_map,
-                   write_csv)
+from .util import NumericalAbort, atomic_write, derive_seed, ordered_map, write_csv
 
 __all__ = ["main"]
 
@@ -32,8 +31,7 @@ def _write_provenance(out_dir, exp, **extras):
              f"seed = {exp.cfg.seed}",
              f"version = pnprecon {__version__}"]
     lines += [f"{key} = {value}" for key, value in extras.items()]
-    atomic_write_text(os.path.join(out_dir, "provenance.txt"),
-                      "\n".join(lines) + "\n")
+    atomic_write(os.path.join(out_dir, "provenance.txt"), "\n".join(lines) + "\n")
 
 
 # Every config value and command-line flag in the typed form the commands
@@ -80,11 +78,17 @@ def build_experiment(cfg, flags):
                  and 0 <= s["background_fraction"] < np.inf,
                  "need n_doses >= 1, a finite dose_decades, 0 < dose_center < inf "
                  "and 0 <= background_fraction < inf")
-        half = s["dose_decades"] / 2.0
+        center, half = s["dose_center"], s["dose_decades"] / 2.0
         rngs = [np.random.default_rng(derive_seed(cfg.seed, 202, p))
                 for p in range(ph["count"])]
-        doses = tuple(tuple(sorted(s["dose_center"] * 10.0 ** rng.uniform(-half, half)
-                                   for _ in range(s["n_doses"]))) for rng in rngs)
+        try:
+            doses = tuple(tuple(sorted(center * 10.0 ** rng.uniform(-half, half)
+                                       for _ in range(s["n_doses"]))) for rng in rngs)
+            ok = all(0 < d < np.inf for ds in doses for d in ds)
+        except OverflowError:       # 10.0 ** u beyond the float range
+            ok = False
+        _require(ok, "each drawn dose must be finite and > 0: narrow dose_decades "
+                 "or move dose_center")
     with _naming("[osem] n_subsets:"):
         subsets, n_angles = cfg["osem"]["n_subsets"], geometry.n_angles
         n_sub = recon.default_n_subsets(n_angles) if subsets == "auto" else int(subsets)
@@ -105,22 +109,20 @@ def build_experiment(cfg, flags):
             phases[phase] = train.TrainConfig(
                 phase=phase, seed=derive_seed(cfg.seed, key), **cfg[f"train.{phase}"])
     with _naming("[admm]"):
-        acfg = admm.AdmmConfig.make(
-            a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"])
+        acfg = admm.AdmmConfig(
+            rho=a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"])
         _require(a["n_test_sims"] >= 1 and a["filter_sigmas"]
                  and all(np.isfinite(f) and f >= 0 for f in a["filter_sigmas"]),
                  "need n_test_sims >= 1 and at least one filter sigma, "
                  "each finite and >= 0")
     with _naming("[sweep] rhos:"):
-        rhos = tuple(float(tok) for tok in sw["rhos"].split(","))
-        _require(all(np.isfinite(r) and r > 0 for r in rhos),
-                 "each rho must be positive and finite")
-    with _naming("[sweep]"):
-        _require(sw["iterations"] >= 1, "need iterations >= 1")
+        rhos = tuple(dataclasses.replace(acfg, rho=float(tok)).rho
+                     for tok in sw["rhos"].split(","))
+    with _naming("[sweep] iterations:"):
         sweep = dataclasses.replace(acfg, n_iterations=sw["iterations"])
     with _naming("--rho:"):
         if flags.get("rho") is not None:
-            acfg = acfg.with_rho(flags["rho"])
+            acfg = dataclasses.replace(acfg, rho=flags["rho"])
     with _naming("--iters:"):
         if flags.get("iters") is not None:
             acfg = dataclasses.replace(acfg, n_iterations=flags["iters"])

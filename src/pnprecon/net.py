@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .config import FileFormatError
-from .util import atomic_write_bytes
+from .util import atomic_write
 
 __all__ = [
     "ArchConfig",
@@ -78,8 +78,8 @@ class ArchConfig:
             raise ValueError("need at least 2 layers")
         if self.channels < 1:
             raise ValueError("need at least 1 channel")
-        if self.kernel % 2 != 1:
-            raise ValueError("kernel size must be odd")
+        if self.kernel < 1 or self.kernel % 2 != 1:
+            raise ValueError("kernel size must be odd and >= 1")
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -187,14 +187,6 @@ def _pad_flat(x, k):
     return xp
 
 
-def _widen(gam, k):
-    """(C, H, W) -> (C, H*(W+2p)) on the output grid, junk columns zero."""
-    c, h, w = gam.shape
-    g = np.zeros((c, h, w + k - 1))
-    g[:, :, :w] = gam
-    return g.reshape(c, -1)
-
-
 def _conv(xp, kernel, bias, h, w):
     """'same' convolution of the _pad_flat buffer xp; (C_out, H, W) view."""
     co, ci, k, _ = kernel.shape
@@ -230,7 +222,9 @@ def _conv_param_grad(xp, gam, kernel_shape):
     _, h, w = gam.shape
     wp = w + k - 1
     n = h * wp
-    g = _widen(gam, k)
+    g = np.zeros((co, h, wp))       # gam on the output grid, junk columns zero
+    g[:, :, :w] = gam
+    g = g.reshape(co, n)
     dk = np.empty(kernel_shape)
     for di in range(k):
         for dj in range(k):
@@ -252,22 +246,20 @@ def input_scale(x):
     return max(s, _SCALE_FLOOR)
 
 
-def _stack_forward(params, w):
-    """Run the residual stack at an already-normalized w; return per-layer
-    pre-activations and padded inputs."""
+def _stack(params, a, biases, nonlin):
+    """The conv stack on a (1, H, W): per layer, pad, convolve, add
+    biases[layer] unless biases is None, and pass a = nonlin(layer, z) on.
+    Returns the per-layer outputs z and padded inputs."""
     arch = params.arch
-    act = arch.activation
-    h, wd = w.shape
-    a = w[None, :, :]
-    in_list = []
-    z_list = []
+    _, h, wd = a.shape
+    z_list, in_list = [], []
     for layer in range(arch.n_layers):
         xp = _pad_flat(a, arch.kernel)
-        z = _conv(xp, params.kernels[layer], params.biases[layer], h, wd)
+        z_list.append(_conv(xp, params.kernels[layer],
+                            None if biases is None else biases[layer], h, wd))
         in_list.append(xp)
-        z_list.append(z)
         if layer < arch.n_layers - 1:
-            a = _act(act, z)
+            a = nonlin(layer, z_list[-1])
     return z_list, in_list
 
 
@@ -288,7 +280,9 @@ class Linearization:
         self.params = params
         self.x = np.asarray(x, dtype=float)
         self.s = input_scale(self.x)
-        self.z_list, self.in_list = _stack_forward(params, self.x / self.s)
+        act = params.arch.activation
+        self.z_list, self.in_list = _stack(
+            params, (self.x / self.s)[None], params.biases, lambda _, z: _act(act, z))
         # algebraically s * (w + z_L); written so zero residual returns x exactly
         self.out = self.x + self.s * self.z_list[-1][0]
 
@@ -303,25 +297,14 @@ class Linearization:
         return v
 
     def _tangent_chain(self, tan):
-        """Padded tangent inputs and tangent pre-activations of every layer."""
-        params = self.params
-        h, wd = tan.shape
-        t = tan[None, :, :]
-        in_t = []
-        zt_list = []
-        for layer in range(params.arch.n_layers):
-            xp = _pad_flat(t, params.arch.kernel)
-            zt = _conv(xp, params.kernels[layer], None, h, wd)
-            in_t.append(xp)
-            zt_list.append(zt)
-            if layer < params.arch.n_layers - 1:
-                t = self.dacts[layer] * zt
-        return in_t, zt_list
+        """Tangent pre-activations and padded tangent inputs of every layer."""
+        return _stack(self.params, tan[None], None,
+                      lambda layer, zt: self.dacts[layer] * zt)
 
     def jvp(self, tan):
         """Jacobian-vector product of forward at x (s held constant)."""
         tan = self._shaped(tan, "tangent")
-        return tan + self._tangent_chain(tan)[1][-1][0]
+        return tan + self._tangent_chain(tan)[0][-1][0]
 
     def vjp(self, cot):
         """Jacobian-transpose-vector product of forward at x."""
@@ -432,7 +415,7 @@ def param_grad_penalty(lin, u_fixed, epsilon=0.05, alpha=0.1):
     params = lin.params
     arch = params.arch
     h, wd = u.shape
-    in_t, zt_list = lin._tangent_chain(u)
+    zt_list, in_t = lin._tangent_chain(u)
 
     g_vec = u + 2.0 * zt_list[-1][0]
     sigma = float(np.linalg.norm(g_vec))
@@ -490,7 +473,7 @@ def save_checkpoint(path, params):
          _ACTIVATIONS[arch.activation], 1],     # 1: the global skip
         dtype="<u4").tobytes()
     payload = params_to_vector(params).astype("<f8").tobytes()
-    atomic_write_bytes(path, head + payload)
+    atomic_write(path, head + payload)
 
 
 def load_checkpoint(path):

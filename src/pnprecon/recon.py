@@ -81,16 +81,12 @@ def default_n_subsets(n_angles, cap=14):
     return max(d for d in range(1, cap + 1) if n_angles % d == 0)
 
 
-def _expected(lm, x):
-    return sim.forward_project(lm.model, x).ravel()
-
-
 def log_likelihood(lm, x):
     """Sum of y*ln(ybar) - ybar; the constant ln(y!) is omitted.
 
     Bins with ybar = 0 contribute 0 when y = 0 and -inf when y > 0.
     """
-    ybar = _expected(lm, x)
+    ybar = sim.forward_project(lm.model, x).ravel()
     y = lm.y.ravel()
     if np.any((ybar == 0) & (y > 0)):
         return -np.inf
@@ -113,7 +109,8 @@ def _count_ratio(y, ybar, bins):
 
 def ll_gradient(lm, x):
     """Gradient A^T mult (y/ybar - 1); masked pixels get 0."""
-    ratio = _count_ratio(lm.y.ravel(), _expected(lm, x), range(lm.model.n_rows))
+    ratio = _count_ratio(lm.y.ravel(), sim.forward_project(lm.model, x).ravel(),
+                         range(lm.model.n_rows))
     grad = sim.back_project(lm.model, ratio - 1.0)
     grad.ravel()[~lm.mask.ravel()] = 0.0
     return grad

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import FileFormatError
-from .util import atomic_write_bytes, atomic_write_text
+from .util import NumericalAbort, atomic_write
 
 __all__ = [
     "EllipseRegion",
@@ -365,7 +365,10 @@ def _poisson_counter(lam, seed):
     for i in np.flatnonzero(lam):
         counter[3] = i
         bitgen.state = state
-        out[i] = gen.poisson(lam[i])
+        try:
+            out[i] = gen.poisson(lam[i])
+        except ValueError as exc:   # lam beyond the sampler's range
+            raise NumericalAbort(f"bin {i}, mean count {lam[i]:g}: {exc}") from exc
     return out
 
 
@@ -388,7 +391,7 @@ def write_image(path, arr):
         raise ValueError("only 2D arrays are serialized")
     height, width = arr.shape
     header = _IMG_MAGIC + np.array([width, height], dtype="<u4").tobytes()
-    atomic_write_bytes(path, header + arr.astype("<f8").tobytes())
+    atomic_write(path, header + arr.astype("<f8").tobytes())
 
 
 def read_image(path):
@@ -418,4 +421,4 @@ def write_pgm(path, arr):
     lines = [f"P2\n{arr.shape[1]} {arr.shape[0]}\n255\n"]
     for row in scaled.tolist():
         lines.append(" ".join(map(str, row)) + "\n")
-    atomic_write_text(path, "".join(lines))
+    atomic_write(path, "".join(lines))

@@ -114,7 +114,10 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
         x0 = recon.uniform_start(model)
         for d, dose in enumerate(doses[p]):
             seed = derive_seed(base_seed, p, d)
-            counts = sim.simulate_counts(model, activity, dose, seed)
+            try:
+                counts = sim.simulate_counts(model, activity, dose, seed)
+            except NumericalAbort as exc:
+                raise NumericalAbort(f"phantom {p}, dose {dose:g}: {exc}") from exc
             lm = recon.LikelihoodModel(model=item_model(model, dose), y=counts)
             x_noisy = recon.osem_reconstruct(lm, osem_cfg, x0=x0)
             items.append(DatasetItem(

@@ -9,8 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["NumericalAbort", "fmt", "atomic_write_text", "atomic_write_bytes",
-           "write_csv", "derive_seed", "N_WORKERS", "ordered_map"]
+__all__ = ["NumericalAbort", "fmt", "atomic_write", "write_csv", "derive_seed",
+           "N_WORKERS", "ordered_map"]
 
 
 class NumericalAbort(RuntimeError):
@@ -24,17 +24,11 @@ def fmt(value):
     return str(value)
 
 
-def atomic_write_text(path, text):
+def atomic_write(path, data):
+    """Write data, bytes or text, to path through a temporary file."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def atomic_write_bytes(path, payload):
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
+    with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 
@@ -46,7 +40,7 @@ def write_csv(path, header, rows, comment=None):
     lines.append(",".join(header) + "\n")
     for row in rows:
         lines.append(",".join(fmt(v) for v in row) + "\n")
-    atomic_write_text(path, "".join(lines))
+    atomic_write(path, "".join(lines))
 
 
 def derive_seed(*keys):

@@ -228,7 +228,7 @@ def test_criterion_06_convex_admm_oracle():
     lam = rho = 5.0 * scale
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
-    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=200, n_inner=200)
+    cfg = admm.AdmmConfig(rho=rho, n_iterations=200, n_inner=200)
     x, hist = admm.admm_pnp(lm, denoise, cfg)
     k_pass = next((k for k in range(len(hist))
                    if hist.primal[k] < 1e-6 and hist.dual[k] < 1e-6), None)

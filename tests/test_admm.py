@@ -24,7 +24,7 @@ def exact_data_problem(grid=16, seed=1):
 
 def test_identity_denoiser_stays_at_fixed_point():
     x_true, lm = exact_data_problem()
-    cfg = admm.AdmmConfig.make(rho=5.0, n_iterations=5, n_inner=50)
+    cfg = admm.AdmmConfig(rho=5.0, n_iterations=5, n_inner=50)
     x, hist = admm.admm_pnp(lm, IDENTITY, cfg, z0=x_true)
     assert len(hist) == 5
     assert max(hist.primal) < 1e-8
@@ -36,7 +36,7 @@ def test_dual_update_identity_bitwise():
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     params = net.init_params(arch, seed=0, scale=0.2)
     states = []
-    cfg = admm.AdmmConfig.make(rho=20.0, n_iterations=4, n_inner=10)
+    cfg = admm.AdmmConfig(rho=20.0, n_iterations=4, n_inner=10)
     admm.admm_pnp(lm, params, cfg,
                   on_iterate=lambda st: states.append(
                       (st.k, st.x.copy(), st.z.copy(), st.u.copy())))
@@ -52,10 +52,10 @@ def test_single_iteration_matches_hand_stepped_composition():
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     params = net.init_params(arch, seed=1, scale=0.2)
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
-    cfg = admm.AdmmConfig.make(rho=15.0, n_iterations=1, n_inner=25)
+    cfg = admm.AdmmConfig(rho=15.0, n_iterations=1, n_inner=25)
     x, hist = admm.admm_pnp(lm, params, cfg, z0=z0)
 
-    x1 = prox.prox_neg_ll(lm, z0, cfg.prox, np.clip(z0, 0.0, None))
+    x1 = prox.prox_neg_ll(lm, z0, cfg, np.clip(z0, 0.0, None))
     z1 = net.forward(params, x1)
     u1 = x1 - z1
     np.testing.assert_array_equal(x, x1)
@@ -72,7 +72,7 @@ def test_quadratic_prox_denoiser_matches_convex_oracle():
     rho = 20.0
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
-    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=200, n_inner=100)
+    cfg = admm.AdmmConfig(rho=rho, n_iterations=200, n_inner=100)
     x, hist = admm.admm_pnp(lm, denoise, cfg)
     assert hist.primal[-1] < 1e-6
     assert hist.dual[-1] < 1e-6
@@ -93,7 +93,7 @@ def test_dr_residual_and_secant_match_recorded_states():
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
     states = []
-    cfg = admm.AdmmConfig.make(rho=20.0, n_iterations=6, n_inner=10)
+    cfg = admm.AdmmConfig(rho=20.0, n_iterations=6, n_inner=10)
     _, hist = admm.admm_pnp(lm, params, cfg, z0=z0, on_iterate=states.append)
     # t_k = z_k + u_k is the denoiser input x_k + u_{k-1}; R_k = 2 z_k - t_k
     t = [st.z + st.u for st in states]
@@ -112,7 +112,7 @@ def test_dr_residual_and_secant_match_recorded_states():
 
 def test_dr_residual_vanishes_at_fixed_point():
     x_true, lm = exact_data_problem(seed=5)
-    cfg = admm.AdmmConfig.make(rho=5.0, n_iterations=5, n_inner=80)
+    cfg = admm.AdmmConfig(rho=5.0, n_iterations=5, n_inner=80)
     _, hist = admm.admm_pnp(lm, IDENTITY, cfg, z0=x_true)
     assert max(hist.dr_residual) < 1e-8
     # 2D - Id is the identity itself: an isometry wherever t moved
@@ -127,7 +127,7 @@ def test_dr_residual_falls_and_secant_is_exact_for_linear_denoiser():
     lam = rho / 2.0
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
-    cfg = admm.AdmmConfig.make(rho=rho, n_iterations=60, n_inner=100)
+    cfg = admm.AdmmConfig(rho=rho, n_iterations=60, n_inner=100)
     _, hist = admm.admm_pnp(lm, denoise, cfg)
     # ||x_1 - z_0|| is no T step, so the DR sequence starts at k = 2
     assert hist.dr_residual[1] > hist.dr_residual[0]
@@ -143,7 +143,7 @@ def test_dr_residual_falls_and_secant_is_exact_for_linear_denoiser():
 def test_abort_on_nonfinite_denoiser():
     _, lm = make_test_problem(grid=16, seed=8)
     bad = lambda img: np.full_like(img, np.inf)
-    cfg = admm.AdmmConfig.make(rho=10.0, n_iterations=3)
+    cfg = admm.AdmmConfig(rho=10.0, n_iterations=3)
     with pytest.raises(NumericalAbort, match="iteration 1"):
         admm.admm_pnp(lm, bad, cfg)
     # a finite but huge start overflows the prox: the net never sees it
@@ -160,7 +160,7 @@ def test_rho_sweep_single_value_equals_one_run():
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     params = net.init_params(arch, seed=2, scale=0.2)
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
-    cfg = admm.AdmmConfig.make(rho=25.0, n_iterations=6)
+    cfg = admm.AdmmConfig(rho=25.0, n_iterations=6)
     (swept,) = admm.rho_sweep(lm, params, [25.0], cfg, z0=z0)
     _, hist = admm.admm_pnp(lm, params, cfg, z0=z0)
     assert swept.primal == hist.primal
@@ -174,7 +174,7 @@ def test_rho_sweep_row_count_and_determinism():
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
     rhos = [5.0, 50.0, 500.0]
-    cfg = admm.AdmmConfig.make(rho=1.0, n_iterations=4)
+    cfg = admm.AdmmConfig(rho=1.0, n_iterations=4)
     r1 = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
     r2 = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
     assert len(admm.curve_rows(r1)) == len(rhos) * 4
@@ -185,7 +185,7 @@ def test_rho_sweep_row_count_and_determinism():
 
 def test_rho_sweep_validates_input():
     _, lm = make_test_problem(grid=16, seed=10)
-    cfg = admm.AdmmConfig.make(rho=1.0)
+    cfg = admm.AdmmConfig(rho=1.0)
     calls = []
     counted = lambda img: calls.append(1) or img.copy()
     with pytest.raises(ValueError):
@@ -196,7 +196,7 @@ def test_rho_sweep_validates_input():
 
 
 def test_sweep_rows_match_per_rho_runs():
-    # reference rows written inline from one AdmmConfig.make run per rho
+    # reference rows written inline from one AdmmConfig run per rho
     activity, lm = make_test_problem(grid=16, seed=13)
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     rng = np.random.default_rng(5)
@@ -205,7 +205,7 @@ def test_sweep_rows_match_per_rho_runs():
     rhos = [0.05, 0.5, 1.5, 5.0]
     want_curves, want_summary = [], []
     for rho in rhos:
-        _, hist = admm.admm_pnp(lm, params, admm.AdmmConfig.make(
+        _, hist = admm.admm_pnp(lm, params, admm.AdmmConfig(
             rho, n_iterations=8, n_inner=7), z0=z0, x_ref=activity)
         secants = [s for s in hist.secant if s is not None]
         for k in range(len(hist)):
@@ -223,7 +223,7 @@ def test_sweep_rows_match_per_rho_runs():
                              int(admm._is_monotone(hist.dual)),
                              hist.log_likelihood[-1], hist.mse[-1],
                              rises, max(secants)])
-    cfg = admm.AdmmConfig.make(1.0, n_iterations=8, n_inner=7)
+    cfg = admm.AdmmConfig(1.0, n_iterations=8, n_inner=7)
     hists = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
     assert admm.curve_rows(hists) == want_curves
     summary = [admm.summary_row(h) for h in hists]
@@ -238,7 +238,7 @@ def test_sweep_rows_match_per_rho_runs():
 
 def test_history_rows_shape():
     _, lm = make_test_problem(grid=16, seed=11)
-    cfg = admm.AdmmConfig.make(rho=30.0, n_iterations=3)
+    cfg = admm.AdmmConfig(rho=30.0, n_iterations=3)
     x_ref, _ = make_test_problem(grid=16, seed=11)
     _, hist = admm.admm_pnp(lm, IDENTITY, cfg, x_ref=x_ref)
     rows = hist.as_rows()
@@ -256,7 +256,7 @@ def test_rho_sweep_matches_serial_loop_bitwise(start):
     params = net.vector_to_params(
         arch, np.random.default_rng(6).normal(0, 0.2, net.n_params(arch)))
     rhos = [0.3, 3.0, 30.0]
-    cfg = admm.AdmmConfig.make(1.0, n_iterations=6, n_inner=5)
+    cfg = admm.AdmmConfig(1.0, n_iterations=6, n_inner=5)
     runs = []
     for _ in range(2):
         activity, lm = make_test_problem(grid=16, seed=14)
@@ -264,7 +264,7 @@ def test_rho_sweep_matches_serial_loop_bitwise(start):
             lm, recon.OsemConfig(2, 4))
         runs.append((activity, lm, z0))
     activity, lm, z0 = runs[0]
-    want = [admm.admm_pnp(lm, params, cfg.with_rho(rho), z0=z0, x_ref=activity)[1]
+    want = [admm.admm_pnp(lm, params, replace(cfg, rho=rho), z0=z0, x_ref=activity)[1]
             for rho in rhos]
     activity, lm, z0 = runs[1]
     got = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
@@ -282,7 +282,7 @@ def test_rho_sweep_stress_more_workers_than_cores(monkeypatch):
     params = net.vector_to_params(
         arch, np.random.default_rng(7).normal(0, 0.2, net.n_params(arch)))
     rhos = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0]
-    cfg = admm.AdmmConfig.make(1.0, n_iterations=3, n_inner=3)
+    cfg = admm.AdmmConfig(1.0, n_iterations=3, n_inner=3)
     pool = ThreadPoolExecutor(max_workers=8, initializer=setattr,
                               initargs=(util._in_worker, "flag", True))
     monkeypatch.setattr(util, "_POOL", pool)
@@ -298,6 +298,6 @@ def test_rho_sweep_stress_more_workers_than_cores(monkeypatch):
         pool.shutdown(wait=True)
     sim._assemble_projector.cache_clear()
     activity, lm = make_test_problem(grid=12, seed=15)
-    want = [admm.admm_pnp(lm, params, cfg.with_rho(rho), x_ref=activity)[1]
+    want = [admm.admm_pnp(lm, params, replace(cfg, rho=rho), x_ref=activity)[1]
             for rho in rhos]
     assert got == want

@@ -235,6 +235,7 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("count = 3", "count = 1", r"\[phantoms\] count"),
     ("kernel = 3", "kernel = 3\nactivation = tanh", r"\[net\] unknown activation"),
     ("kernel = 3", "kernel = 4", r"\[net\] kernel size"),
+    ("kernel = 3", "kernel = -1", r"\[net\] kernel size"),
     ("learning_rate = 0.005", "learning_rate = -1", r"\[train\.pre\]"),
     ("n_bins = 26", "n_bins = 10", r"\[geometry\] detector"),
     ("power_iters = 5", "power_iters = 5\nepsilon = 1.5", r"\[train\.jac\]"),
@@ -261,7 +262,7 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("rhos = 10.0,300.0", "rhos = 10.0,nan", r"\[sweep\] rhos"),
     ("rhos = 10.0,300.0", "rhos = auto", r"\[sweep\] rhos"),
     ("rhos = 10.0,300.0\niterations = 3", "rhos = 10.0,300.0\niterations = 0",
-     r"\[sweep\] need iterations"),
+     r"\[sweep\] iterations: need at least one iteration"),
     ("rhos = 10.0,300.0", "rhos = 10.0,300.0\nn_values = 3",
      r"unknown key 'n_values'"),
     ("rhos = 10.0,300.0", "rhos = 10.0,300.0\ndecades = 4", r"unknown key 'decades'"),
@@ -275,6 +276,8 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("dose_center = 1.2", "dose_center = 1.2\ndose_decades = inf",
      r"\[simulation\] .*dose_decades"),
     ("dose_center = 1.2", "dose_center = inf", r"\[simulation\] .*dose_center"),
+    ("dose_center = 1.2", "dose_center = 1.2\ndose_decades = 1e4",
+     r"\[simulation\] each drawn dose must be finite and > 0"),
     ("background_fraction = 0.2", "background_fraction = inf",
      r"\[simulation\] .*background_fraction"),
     ("learning_rate = 0.005", "learning_rate = inf", r"\[train\.pre\] .*learning_rate"),
@@ -295,6 +298,18 @@ def test_cli_bad_config_value_exit_code(tmp_path, capsys, line, bad, needle):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert re.search(needle, err)
+
+
+def test_simulate_dose_beyond_poisson_sampler_aborts(tmp_path, capsys):
+    # numpy's Poisson sampler rejects a mean count above about 9.2e18
+    cfg_path = tmp_path / "huge.cfg"
+    cfg_path.write_text(TINY_CFG.replace(
+        "dose_center = 1.2", "dose_center = 1e20\ndose_decades = 0"))
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 3
+    err = capsys.readouterr().err
+    assert re.match(r"numerical abort: phantom 0, dose 1e\+20: bin \d+, mean count "
+                    r".*: lam value too large", err)
+    assert not (tmp_path / "runs" / "data" / "manifest.csv").exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -357,14 +372,14 @@ def _old_builders(cfg, rho=None, iters=None):
         train={phase: train_config(phase) for phase in ("pre", "jac")},
         certify_power_iters=n["certify_power_iters"],
         certify_margin=n["certify_margin"],
-        admm=admm.AdmmConfig.make(
+        admm=admm.AdmmConfig(
             rho if rho is not None else a["rho"],
             n_iterations=iters if iters is not None else a["iterations"],
             n_inner=a["prox_inner"]),
         n_test_sims=a["n_test_sims"],
         filter_sigmas=a["filter_sigmas"],
         sweep_rhos=[float(tok) for tok in s["rhos"].split(",")],
-        sweep=admm.AdmmConfig.make(
+        sweep=admm.AdmmConfig(
             a["rho"], n_iterations=s["iterations"], n_inner=a["prox_inner"]))
 
 
@@ -501,12 +516,12 @@ def test_certify_primal_passes(fuzz_run, tmp_path, monkeypatch):
     # one pass per test item for the outputs, one per sample for the
     # linearization its Lanczos run reads
     calls = [0]
-    original = net._stack_forward
+    original = net.Linearization.__init__
 
-    def counted(*args):
+    def counted(self, *args):
         calls[0] += 1
-        return original(*args)
-    monkeypatch.setattr(net, "_stack_forward", counted)
+        original(self, *args)
+    monkeypatch.setattr(net.Linearization, "__init__", counted)
     assert cli.main(["certify", "--config", str(fuzz_run / "tiny.cfg"),
                      "--checkpoint", str(fuzz_run / "net.ckpt"),
                      "--out", str(tmp_path / "out"), "--n-samples", "5"]) == 0

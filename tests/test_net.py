@@ -89,8 +89,11 @@ def test_jvp_matches_finite_differences():
     h = 1e-6
     # hold the scale fixed: jvp treats s as a constant
     s = net.input_scale(x)
-    fd = (net._stack_forward(params, (x + h * t) / s)[0][-1][0]
-          - net._stack_forward(params, (x - h * t) / s)[0][-1][0]) * s / (2 * h)
+
+    def residual(w):
+        return net._stack(params, w[None], params.biases,
+                          lambda _, z: net._act(params.arch.activation, z))[0][-1][0]
+    fd = (residual((x + h * t) / s) - residual((x - h * t) / s)) * s / (2 * h)
     got = net.Linearization(params, x).jvp(t)
     want = t + fd
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-5
@@ -368,8 +371,81 @@ def test_arch_validation():
         net.ArchConfig(n_layers=1)
     with pytest.raises(ValueError):
         net.ArchConfig(kernel=4)
+    with pytest.raises(ValueError, match="kernel size"):
+        net.ArchConfig(kernel=-1)     # odd, as -1 % 2 == 1
     with pytest.raises(ValueError):
         net.ArchConfig(activation="tanh")
+
+
+def _reference_primal(params, w):
+    """The primal layer loop that net._stack replaced: per-layer
+    pre-activations and padded inputs at the normalized input w."""
+    arch = params.arch
+    act = arch.activation
+    h, wd = w.shape
+    a = w[None, :, :]
+    in_list = []
+    z_list = []
+    for layer in range(arch.n_layers):
+        xp = net._pad_flat(a, arch.kernel)
+        z = net._conv(xp, params.kernels[layer], params.biases[layer], h, wd)
+        in_list.append(xp)
+        z_list.append(z)
+        if layer < arch.n_layers - 1:
+            a = net._act(act, z)
+    return z_list, in_list
+
+
+def _reference_tangent(params, dacts, tan):
+    """The tangent layer loop that net._stack replaced: padded tangent inputs
+    and tangent pre-activations, in that order."""
+    h, wd = tan.shape
+    t = tan[None, :, :]
+    in_t = []
+    zt_list = []
+    for layer in range(params.arch.n_layers):
+        xp = net._pad_flat(t, params.arch.kernel)
+        zt = net._conv(xp, params.kernels[layer], None, h, wd)
+        in_t.append(xp)
+        zt_list.append(zt)
+        if layer < params.arch.n_layers - 1:
+            t = dacts[layer] * zt
+    return in_t, zt_list
+
+
+def _same_bits(got, want):
+    return all(g.shape == w.shape and np.array_equal(g.view(np.uint64),
+                                                     w.view(np.uint64))
+               for g, w in zip(got, want, strict=True))
+
+
+@pytest.mark.parametrize("arch, size", [
+    (ARCH_DEMO, 48),
+    (net.ArchConfig(n_layers=3, channels=4, kernel=3, activation="relu"), 16),
+])
+def test_one_layer_loop_bitwise_equals_separate_loops(arch, size):
+    params = random_params(arch, 81, scale=0.2)
+    x = random_image((size, size), 82, positive=False)
+    rng = np.random.default_rng(83)
+    t = rng.standard_normal((size, size))
+    u = rng.standard_normal((size, size))
+    u /= np.linalg.norm(u)
+    lin = net.Linearization(params, x)
+    z_ref, in_ref = _reference_primal(params, x / net.input_scale(x))
+    assert _same_bits(lin.z_list, z_ref) and _same_bits(lin.in_list, in_ref)
+    assert _same_bits([lin.out], [x + lin.s * z_ref[-1][0]])
+    _, zt = _reference_tangent(params, lin.dacts, t)
+    assert _same_bits([lin.jvp(t)], [t + zt[-1][0]])
+    got_zt, got_in_t = lin._tangent_chain(u)
+    want_in_t, want_zt = _reference_tangent(params, lin.dacts, u)
+    assert _same_bits(got_zt, want_zt) and _same_bits(got_in_t, want_in_t)
+    # the penalty gradient reading the old loop's tangent chain (reordered to
+    # the new return order); epsilon = 1 keeps the hinge active
+    got = net.param_grad_penalty(lin, u, epsilon=1.0)
+    old = net.Linearization(params, x)
+    old._tangent_chain = lambda tan: _reference_tangent(params, old.dacts, tan)[::-1]
+    want = net.param_grad_penalty(old, u, epsilon=1.0)
+    assert got[1] == want[1] and _same_bits([got[0].vec], [want[0].vec])
 
 
 def _old_sigmoid(t):

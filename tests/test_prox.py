@@ -284,6 +284,6 @@ def test_admm_builds_counted_blocks_once(monkeypatch):
     counted.__set_name__(recon.LikelihoodModel, "counted")
     monkeypatch.setattr(recon.LikelihoodModel, "counted", counted)
     activity, lm = make_test_problem(grid=16, seed=15, dose=0.5)
-    cfg = admm.AdmmConfig.make(rho=10.0, n_iterations=3, n_inner=4)
+    cfg = admm.AdmmConfig(rho=10.0, n_iterations=3, n_inner=4)
     admm.admm_pnp(lm, lambda img: img.copy(), cfg, z0=activity)
     assert len(builds) == 1 and builds[0] is lm
