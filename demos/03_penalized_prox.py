@@ -21,7 +21,7 @@ rng = np.random.default_rng(0)
 v = activity + rng.normal(0.0, 0.3, activity.shape)   # anchor with negatives
 print(f"anchor v has {np.sum(v < 0)} negative pixels of {v.size}")
 
-rho = float(np.mean(lm.sensitivity))
+rho = float(np.mean(lm.model.sensitivity))
 objs = []
 cfg = prox.ProxConfig(rho=rho, n_inner=300)
 x = prox.prox_neg_ll(lm, v, cfg, np.ones_like(v),

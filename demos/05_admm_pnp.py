@@ -21,7 +21,7 @@ z0 = recon.osem_reconstruct(lm, recon.OsemConfig(8, 8))
 print(f"{int(counts.sum())} counts; OSEM start MSE "
       f"{recon.mse(z0, activity):.4f}")
 
-rho = float(np.mean(lm.sensitivity))
+rho = float(np.mean(lm.model.sensitivity))
 
 # 1. quadratic-prox denoiser: classical convex ADMM, residuals go to zero
 lam = rho

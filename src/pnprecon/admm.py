@@ -100,7 +100,7 @@ def admm_pnp(lm, denoiser, cfg, z0=None, x_ref=None, on_iterate=None):
     when given, sees every post-update state.
     """
     denoise = _as_denoiser(denoiser)
-    mask = lm.mask
+    mask = lm.model.mask
     if z0 is None:
         n_sub = recon.default_n_subsets(lm.model.geometry.n_angles)
         z0 = recon.osem_reconstruct(lm, recon.OsemConfig(8, n_sub))
@@ -180,7 +180,7 @@ def rho_sweep(lm, denoiser, rhos, cfg, z0=None, x_ref=None):
     cfgs = [replace(cfg, rho=rho) for rho in rhos]
     if not cfgs:
         raise ValueError("rhos must be nonempty")
-    lm.counted, lm.mask      # build the cached blocks once, before the fan-out
+    lm.counted, lm.model.mask    # build the cached blocks once, before the fan-out
 
     def run(c):
         try:

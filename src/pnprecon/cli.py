@@ -21,11 +21,6 @@ from .util import NumericalAbort, atomic_write, derive_seed, ordered_map, write_
 __all__ = ["main"]
 
 
-def _ensure_dir(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 def _write_provenance(out_dir, exp, **extras):
     lines = [f"config_hash = {config_hash(exp.cfg)}",
              f"seed = {exp.cfg.seed}",
@@ -89,13 +84,9 @@ def build_experiment(cfg, flags):
             ok = False
         _require(ok, "each drawn dose must be finite and > 0: narrow dose_decades "
                  "or move dose_center")
-    with _naming("[osem] n_subsets:"):
-        subsets, n_angles = cfg["osem"]["n_subsets"], geometry.n_angles
-        n_sub = recon.default_n_subsets(n_angles) if subsets == "auto" else int(subsets)
-        _require(n_sub >= 1 and n_angles % n_sub == 0,
-                 f"{subsets!r} is not 'auto' or a divisor of n_angles = {n_angles}")
     with _naming("[osem]"):
-        osem = recon.OsemConfig(n_iterations=cfg["osem"]["n_iterations"], n_subsets=n_sub)
+        osem = recon.OsemConfig(n_iterations=cfg["osem"]["n_iterations"],
+                                n_subsets=recon.default_n_subsets(geometry.n_angles))
     with _naming("[net]"):
         arch = net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
                               kernel=n["kernel"], activation=n["activation"])
@@ -142,7 +133,7 @@ def build_experiment(cfg, flags):
 
 
 def cmd_simulate(exp, out_dir):
-    out_dir = _ensure_dir(out_dir or exp.paths["data"])
+    out_dir = out_dir or exp.paths["data"]
     dataset = train.build_dataset(
         exp.specs, exp.geometry, exp.doses, exp.cfg.seed, exp.osem,
         n_test_phantoms=exp.n_test,
@@ -197,7 +188,7 @@ def _load_dataset(data_dir):
 
 
 def cmd_train(exp, phase, out_dir):
-    out_dir = _ensure_dir(out_dir or exp.paths["train"])
+    out_dir = out_dir or exp.paths["train"]
     dataset = _load_dataset(exp.paths["data"])
     if not dataset.split("train"):
         raise ConfigError("dataset has no training items")
@@ -249,14 +240,14 @@ def _likelihood_for_item(exp, item):
 
 
 def cmd_reconstruct(exp, checkpoint, out_dir):
-    out_dir = _ensure_dir(out_dir or exp.paths["recon"])
+    out_dir = out_dir or exp.paths["recon"]
     dataset = _load_dataset(exp.paths["data"])
     params = net.load_checkpoint(checkpoint)
     rho, iters = exp.admm.rho, exp.admm.n_iterations
     sims = [(item_idx, item, _likelihood_for_item(exp, item))
             for item_idx, item in _select_test_sims(exp, dataset)]
     for _, _, lm in sims:
-        lm.counted, lm.mask     # build the cached blocks before the fan-out
+        lm.counted, lm.model.mask   # build the cached blocks before the fan-out
 
     def run(sim_):
         item_idx, item, lm = sim_
@@ -296,7 +287,7 @@ def cmd_reconstruct(exp, checkpoint, out_dir):
 
 
 def cmd_sweep(exp, checkpoint, out_dir):
-    out_dir = _ensure_dir(out_dir or exp.paths["sweep"])
+    out_dir = out_dir or exp.paths["sweep"]
     dataset = _load_dataset(exp.paths["data"])
     params = net.load_checkpoint(checkpoint)
     item_idx, item = _select_test_sims(exp, dataset)[0]
@@ -316,7 +307,7 @@ def cmd_sweep(exp, checkpoint, out_dir):
 
 
 def cmd_certify(exp, checkpoint, out_dir):
-    out_dir = _ensure_dir(out_dir or exp.paths["certify"])
+    out_dir = out_dir or exp.paths["certify"]
     dataset = _load_dataset(exp.paths["data"])
     params = net.load_checkpoint(checkpoint)
     test_items = dataset.split("test")

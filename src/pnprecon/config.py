@@ -10,6 +10,8 @@ import hashlib
 import os
 from dataclasses import dataclass
 
+from .util import fmt
+
 __all__ = ["ConfigError", "FileFormatError", "ExperimentConfig",
            "parse_config", "load_config", "canonical_text", "config_hash"]
 
@@ -60,7 +62,6 @@ _SCHEMA = {
     },
     "osem": {
         "n_iterations": (int, 8),
-        "n_subsets": (str, "auto"),
     },
     "net": {
         "n_layers": (int, 5),
@@ -171,11 +172,9 @@ def load_config(path):
 def _fmt_value(v):
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
     if isinstance(v, list):
-        return ",".join(f"{x:.17g}" for x in v)
-    return str(v)
+        return ",".join(fmt(x) for x in v)
+    return fmt(v)
 
 
 def canonical_text(cfg):

@@ -54,7 +54,7 @@ def prox_neg_ll(lm, v, cfg, x_init, callback=None):
     x = np.asarray(x_init, dtype=float).ravel().copy()
     if v.size != lm.model.n_pixels or x.size != lm.model.n_pixels:
         raise ValueError("image size does not match the system model")
-    sens = lm.sensitivity.ravel()
+    sens = lm.model.sensitivity.ravel()
     mask = sens > 0
     if not np.any(mask):
         raise ValueError("system model has all-zero sensitivity")
@@ -79,7 +79,7 @@ def subproblem_objective(lm, v, rho, x):
     """-LL(x) + (rho/2) ||x - v||^2 over unmasked pixels."""
     v = np.asarray(v, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
-    mask = lm.mask.ravel()
+    mask = lm.model.mask.ravel()
     pen = 0.5 * rho * float(np.sum((x[mask] - v[mask]) ** 2))
     return -recon.log_likelihood(lm, x) + pen
 
@@ -89,6 +89,6 @@ def kkt_residual(lm, v, rho, x):
     v = np.asarray(v, dtype=float).ravel()
     x = np.asarray(x, dtype=float).ravel()
     g = (-recon.ll_gradient(lm, x).ravel() + rho * (x - v))
-    mask = lm.mask.ravel()
+    mask = lm.model.mask.ravel()
     stat = np.minimum(x[mask], g[mask])
     return float(np.max(np.abs(stat))) if stat.size else 0.0

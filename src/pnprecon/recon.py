@@ -6,12 +6,13 @@ from functools import cached_property
 import numpy as np
 
 from . import sim
-from .util import NumericalAbort
+from .util import NumericalAbort, read_only
 
 __all__ = [
     "LikelihoodModel",
     "OsemConfig",
     "default_n_subsets",
+    "subset_blocks",
     "log_likelihood",
     "ll_gradient",
     "mlem_step",
@@ -41,22 +42,12 @@ class LikelihoodModel:
             raise ValueError("observed sinogram must be finite and nonnegative")
         object.__setattr__(self, "y", y.reshape(self.model.sino_shape()))
 
-    @property
-    def sensitivity(self):
-        return self.model.sensitivity
-
-    @property
-    def mask(self):
-        return self.model.mask
-
     @cached_property
     def counted(self):
         """The row block of the bins with counts, rows = flatnonzero(y > 0).
         Elsewhere y / ybar = 0, so those bins add only +0.0 terms to an EM
         back-projection."""
-        rows = np.flatnonzero(self.y > 0)
-        a = self.model.weights[rows]
-        return self.row_block(rows, a, a.T.tocsr())
+        return self.row_block(*_rows_of(self.model.weights, np.flatnonzero(self.y > 0)))
 
     def row_block(self, rows, a, a_t):
         """(rows, A[rows], A[rows]^T, mult[rows], background[rows], y[rows]),
@@ -76,9 +67,33 @@ class OsemConfig:
             raise ValueError("n_iterations and n_subsets must be >= 1")
 
 
-def default_n_subsets(n_angles, cap=14):
-    """Largest divisor of n_angles not exceeding cap."""
-    return max(d for d in range(1, cap + 1) if n_angles % d == 0)
+def default_n_subsets(n_angles):
+    """Largest divisor of n_angles that is at most 14: OSEM's subset count."""
+    return max(d for d in range(1, 15) if n_angles % d == 0)
+
+
+def _rows_of(A, rows):
+    """(rows, A[rows], A[rows]^T) for sorted, distinct rows, all read-only,
+    with A itself when the rows are all of A's.  Both matrices keep the
+    term order of A and A^T, so a block's projections add the same terms
+    in the same order as full ones."""
+    rows.flags.writeable = False
+    a = A if rows.size == A.shape[0] else read_only(A[rows])
+    return rows, a, read_only(a.T.tocsr())
+
+
+def subset_blocks(model, n_subsets):
+    """One read-only (rows, A[rows], A[rows]^T) per OSEM subset s, whose rows
+    are those of angles s, s + n_subsets, ...  Built once per projector matrix and subset count
+    and shared by every model holding that matrix; the cache is kept on the
+    matrix object, so it is freed with it."""
+    A, (n_angles, n_bins) = model.weights, model.sino_shape()
+    shared = vars(A).setdefault("_pnprecon_subset_blocks", {})
+    if (n_bins, n_subsets) not in shared:
+        bins = np.arange(A.shape[0]).reshape(n_angles, n_bins)
+        shared[n_bins, n_subsets] = tuple(
+            _rows_of(A, bins[s::n_subsets].ravel()) for s in range(n_subsets))
+    return shared[n_bins, n_subsets]
 
 
 def log_likelihood(lm, x):
@@ -112,7 +127,7 @@ def ll_gradient(lm, x):
     ratio = _count_ratio(lm.y.ravel(), sim.forward_project(lm.model, x).ravel(),
                          range(lm.model.n_rows))
     grad = sim.back_project(lm.model, ratio - 1.0)
-    grad.ravel()[~lm.mask.ravel()] = 0.0
+    grad.ravel()[~lm.model.mask.ravel()] = 0.0
     return grad
 
 
@@ -135,7 +150,7 @@ def mlem_step(lm, x):
     """One multiplicative EM update; zero-sensitivity pixels stay 0."""
     x = np.asarray(x, dtype=float)
     num = _em_ratio_backproj(lm.counted, x)
-    return _em_update(x.ravel(), num, lm.sensitivity.ravel()).reshape(x.shape)
+    return _em_update(x.ravel(), num, lm.model.sensitivity.ravel()).reshape(x.shape)
 
 
 def uniform_start(model):
@@ -156,7 +171,7 @@ def osem_reconstruct(lm, cfg, x0=None):
         raise ValueError("n_subsets must divide n_angles")
     x = uniform_start(model) if x0 is None else np.asarray(x0, dtype=float).copy()
     blocks = [lm.row_block(*block)
-              for block in sim.subset_blocks(model, cfg.n_subsets)]
+              for block in subset_blocks(model, cfg.n_subsets)]
     sens = [a_t @ mult for _, _, a_t, mult, _, _ in blocks]
     xf = x.ravel()
     for _ in range(cfg.n_iterations):

@@ -4,9 +4,7 @@ Everything here is deterministic given its inputs and seeds.  The forward
 projector is assembled once per geometry as a sparse matrix, shared
 read-only by every model of that geometry, so that back-projection is its
 exact transpose; adjointness therefore holds to machine precision, which
-every gradient in the package relies on.  Its transpose and the OSEM
-subset row blocks (with their transposes) are likewise built once per
-projector matrix and shared read-only by every model holding it.
+every gradient in the package relies on.
 """
 
 import dataclasses
@@ -16,7 +14,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import FileFormatError
-from .util import NumericalAbort, atomic_write
+from .util import NumericalAbort, atomic_write, read_only
 
 __all__ = [
     "EllipseRegion",
@@ -30,7 +28,6 @@ __all__ = [
     "phantom_model",
     "forward_project",
     "back_project",
-    "subset_blocks",
     "simulate_counts",
     "write_image",
     "read_image",
@@ -182,11 +179,6 @@ class SystemModel:
     def n_pixels(self):
         return self.grid_size * self.grid_size
 
-    @property
-    def weights_t(self):
-        """Transpose in row-major form, shared per projector matrix."""
-        return subset_blocks(self, 1)[0][2]
-
     @cached_property
     def sensitivity(self):
         """Per-pixel sum of mult * A: the EM denominator."""
@@ -199,12 +191,6 @@ class SystemModel:
 
     def sino_shape(self):
         return (self.geometry.n_angles, self.geometry.n_bins)
-
-
-def _read_only(A):
-    for arr in (A.data, A.indices, A.indptr):
-        arr.flags.writeable = False
-    return A
 
 
 _RAY_STEP = 0.5   # sample spacing along rays, in pixel units
@@ -260,7 +246,7 @@ def _assemble_projector(geom, grid_size):
             shape=(geom.n_bins, n * n))
         block.sum_duplicates()
         blocks.append(block.tocsr())
-    return _read_only(sp.vstack(blocks, format="csr"))
+    return read_only(sp.vstack(blocks, format="csr"))
 
 
 def build_system_model(geom, mu_map, norm_seed=None):
@@ -320,29 +306,8 @@ def back_project(model, s):
     s = np.asarray(s, dtype=float)
     if s.size != model.n_rows:
         raise ValueError(f"sinogram has {s.size} bins, model expects {model.n_rows}")
-    img = model.weights_t @ (model.mult_factors * s.ravel())
+    img = model.weights.T @ (model.mult_factors * s.ravel())
     return img.reshape((model.grid_size, model.grid_size))
-
-
-def subset_blocks(model, n_subsets):
-    """One (rows, A[rows], A[rows]^T) per OSEM subset s, whose rows are
-    those of angles s, s + n_subsets, ...  Both keep the term order of A
-    and A^T, so subset projections add the same terms in the same order
-    as full ones.  Built once per projector matrix and subset count and
-    shared read-only by every model holding that matrix; the cache is kept
-    on the matrix object, so it is freed with it."""
-    A, (n_angles, n_bins) = model.weights, model.sino_shape()
-    shared = vars(A).setdefault("_pnprecon_subset_blocks", {})
-    if (n_bins, n_subsets) not in shared:
-        bins = np.arange(A.shape[0]).reshape(n_angles, n_bins)
-        blocks = []
-        for s in range(n_subsets):
-            rows = bins[s::n_subsets].ravel()
-            rows.flags.writeable = False
-            block = A if n_subsets == 1 else _read_only(A[rows])
-            blocks.append((rows, block, _read_only(block.T.tocsr())))
-        shared[n_bins, n_subsets] = tuple(blocks)
-    return shared[n_bins, n_subsets]
 
 
 def _poisson_counter(lam, seed):

@@ -1,6 +1,6 @@
 """Small shared helpers: atomic writes, CSV with pinned float format, seeds,
-and the order-preserving map that runs independent units on every usable
-core."""
+read-only sparse matrices, and the order-preserving map that runs
+independent units on every usable core."""
 
 import contextvars
 import os
@@ -10,7 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 __all__ = ["NumericalAbort", "fmt", "atomic_write", "write_csv", "derive_seed",
-           "N_WORKERS", "ordered_map"]
+           "read_only", "N_WORKERS", "ordered_map"]
 
 
 class NumericalAbort(RuntimeError):
@@ -25,7 +25,9 @@ def fmt(value):
 
 
 def atomic_write(path, data):
-    """Write data, bytes or text, to path through a temporary file."""
+    """Write data, bytes or text, to path through a temporary file, making
+    path's directory first if it is missing."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp"
     with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
         fh.write(data)
@@ -47,6 +49,13 @@ def derive_seed(*keys):
     """Deterministic 63-bit child seed from an ordered key tuple."""
     ss = np.random.SeedSequence([int(k) & 0x7FFFFFFFFFFFFFFF for k in keys])
     return int(ss.generate_state(1, dtype=np.uint64)[0] >> 1)
+
+
+def read_only(A):
+    """A sparse matrix whose data, indices and indptr are made read-only."""
+    for arr in (A.data, A.indices, A.indptr):
+        arr.flags.writeable = False
+    return A
 
 
 def _usable_cores():

@@ -50,7 +50,7 @@ def penalized_solver(lm, v, rho, x0=None, kkt_target=1e-10, max_iters=20000):
     polish on the free set.  Raises if the KKT target is not reached.
     """
     v = np.asarray(v, dtype=float).ravel()
-    mask = lm.mask.ravel()
+    mask = lm.model.mask.ravel()
     n = v.size
     x = np.ones(n) if x0 is None else np.asarray(x0, dtype=float).ravel().copy()
     x[~mask] = 0.0

@@ -108,7 +108,7 @@ def test_criterion_03_prox_oracle_equivalence():
     worst_kkt = 0.0
     for i in range(20):
         activity, lm = make_test_problem(grid=16, seed=310 + i)
-        scale = float(np.mean(lm.sensitivity[lm.mask]))
+        scale = float(np.mean(lm.model.sensitivity[lm.model.mask]))
         rho = scale * rng.uniform(2.0, 5.0)
         # anchor shaped like an ADMM z - u: perturbed on the support,
         # strictly negative in the background (avoids degenerate optima
@@ -224,7 +224,7 @@ def test_criterion_05_power_iteration():
 def test_criterion_06_convex_admm_oracle():
     t0 = time.time()
     activity, lm = make_test_problem(grid=32, n_angles=24, seed=601)
-    scale = float(np.mean(lm.sensitivity[lm.mask]))
+    scale = float(np.mean(lm.model.sensitivity[lm.model.mask]))
     lam = rho = 5.0 * scale
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)

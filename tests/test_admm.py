@@ -60,7 +60,7 @@ def test_single_iteration_matches_hand_stepped_composition():
     u1 = x1 - z1
     np.testing.assert_array_equal(x, x1)
     assert len(hist) == 1
-    mask = lm.mask
+    mask = lm.model.mask
     assert hist.primal[0] == np.linalg.norm((x1 - z1)[mask])
     assert hist.dual[0] == 15.0 * np.linalg.norm((z1 - z0)[mask])
 
@@ -87,7 +87,7 @@ def test_dr_residual_and_secant_match_recorded_states():
     w = lm.model.weights.tolil()
     w[:, 8 * 16 + 8] = 0.0
     lm = recon.LikelihoodModel(model=replace(lm.model, weights=w.tocsr()), y=lm.y)
-    assert not lm.mask[8, 8]
+    assert not lm.model.mask[8, 8]
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     rng = np.random.default_rng(3)
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))

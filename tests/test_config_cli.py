@@ -41,7 +41,6 @@ background_fraction = 0.2
 
 [osem]
 n_iterations = 4
-n_subsets = 4
 
 [net]
 n_layers = 2
@@ -229,8 +228,8 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
 
 
 @pytest.mark.parametrize("line, bad, needle", [
-    ("n_subsets = 4", "n_subsets = 5", r"\[osem\] n_subsets"),
-    ("n_subsets = 4", "n_subsets = abc", r"\[osem\] n_subsets"),
+    ("n_iterations = 4", "n_iterations = 4\nn_subsets = 4",
+     r"unknown key 'n_subsets' in \[osem\]"),
     ("rhos = 10.0,300.0", "rhos = 1,x", r"\[sweep\] rhos"),
     ("count = 3", "count = 1", r"\[phantoms\] count"),
     ("kernel = 3", "kernel = 3\nactivation = tanh", r"\[net\] unknown activation"),
@@ -312,6 +311,28 @@ def test_simulate_dose_beyond_poisson_sampler_aborts(tmp_path, capsys):
     assert not (tmp_path / "runs" / "data" / "manifest.csv").exists()
 
 
+def test_aborted_commands_leave_no_output_directory(tmp_path, capsys):
+    # a command makes its output directory at its first write: one that
+    # aborts before writing leaves none, and a simulate that aborts over an
+    # earlier run's data leaves every file of it as it was
+    huge = tmp_path / "huge.cfg"
+    huge.write_text(TINY_CFG.replace("dose_center = 1.2",
+                                     "dose_center = 1e20\ndose_decades = 0"))
+    assert cli.main(["simulate", "--config", str(huge)]) == 3
+    assert not (tmp_path / "runs").exists()
+    tiny = tmp_path / "tiny.cfg"
+    tiny.write_text(TINY_CFG)
+    assert cli.main(["simulate", "--config", str(tiny)]) == 0
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(tiny), "--phase", "jac"]) == 2
+    assert capsys.readouterr().err.startswith("config error: jac phase requires")
+    assert not (tmp_path / "runs" / "train").exists()
+    data = tmp_path / "runs" / "data"
+    before = {p.name: p.read_bytes() for p in data.iterdir()}
+    assert cli.main(["simulate", "--config", str(huge)]) == 3
+    assert {p.name: p.read_bytes() for p in data.iterdir()} == before
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["reconstruct", "--rho", "-1"], "--rho"),
     (["reconstruct", "--iters", "0"], "--iters"),
@@ -332,8 +353,7 @@ def test_cli_bad_flag_exit_code(tmp_path, capsys, argv, flag):
 def _old_builders(cfg, rho=None, iters=None):
     """The per-command construction that build_experiment replaced."""
     g, o, n, a, s = (cfg[sec] for sec in ("geometry", "osem", "net", "admm", "sweep"))
-    sub = o["n_subsets"]
-    n_sub = recon.default_n_subsets(g["n_angles"]) if sub == "auto" else int(sub)
+    n_sub = recon.default_n_subsets(g["n_angles"])
 
     def train_config(phase):
         sec = cfg[f"train.{phase}"]
@@ -510,6 +530,22 @@ def fuzz_run(tmp_path_factory):
     vec = np.random.default_rng(5).normal(0.0, 0.2, net.n_params(arch))
     net.save_checkpoint(root / "net.ckpt", net.DenoiserParams(arch=arch, vec=vec))
     return root
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["train", "--phase", "pre"],
+                                  ["reconstruct", "--iters", "1"], ["sweep"],
+                                  ["certify", "--n-samples", "2"]])
+def test_out_naming_a_file_exits_2(fuzz_run, tmp_path, capsys, argv):
+    # the file stands where the command would make its output directory
+    out = tmp_path / "out"
+    out.write_bytes(b"a regular file\n")
+    if argv[0] in ("reconstruct", "sweep", "certify"):
+        argv = [*argv, "--checkpoint", str(fuzz_run / "net.ckpt")]
+    capsys.readouterr()
+    rc = cli.main([*argv, "--config", str(fuzz_run / "tiny.cfg"), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert out.read_bytes() == b"a regular file\n"
 
 
 def test_certify_primal_passes(fuzz_run, tmp_path, monkeypatch):

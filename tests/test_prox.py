@@ -29,9 +29,9 @@ def test_zero_counts_give_clipped_quadratic_solution():
     rho = 7.0
     cfg = prox.ProxConfig(rho=rho, n_inner=5)
     x = prox.prox_neg_ll(lm0, v, cfg, np.ones((16, 16)))
-    sens = lm.sensitivity
+    sens = lm.model.sensitivity
     want = np.maximum(0.0, v - sens / rho)
-    want[~lm.mask] = 0.0
+    want[~lm.model.mask] = 0.0
     np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-15)
 
 
@@ -39,7 +39,7 @@ def test_matches_projected_gradient_oracle():
     for seed in (3, 4, 5):
         _, lm = make_test_problem(grid=16, seed=seed)
         rng = np.random.default_rng(seed)
-        scale = float(np.mean(lm.sensitivity[lm.mask]))
+        scale = float(np.mean(lm.model.sensitivity[lm.model.mask]))
         rho = scale * rng.uniform(1.0, 3.0)
         activity, _ = make_test_problem(grid=16, seed=seed)
         v = activity + rng.normal(0.0, 0.3, activity.shape)
@@ -70,7 +70,7 @@ def test_subproblem_objective_compositional_oracle():
     v = rng.normal(0.5, 0.4, activity.shape)
     x = np.abs(rng.normal(0.5, 0.4, activity.shape))
     rho = 2.5
-    mask = lm.mask
+    mask = lm.model.mask
     want = (-recon.log_likelihood(lm, x)
             + 0.5 * rho * float(np.sum((x[mask] - v[mask]) ** 2)))
     got = prox.subproblem_objective(lm, v, rho, x)
@@ -108,7 +108,7 @@ def test_prox_runs_n_inner_iterations_at_exact_fixed_point():
     # exact data and v at the true image make it the minimizer and a fixed
     # point of the surrogate map, so only the cap can end the iterations
     activity, lm = make_test_problem(grid=16, seed=16)
-    x_true = np.where(lm.mask, activity + 0.1, 0.0)
+    x_true = np.where(lm.model.mask, activity + 0.1, 0.0)
     exact = recon.LikelihoodModel(model=lm.model,
                                   y=sim.forward_project(lm.model, x_true))
     its = []
@@ -137,8 +137,8 @@ def test_surrogate_root_rho_zero_is_em_update_bitwise():
     x = recon.uniform_start(lm.model)
     for _ in range(3):
         x = recon.mlem_step(lm, x)
-    sens = lm.sensitivity.ravel()
-    mask = lm.mask.ravel()
+    sens = lm.model.sensitivity.ravel()
+    mask = lm.model.mask.ravel()
     num = recon._em_ratio_backproj(lm.counted, x).ravel()
     b = x.ravel() * num
     em = recon.mlem_step(lm, x).ravel()
@@ -186,7 +186,7 @@ def _full_em_ratio_backproj(lm, x):
 def _full_prox(lm, v, rho, x_init, n_inner):
     """The data step on the whole sinogram: masked gathers and scatters and
     the guarded b-form root, for n_inner iterations."""
-    sens = lm.sensitivity.ravel()
+    sens = lm.model.sensitivity.ravel()
     mask = sens > 0
     x = np.asarray(x_init, dtype=float).ravel().copy()
     pos = x[(x > 0) & mask]
@@ -207,7 +207,7 @@ def _full_prox(lm, v, rho, x_init, n_inner):
 
 
 def _full_mlem_step(lm, x):
-    sens = lm.sensitivity.ravel()
+    sens = lm.model.sensitivity.ravel()
     mask = sens > 0
     x = x.ravel()
     num = _full_em_ratio_backproj(lm, x)
@@ -240,15 +240,15 @@ def test_counted_bins_match_full_sinogram_bitwise():
     hand_activity, hand = _partial_mask_problem()
     empty = recon.LikelihoodModel(model=low.model, y=np.zeros_like(low.y))
     assert np.mean(low.y == 0) >= 0.4 and np.mean(high.y == 0) < 0.1
-    assert hand.mask.any() and not hand.mask.all()
+    assert hand.model.mask.any() and not hand.model.mask.all()
     rng = np.random.default_rng(13)
     for lm, activity in ((low, 0.1 * low_activity), (high, 5.0 * high_activity),
                          (hand, hand_activity), (empty, 0.1 * low_activity)):
         v = activity + rng.normal(0.0, 0.3 * activity.mean(), activity.shape)
-        scale = float(np.mean(lm.sensitivity[lm.mask]))
+        scale = float(np.mean(lm.model.sensitivity[lm.model.mask]))
         signs = set()
         for rho in (0.1 * scale, scale, 10.0 * scale):
-            signs |= set((rho * v - lm.sensitivity)[lm.mask] < 0)
+            signs |= set((rho * v - lm.model.sensitivity)[lm.model.mask] < 0)
             cfg = prox.ProxConfig(rho=rho, n_inner=12)
             _bitwise_equal(prox.prox_neg_ll(lm, v, cfg, np.ones_like(v)),
                            _full_prox(lm, v, rho, np.ones_like(v), 12))
@@ -262,7 +262,7 @@ def test_counted_bins_match_full_sinogram_bitwise():
 
 def test_prox_projects_only_counted_bins(monkeypatch):
     activity, lm = make_test_problem(grid=16, seed=14, dose=0.2)
-    lm.sensitivity                      # cached once per model, as in ADMM
+    lm.model.sensitivity                # cached once per model, as in ADMM
     calls = []
     for name in ("forward_project", "back_project"):
         def counting(*args, _name=name, _fn=getattr(sim, name)):

@@ -252,6 +252,41 @@ def test_osem_subset_loop_makes_no_full_projection(monkeypatch):
     assert calls == {"back_project": 1}
 
 
+def _same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("all_counted", [False, True])
+def test_row_blocks_match_direct_construction_bitwise(all_counted):
+    # counted and every OSEM subset block against A[rows] and its transpose
+    # built directly; with counts in every bin, counted is A itself
+    _, lm = make_test_problem(grid=16, n_angles=12, seed=16, dose=0.1)
+    A = lm.model.weights
+    if all_counted:
+        lm = recon.LikelihoodModel(model=lm.model, y=np.ones(A.shape[0]))
+    else:
+        assert np.mean(lm.y == 0) >= 0.3
+    rows = np.flatnonzero(lm.y > 0)
+    want, got = [(rows, A[rows], A[rows].T.tocsr())], [lm.counted[:3]]
+    bins = np.arange(A.shape[0]).reshape(12, -1)
+    for n_subsets in (1, 2, 4, 12):
+        for s, block in enumerate(recon.subset_blocks(lm.model, n_subsets)):
+            r = bins[s::n_subsets].ravel()
+            a = A if n_subsets == 1 else A[r]
+            want.append((r, a, a.T.tocsr()))
+            got.append(block)
+    for (g_rows, g_a, g_at), (w_rows, w_a, w_at) in zip(got, want, strict=True):
+        assert g_rows.dtype == w_rows.dtype and g_rows.tobytes() == w_rows.tobytes()
+        _same_csr(g_a, w_a)
+        _same_csr(g_at, w_at)
+    m = lm.model
+    for g, w in zip(lm.counted[3:], (m.mult_factors, m.background, lm.y.ravel())):
+        np.testing.assert_array_equal(g, w[rows])
+    assert (lm.counted[1] is A) == all_counted
+
+
 def test_default_n_subsets():
     assert recon.default_n_subsets(48) == 12
     assert recon.default_n_subsets(56) == 14

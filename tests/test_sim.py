@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pnprecon import sim, train
+from pnprecon import recon, sim, train
 from pnprecon.config import FileFormatError
 from oracles import make_test_problem
 
@@ -191,20 +191,19 @@ def test_projector_shared_per_geometry_and_read_only():
     assert a.weights is b.weights
     with pytest.raises(ValueError):
         a.weights.data[0] = 1.0
-    # the transpose and the OSEM subset blocks are built once per matrix and
-    # shared, read-only, also by the copies with_background and item_model make
+    # the OSEM subset blocks are built once per matrix and shared, read-only,
+    # also by the copies with_background and item_model make
     models = [a, b, sim.with_background(a, np.ones((16, 16)), 0.2),
               train.item_model(b, 2.0)]
     for m in models:
-        assert m.weights_t is a.weights_t
-        assert sim.subset_blocks(m, 4) is sim.subset_blocks(a, 4)
-    mats = [a.weights_t] + [mat for _, *pair in sim.subset_blocks(a, 4) for mat in pair]
-    assert len(mats) == 9
+        assert recon.subset_blocks(m, 4) is recon.subset_blocks(a, 4)
+    mats = [mat for _, *pair in recon.subset_blocks(a, 4) for mat in pair]
+    assert len(mats) == 8
     for mat in mats:
         for arr in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-    for rows, _, _ in sim.subset_blocks(a, 4):
+    for rows, _, _ in recon.subset_blocks(a, 4):
         with pytest.raises(ValueError):
             rows[0] = 0
 
@@ -241,9 +240,12 @@ def _global_coo_projector(geom, n):
     return A.tocsr()
 
 
-@pytest.mark.parametrize("n_angles,n_bins,bin_width,grid", [
-    (8, 23, 1.0, 16), (12, 30, 1.6, 16), (10, 48, 1.0, 33), (48, 69, 1.0, 48),
-    (7, 80, 0.9, 48)])
+# odd and even n_bins, bin widths other than 1, and the demo geometry
+GEOMETRIES = [(8, 23, 1.0, 16), (12, 30, 1.6, 16), (10, 48, 1.0, 33),
+              (48, 69, 1.0, 48), (7, 80, 0.9, 48)]
+
+
+@pytest.mark.parametrize("n_angles,n_bins,bin_width,grid", GEOMETRIES)
 def test_per_angle_projector_matches_global_coo(n_angles, n_bins, bin_width, grid):
     # odd and even n_bins, bin widths other than 1: the same arrays, bit for
     # bit, as summing all duplicates of one global COO matrix
@@ -255,6 +257,23 @@ def test_per_angle_projector_matches_global_coo(n_angles, n_bins, bin_width, gri
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("n_angles,n_bins,bin_width,grid", GEOMETRIES)
+def test_back_project_matches_stored_transpose_bitwise(n_angles, n_bins, bin_width,
+                                                       grid):
+    # A's transpose view adds each pixel's terms in row order from 0, as a
+    # product with the row-major transpose A.T.tocsr() does
+    geom = sim.GeometryConfig(n_angles=n_angles, n_bins=n_bins, bin_width=bin_width)
+    activity, mu = sim.make_phantom(sim.random_phantom_spec(grid, seed=5))
+    model = sim.phantom_model(geom, activity, mu, norm_seed=6, background_fraction=0.2)
+    at = model.weights.T.tocsr()
+    s = np.random.default_rng(7).normal(0.0, 2.0, model.n_rows)
+    for sino, got in ((s, sim.back_project(model, s)),
+                      (np.ones(model.n_rows), model.sensitivity)):
+        want = at @ (model.mult_factors * sino)
+        assert got.shape == (grid, grid)
+        assert got.ravel().tobytes() == want.tobytes()
 
 
 def test_projector_assembly_peak_memory():
