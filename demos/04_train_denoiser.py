@@ -26,14 +26,11 @@ params = net.init_params(arch, seed=1, scale=0.3)
 
 def certify(tag, params, n=40):
     rng = np.random.default_rng(99)
-    test = dataset.split("test")
-    sigmas = []
-    for j in range(n):
-        item = test[j % len(test)]
-        out = net.forward(params, item.x_noisy)
-        sigmas.append(train.sigma_at_tilde(params, item.x_ref, out,
-                                           train.draw_tilde(rng), 20)[1])
-    sigmas = np.array(sigmas)
+    points = [(item.x_ref, net.forward(params, item.x_noisy))
+              for item in dataset.split("test")]
+    sigmas = np.array([sigma for sigma, _ in train.sample_sigmas(
+        params, [points[j % len(points)] for j in range(n)],
+        [train.draw_tilde(rng) for _ in range(n)], 20)])
     print(f"{tag}: sigma(2D - Id) over {n} test points: "
           f"min {sigmas.min():.3f}, mean {sigmas.mean():.3f}, "
           f"max {sigmas.max():.3f}, share <= 1.05: {np.mean(sigmas <= 1.05):.0%}")
@@ -41,15 +38,16 @@ def certify(tag, params, n=40):
 
 pre_cfg = train.TrainConfig(phase="pre", epochs=30, learning_rate=5e-3,
                             batch_size=1, seed=2, sigma_eval_samples=4)
+MSE, PEN = train.LOG_HEADER.index("loss_mse"), train.LOG_HEADER.index("loss_pen")
 params_pre, log_pre = train.train_phase(params, dataset, pre_cfg)
-print(f"supervised phase: per-item MSE {log_pre.rows[0]['loss_mse']:.1f} -> "
-      f"{log_pre.rows[-1]['loss_mse']:.1f}")
+print(f"supervised phase: per-item MSE {log_pre[0][MSE]:.1f} -> "
+      f"{log_pre[-1][MSE]:.1f}")
 certify("after supervised phase", params_pre)
 
 jac_cfg = train.TrainConfig(phase="jac", epochs=14, learning_rate=2e-3,
                             batch_size=4, beta=10.0, alpha=0.1, epsilon=0.05,
                             power_iters=10, seed=3, sigma_eval_samples=4)
 params_jac, log_jac = train.train_phase(params_pre, dataset, jac_cfg)
-print(f"constrained phase: hinge penalty {log_jac.rows[0]['loss_pen']:.4f} -> "
-      f"{log_jac.rows[-1]['loss_pen']:.4f}")
+print(f"constrained phase: hinge penalty {log_jac[0][PEN]:.4f} -> "
+      f"{log_jac[-1][PEN]:.4f}")
 certify("after constrained phase", params_jac)

@@ -21,8 +21,8 @@ import numpy as np
 from . import net, prox, recon
 from .util import NumericalAbort, ordered_map
 
-__all__ = ["AdmmConfig", "AdmmState", "History", "CURVE_HEADER",
-           "SUMMARY_HEADER", "admm_pnp", "rho_sweep", "curve_rows", "summary_row"]
+__all__ = ["AdmmConfig", "AdmmState", "History", "CURVE_HEADER", "SUMMARY_HEADER",
+           "admm_pnp", "run_all", "rho_sweep", "curve_rows", "summary_row"]
 
 
 @dataclass(frozen=True)
@@ -172,19 +172,28 @@ def _is_monotone(curve, slack=0.05):
     return bool(np.all(c[1:] <= c[:-1] * (1.0 + slack)))
 
 
-def rho_sweep(lm, denoiser, rhos, cfg, z0=None, x_ref=None):
-    """One History per rho, each from admm_pnp run with cfg at that rho.
+def run_all(runs, denoiser):
+    """(x, History) of admm_pnp for each run (name, lm, cfg, z0, x_ref),
+    lazily and in input order; the runs go in parallel (util.ordered_map)
+    and a NumericalAbort names the first failing run in input order."""
+    runs = list(runs)
+    for _, lm, _, _, _ in runs:
+        lm.counted, lm.model.mask    # build the cached blocks before the fan-out
 
-    The runs share nothing but lm and run in parallel (util.ordered_map);
-    a NumericalAbort names the first failing rho in input order."""
+    def run(args):
+        name, lm, cfg, z0, x_ref = args
+        try:
+            return admm_pnp(lm, denoiser, cfg, z0=z0, x_ref=x_ref)
+        except NumericalAbort as exc:
+            raise NumericalAbort(f"{name}: {exc}") from exc
+    return ordered_map(run, runs)
+
+
+def rho_sweep(lm, denoiser, rhos, cfg, z0=None, x_ref=None):
+    """One History per rho, each from admm_pnp run with cfg at that rho,
+    through run_all with each run named rho = <rho>."""
     cfgs = [replace(cfg, rho=rho) for rho in rhos]
     if not cfgs:
         raise ValueError("rhos must be nonempty")
-    lm.counted, lm.model.mask    # build the cached blocks once, before the fan-out
-
-    def run(c):
-        try:
-            return admm_pnp(lm, denoiser, c, z0=z0, x_ref=x_ref)[1]
-        except NumericalAbort as exc:
-            raise NumericalAbort(f"rho = {c.rho:g}: {exc}") from exc
-    return list(ordered_map(run, cfgs))
+    return [hist for _, hist in run_all(
+        [(f"rho = {c.rho:g}", lm, c, z0, x_ref) for c in cfgs], denoiser)]

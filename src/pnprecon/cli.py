@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, admm, net, recon, sim, train
 from .config import ConfigError, FileFormatError, config_hash, load_config
-from .util import NumericalAbort, atomic_write, derive_seed, ordered_map, write_csv
+from .util import NumericalAbort, atomic_write, derive_seed, write_csv
 
 __all__ = ["main"]
 
@@ -156,7 +156,17 @@ def cmd_simulate(exp, out_dir):
     return 0
 
 
-def _load_dataset(data_dir):
+def _read_grid_image(data_dir, name, grid_size):
+    """The image name in data_dir, checked to be grid_size x grid_size if given."""
+    path = os.path.join(data_dir, name)
+    image = sim.read_image(path)
+    if grid_size is not None and image.shape != (grid_size, grid_size):
+        raise FileFormatError(f"{path}: a {image.shape[0]}x{image.shape[1]} "
+                              f"image, not [phantoms] grid_size {grid_size}")
+    return image
+
+
+def _load_dataset(data_dir, grid_size=None):
     manifest = os.path.join(data_dir, "manifest.csv")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest at {manifest}; run simulate first")
@@ -178,9 +188,8 @@ def _load_dataset(data_dir):
             raise FileFormatError(
                 f"{manifest}: line {lineno}: malformed row: {exc}") from exc
         counts = sim.read_image(os.path.join(data_dir, f"item{i:03d}_counts.img"))
-        x_noisy = sim.read_image(os.path.join(data_dir, f"item{i:03d}_osem.img"))
-        activity = sim.read_image(
-            os.path.join(data_dir, f"phantom{p:02d}_activity.img"))
+        x_noisy = _read_grid_image(data_dir, f"item{i:03d}_osem.img", grid_size)
+        activity = _read_grid_image(data_dir, f"phantom{p:02d}_activity.img", grid_size)
         items.append(train.DatasetItem(
             phantom_id=p, dose_scale=dose, seed=seed, counts=counts,
             x_noisy=x_noisy, x_ref=dose * activity, split=split))
@@ -189,7 +198,7 @@ def _load_dataset(data_dir):
 
 def cmd_train(exp, phase, out_dir):
     out_dir = out_dir or exp.paths["train"]
-    dataset = _load_dataset(exp.paths["data"])
+    dataset = _load_dataset(exp.paths["data"], exp.cfg["phantoms"]["grid_size"])
     if not dataset.split("train"):
         raise ConfigError("dataset has no training items")
     tc = exp.train[phase]
@@ -201,12 +210,12 @@ def cmd_train(exp, phase, out_dir):
         if not os.path.exists(pre_path):
             raise ConfigError(f"jac phase requires {pre_path}; train pre first")
         params0 = net.load_checkpoint(pre_path)
-    params, log = train.train_phase(params0, dataset, tc)
+    params, rows = train.train_phase(params0, dataset, tc)
     net.save_checkpoint(os.path.join(out_dir, f"{phase}.ckpt"), params)
     write_csv(os.path.join(out_dir, f"train_{phase}.csv"),
-              train.TrainingLog.HEADER, log.as_rows(), comment=log.adam_constants)
+              train.LOG_HEADER, rows, comment=train.ADAM_CONSTANTS)
     _write_provenance(out_dir, exp)
-    last = log.rows[-1]
+    last = dict(zip(train.LOG_HEADER, rows[-1]))
     print(f"train {phase}: {tc.epochs} epochs, final loss {last['loss_total']:.6g}, "
           f"test mse {last['test_mse']:.6g}, checkpoint {phase}.ckpt")
     return 0
@@ -241,28 +250,21 @@ def _likelihood_for_item(exp, item):
 
 def cmd_reconstruct(exp, checkpoint, out_dir):
     out_dir = out_dir or exp.paths["recon"]
-    dataset = _load_dataset(exp.paths["data"])
+    dataset = _load_dataset(exp.paths["data"], exp.cfg["phantoms"]["grid_size"])
     params = net.load_checkpoint(checkpoint)
     rho, iters = exp.admm.rho, exp.admm.n_iterations
     sims = [(item_idx, item, _likelihood_for_item(exp, item))
             for item_idx, item in _select_test_sims(exp, dataset)]
-    for _, _, lm in sims:
-        lm.counted, lm.model.mask   # build the cached blocks before the fan-out
-
-    def run(sim_):
-        item_idx, item, lm = sim_
-        try:
-            x, hist = admm.admm_pnp(lm, params, exp.admm, z0=item.x_noisy,
-                                    x_ref=item.x_ref)
-        except NumericalAbort as exc:
-            raise NumericalAbort(f"item {item_idx:03d}: {exc}") from exc
-        return x, hist, recon.gaussian_postfilter_sweep(
-            item.x_noisy, item.x_ref, exp.filter_sigmas)
-
+    runs = admm.run_all([(f"item {i:03d}", lm, exp.admm, item.x_noisy, item.x_ref)
+                         for i, item, lm in sims], params)
     summary = []
     # outputs are written in item order as the parallel runs finish
-    for (item_idx, item, lm), (x, hist, (best_sigma, x_filt)) in zip(
-            sims, ordered_map(run, sims)):
+    for (item_idx, item, lm), (x, hist) in zip(sims, runs):
+        try:
+            best_sigma, x_filt = recon.gaussian_postfilter_sweep(
+                item.x_noisy, item.x_ref, exp.filter_sigmas)
+        except NumericalAbort as exc:
+            raise NumericalAbort(f"item {item_idx:03d}: {exc}") from exc
         tag = f"item{item_idx:03d}"
         write_csv(os.path.join(out_dir, f"{tag}_history.csv"),
                   admm.History.HEADER, hist.as_rows())
@@ -288,7 +290,7 @@ def cmd_reconstruct(exp, checkpoint, out_dir):
 
 def cmd_sweep(exp, checkpoint, out_dir):
     out_dir = out_dir or exp.paths["sweep"]
-    dataset = _load_dataset(exp.paths["data"])
+    dataset = _load_dataset(exp.paths["data"], exp.cfg["phantoms"]["grid_size"])
     params = net.load_checkpoint(checkpoint)
     item_idx, item = _select_test_sims(exp, dataset)[0]
     lm = _likelihood_for_item(exp, item)
@@ -308,27 +310,22 @@ def cmd_sweep(exp, checkpoint, out_dir):
 
 def cmd_certify(exp, checkpoint, out_dir):
     out_dir = out_dir or exp.paths["certify"]
-    dataset = _load_dataset(exp.paths["data"])
+    dataset = _load_dataset(exp.paths["data"], exp.cfg["phantoms"]["grid_size"])
     params = net.load_checkpoint(checkpoint)
     test_items = dataset.split("test")
     if not test_items:
         raise ConfigError("dataset has no test items")
-    points = [(item, net.forward(params, item.x_noisy)) for item in test_items]
+    points = [(item.x_ref, net.forward(params, item.x_noisy)) for item in test_items]
     rng = np.random.default_rng(derive_seed(exp.cfg.seed, 401))
     n_samples = exp.n_samples
-    picks = [points[j % len(points)] for j in range(n_samples)]
+    picks = [j % len(points) for j in range(n_samples)]    # round robin
     draws = [train.draw_tilde(rng) for _ in picks]
-
-    def sample_sigma(j):
-        item, out = picks[j]
-        _, sigma, _, steps = train.sigma_at_tilde(
-            params, item.x_ref, out, draws[j], exp.certify_power_iters)
-        return sigma, steps
     rows = []
-    for j, (sigma, steps) in enumerate(ordered_map(sample_sigma, range(n_samples))):
+    for j, (sigma, steps) in enumerate(train.sample_sigmas(
+            params, [points[i] for i in picks], draws, exp.certify_power_iters)):
         if not np.isfinite(sigma):
             raise NumericalAbort(f"non-finite sigma at sample {j}")
-        rows.append([j, picks[j][0].phantom_id, draws[j][0], steps, sigma])
+        rows.append([j, test_items[picks[j]].phantom_id, draws[j][0], steps, sigma])
     sigmas = [row[4] for row in rows]
     n_capped = sum(row[3] == exp.certify_power_iters for row in rows)
     write_csv(os.path.join(out_dir, "certify.csv"),

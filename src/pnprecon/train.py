@@ -3,7 +3,7 @@ two-phase protocol (PRE: supervised MSE only; JAC: MSE plus the
 nonexpansiveness hinge on the sampled Jacobian spectral norm)."""
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,18 +19,24 @@ __all__ = [
     "sample_tilde",
     "draw_tilde",
     "sigma_at_tilde",
+    "sample_sigmas",
     "loss_and_grad",
     "adam_step",
     "train_phase",
-    "TrainingLog",
+    "LOG_HEADER",
     "ADAM_BETA1",
     "ADAM_BETA2",
     "ADAM_EPS",
+    "ADAM_CONSTANTS",
 ]
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_CONSTANTS = f"adam_beta1={ADAM_BETA1},adam_beta2={ADAM_BETA2},adam_eps={ADAM_EPS}"
+# the columns of the training log, one row per epoch
+LOG_HEADER = ("epoch", "loss_total", "loss_mse", "loss_pen",
+              "test_mse", "test_sigma_max", "test_sigma_mean")
 
 
 @dataclass(frozen=True)
@@ -151,6 +157,17 @@ def sigma_at_tilde(params, x_ref, d_out, draw, power_iters, u0=None):
                                         u0=u0)
 
 
+def sample_sigmas(params, points, draws, power_iters):
+    """(sigma, steps) of sigma_at_tilde, started cold, at each (x_ref, d_out)
+    point with its draw, lazily and in input order; the points run in
+    parallel (util.ordered_map), and closing early cancels those not started."""
+    def unit(args):
+        (x_ref, d_out), draw = args
+        _, sigma, _, steps = sigma_at_tilde(params, x_ref, d_out, draw, power_iters)
+        return sigma, steps
+    return ordered_map(unit, zip(points, draws))
+
+
 def loss_and_grad(params, batch, cfg, rng, power_warm=None):
     """Batch loss  sum_b ||D(x_b) - ref_b||^2 + beta * hinge_b  and gradient.
 
@@ -226,22 +243,9 @@ def adam_step(params_vec, grad_vec, state, lr):
     return new_vec, AdamState(m=m, v=v, step=step)
 
 
-@dataclass
-class TrainingLog:
-    adam_constants: str
-    rows: list = field(default_factory=list)   # per-epoch dict rows
-
-    HEADER = ("epoch", "loss_total", "loss_mse", "loss_pen",
-              "test_mse", "test_sigma_max", "test_sigma_mean")
-
-    def as_rows(self):
-        return [[r[k] for k in self.HEADER] for r in self.rows]
-
-
 def _test_metrics(params, test_items, cfg, rng):
     """Mean test MSE plus sampled test spectral norms for the epoch log;
-    the item picks and draws come from rng in order, the samples run in
-    parallel."""
+    the item picks and draws come from rng in order."""
     if not test_items:
         return float("nan"), float("nan"), float("nan")
     outs = [net.forward(params, item.x_noisy) for item in test_items]
@@ -249,19 +253,16 @@ def _test_metrics(params, test_items, cfg, rng):
     n = len(test_items)
     picks = [(int(rng.integers(n)), draw_tilde(rng))    # the item, then its draw
              for _ in range(min(cfg.sigma_eval_samples, n))]
-
-    def sample_sigma(pick):
-        idx, draw = pick
-        return sigma_at_tilde(params, test_items[idx].x_ref, outs[idx], draw,
-                              cfg.power_iters)[1]
-    sigmas = list(ordered_map(sample_sigma, picks))
+    sigmas = [sigma for sigma, _ in sample_sigmas(
+        params, [(test_items[i].x_ref, outs[i]) for i, _ in picks],
+        [draw for _, draw in picks], cfg.power_iters)]
     return (float(np.mean(mses)),
             float(np.max(sigmas)) if sigmas else float("nan"),
             float(np.mean(sigmas)) if sigmas else float("nan"))
 
 
 def train_phase(params0, dataset, cfg):
-    """Epoch loop over shuffled seeded batches; returns (params, log)."""
+    """Epoch loop over shuffled seeded batches; returns (params, log rows)."""
     train_items = dataset.split("train")
     test_items = dataset.split("test")
     if not train_items:
@@ -269,8 +270,7 @@ def train_phase(params0, dataset, cfg):
     rng = np.random.default_rng(cfg.seed)
     vec = net.params_to_vector(params0)
     state = AdamState.zeros(vec.size)
-    log = TrainingLog(adam_constants=(
-        f"adam_beta1={ADAM_BETA1},adam_beta2={ADAM_BETA2},adam_eps={ADAM_EPS}"))
+    rows = []
     power_warm = {}
     arch = params0.arch
     n = len(train_items)
@@ -294,13 +294,6 @@ def train_phase(params0, dataset, cfg):
             tot_pen += pen_part
         params = net.vector_to_params(arch, vec)
         test_mse, sig_max, sig_mean = _test_metrics(params, test_items, cfg, rng)
-        log.rows.append({
-            "epoch": epoch,
-            "loss_total": tot / n,
-            "loss_mse": tot_mse / n,
-            "loss_pen": tot_pen / n,
-            "test_mse": test_mse,
-            "test_sigma_max": sig_max,
-            "test_sigma_mean": sig_mean,
-        })
-    return net.vector_to_params(arch, vec), log
+        rows.append([epoch, tot / n, tot_mse / n, tot_pen / n,
+                     test_mse, sig_max, sig_mean])
+    return params, rows

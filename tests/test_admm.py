@@ -274,6 +274,31 @@ def test_rho_sweep_matches_serial_loop_bitwise(start):
         assert g.as_rows() == w.as_rows()
 
 
+def test_run_all_matches_serial_runs_bitwise():
+    # three items, each with its own model, rho, start and reference,
+    # against the serial admm_pnp loop on separately built models
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    params = net.vector_to_params(
+        arch, np.random.default_rng(8).normal(0, 0.2, net.n_params(arch)))
+    cfg = admm.AdmmConfig(1.0, n_iterations=5, n_inner=5)
+
+    def runs():
+        out = []
+        for seed, rho in ((16, 3.0), (17, 30.0), (18, 300.0)):
+            activity, lm = make_test_problem(grid=16, seed=seed)
+            z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+            out.append((f"item {seed}", lm, replace(cfg, rho=rho), z0, activity))
+        return out
+    want = [admm.admm_pnp(lm, params, c, z0=z0, x_ref=ref)
+            for _, lm, c, z0, ref in runs()]
+    got = list(admm.run_all(runs(), params))
+    assert len(got) == 3
+    for (x_got, h_got), (x_want, h_want) in zip(got, want):
+        assert x_got.tobytes() == x_want.tobytes()
+        assert h_got == h_want       # every recorded list, float for float
+        assert h_got.as_rows() == h_want.as_rows()
+
+
 def test_rho_sweep_stress_more_workers_than_cores(monkeypatch):
     # 8 workers, a 1 us switch interval and z0 = None on a fresh projector,
     # so the runs race to build its shared subset-block cache: the

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from pnprecon import admm, cli, net, prox, recon, sim, train
 from pnprecon.config import (ConfigError, canonical_text, config_hash,
                              load_config, parse_config)
-from pnprecon.util import derive_seed, write_csv
+from pnprecon.util import NumericalAbort, derive_seed, write_csv
 from test_acceptance import _run_python
 
 DEMO_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
@@ -476,7 +476,8 @@ def _truncate(path):
                                   "checkpoint-huge-layer-count",
                                   "osem-image-truncated", "osem-image-nan-pixel",
                                   "mu-negative-pixel", "manifest-not-utf8",
-                                  "manifest-bad-split"])
+                                  "manifest-bad-split", "osem-image-wrong-shape",
+                                  "activity-wrong-shape"])
 def test_cli_file_error_exit_code(tmp_path, capsys, case):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CFG)
@@ -502,6 +503,13 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
     elif case == "mu-negative-pixel":
         mu = tmp_path / "runs" / "data" / "phantom02_mu.img"
         sim.write_image(mu, -sim.read_image(mu))
+    elif case == "osem-image-wrong-shape":
+        # a valid 10x10 image on the 16x16 grid, for test item 4 (phantom 2)
+        sim.write_image(tmp_path / "runs" / "data" / "item004_osem.img",
+                        np.ones((10, 10)))
+    elif case == "activity-wrong-shape":
+        sim.write_image(tmp_path / "runs" / "data" / "phantom02_activity.img",
+                        np.ones((10, 10)))
     elif case == "manifest-not-utf8":
         manifest = tmp_path / "runs" / "data" / "manifest.csv"
         manifest.write_bytes(b"\xe9" + manifest.read_bytes()[1:])
@@ -838,6 +846,37 @@ def test_reconstruct_abort_names_first_failing_item(tmp_path, capsys, monkeypatc
         "non-finite denoiser input at iteration 2\n")
     assert sorted(p.name for p in out.iterdir()) == [
         f"{tags[0]}_{name}" for name in
+        ("admm.img", "admm.pgm", "history.csv", "osem_filtered.img")]
+
+
+def test_reconstruct_postfilter_abort_names_its_item(tmp_path, capsys, monkeypatch):
+    # the second test sim's Gaussian post-filter finds no finite MSE: the
+    # message names that item, and only the first one's files are written
+    cfg_path = tmp_path / "tiny.cfg"
+    cfg_path.write_text(TINY_CFG)
+    assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    net.save_checkpoint(tmp_path / "net.ckpt", net.init_params(arch, seed=1, scale=0.2))
+    exp = cli.build_experiment(load_config(str(cfg_path)), {})
+    sims = cli._select_test_sims(exp, cli._load_dataset(exp.paths["data"]))
+    assert len(sims) == 2
+    failing = sims[1][1].x_noisy
+    original = recon.gaussian_postfilter_sweep
+
+    def patched(x_osem, x_ref, sigmas):
+        if np.array_equal(x_osem, failing):
+            raise NumericalAbort("no filter sigma gives a finite MSE")
+        return original(x_osem, x_ref, sigmas)
+    monkeypatch.setattr(recon, "gaussian_postfilter_sweep", patched)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = cli.main(["reconstruct", "--iters", "1", "--config", str(cfg_path),
+                   "--checkpoint", str(tmp_path / "net.ckpt"), "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"numerical abort: item {sims[1][0]:03d}: no filter sigma gives a finite MSE\n")
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"item{sims[0][0]:03d}_{name}" for name in
         ("admm.img", "admm.pgm", "history.csv", "osem_filtered.img")]
 
 

@@ -272,6 +272,28 @@ def test_test_metrics_match_serial_loop_bitwise():
     assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
+def test_sample_sigmas_matches_serial_loop_bitwise():
+    # certify's sampling: round-robin picks over the test points, every
+    # draw taken in order before the samples run, each sample started cold
+    ds = tiny_dataset(n_phantoms=3, n_doses=3)
+    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+    params = net.vector_to_params(
+        arch, np.random.default_rng(29).normal(0, 0.5, net.n_params(arch)))
+    points = [(it.x_ref, net.forward(params, it.x_noisy)) for it in ds.split("test")]
+    assert len(points) == 3
+    picks = [points[j % len(points)] for j in range(7)]
+    rng = np.random.default_rng(30)
+    draws = [train.draw_tilde(rng) for _ in picks]
+    got = list(train.sample_sigmas(params, picks, draws, 6))
+
+    want = []
+    for (x_ref, out), draw in zip(picks, draws):
+        _, sigma, _, steps = train.sigma_at_tilde(params, x_ref, out, draw, 6)
+        want.append((sigma, steps))
+    assert got == want
+    assert len({sigma for sigma, _ in got}) == 7
+
+
 def test_full_loss_gradient_matches_finite_differences():
     ds = tiny_dataset(grid=16)
     arch = net.ArchConfig(n_layers=2, channels=2, kernel=3)
@@ -355,12 +377,11 @@ def test_train_pre_reduces_mse_on_toy_set():
     params0 = net.init_params(arch, seed=8, scale=0.3)
     cfg = _pre_cfg(epochs=30, learning_rate=1e-2, seed=9)
     params, log = train.train_phase(params0, ds, cfg)
-    assert len(log.rows) == 30
-    first = log.rows[0]["loss_mse"]
-    last = log.rows[-1]["loss_mse"]
+    assert len(log) == 30
+    first = log[0][train.LOG_HEADER.index("loss_mse")]
+    last = log[-1][train.LOG_HEADER.index("loss_mse")]
     assert last <= 0.5 * first
-    cols = set(train.TrainingLog.HEADER)
-    assert set(log.rows[0]) == cols
+    assert all(len(row) == len(train.LOG_HEADER) for row in log)
 
 
 def test_train_jac_enforces_sigma_on_toy_set():
@@ -373,7 +394,7 @@ def test_train_jac_enforces_sigma_on_toy_set():
     jac, log = train.train_phase(pre, ds, _jac_cfg(
         epochs=14, learning_rate=5e-3, batch_size=5, seed=10,
         sigma_eval_samples=2))
-    assert len(log.rows) == 14
+    assert len(log) == 14
     rng = np.random.default_rng(99)
     test = ds.split("test")
     sigmas = []
@@ -398,7 +419,7 @@ def test_train_reproducible():
     p2, log2 = train.train_phase(params0, ds, cfg)
     np.testing.assert_array_equal(net.params_to_vector(p1),
                                   net.params_to_vector(p2))
-    assert log1.rows == log2.rows
+    assert log1 == log2
 
 
 def test_train_jac_penalty_inactive_matches_pre_gradient():
