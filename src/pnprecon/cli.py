@@ -157,16 +157,17 @@ def cmd_simulate(exp, out_dir):
 
 
 def _read_grid_image(data_dir, name, grid_size):
-    """The image name in data_dir, checked to be grid_size x grid_size if given."""
+    """The image name in data_dir, checked to be grid_size x grid_size."""
     path = os.path.join(data_dir, name)
     image = sim.read_image(path)
-    if grid_size is not None and image.shape != (grid_size, grid_size):
+    if image.shape != (grid_size, grid_size):
         raise FileFormatError(f"{path}: a {image.shape[0]}x{image.shape[1]} "
                               f"image, not [phantoms] grid_size {grid_size}")
     return image
 
 
-def _load_dataset(data_dir, grid_size=None):
+def _load_dataset(exp):
+    data_dir, grid_size = exp.paths["data"], exp.cfg["phantoms"]["grid_size"]
     manifest = os.path.join(data_dir, "manifest.csv")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest at {manifest}; run simulate first")
@@ -198,7 +199,7 @@ def _load_dataset(data_dir, grid_size=None):
 
 def cmd_train(exp, phase, out_dir):
     out_dir = out_dir or exp.paths["train"]
-    dataset = _load_dataset(exp.paths["data"], exp.cfg["phantoms"]["grid_size"])
+    dataset = _load_dataset(exp)
     if not dataset.split("train"):
         raise ConfigError("dataset has no training items")
     tc = exp.train[phase]
@@ -215,9 +216,9 @@ def cmd_train(exp, phase, out_dir):
     write_csv(os.path.join(out_dir, f"train_{phase}.csv"),
               train.LOG_HEADER, rows, comment=train.ADAM_CONSTANTS)
     _write_provenance(out_dir, exp)
-    last = dict(zip(train.LOG_HEADER, rows[-1]))
-    print(f"train {phase}: {tc.epochs} epochs, final loss {last['loss_total']:.6g}, "
-          f"test mse {last['test_mse']:.6g}, checkpoint {phase}.ckpt")
+    loss, mse = (rows[-1][train.LOG_HEADER.index(k)] for k in ("loss_total", "test_mse"))
+    print(f"train {phase}: {tc.epochs} epochs, final loss {loss:.6g}, "
+          f"test mse {mse:.6g}, checkpoint {phase}.ckpt")
     return 0
 
 
@@ -250,7 +251,7 @@ def _likelihood_for_item(exp, item):
 
 def cmd_reconstruct(exp, checkpoint, out_dir):
     out_dir = out_dir or exp.paths["recon"]
-    dataset = _load_dataset(exp.paths["data"], exp.cfg["phantoms"]["grid_size"])
+    dataset = _load_dataset(exp)
     params = net.load_checkpoint(checkpoint)
     rho, iters = exp.admm.rho, exp.admm.n_iterations
     sims = [(item_idx, item, _likelihood_for_item(exp, item))
@@ -290,7 +291,7 @@ def cmd_reconstruct(exp, checkpoint, out_dir):
 
 def cmd_sweep(exp, checkpoint, out_dir):
     out_dir = out_dir or exp.paths["sweep"]
-    dataset = _load_dataset(exp.paths["data"], exp.cfg["phantoms"]["grid_size"])
+    dataset = _load_dataset(exp)
     params = net.load_checkpoint(checkpoint)
     item_idx, item = _select_test_sims(exp, dataset)[0]
     lm = _likelihood_for_item(exp, item)
@@ -310,15 +311,14 @@ def cmd_sweep(exp, checkpoint, out_dir):
 
 def cmd_certify(exp, checkpoint, out_dir):
     out_dir = out_dir or exp.paths["certify"]
-    dataset = _load_dataset(exp.paths["data"], exp.cfg["phantoms"]["grid_size"])
+    dataset = _load_dataset(exp)
     params = net.load_checkpoint(checkpoint)
     test_items = dataset.split("test")
     if not test_items:
         raise ConfigError("dataset has no test items")
     points = [(item.x_ref, net.forward(params, item.x_noisy)) for item in test_items]
     rng = np.random.default_rng(derive_seed(exp.cfg.seed, 401))
-    n_samples = exp.n_samples
-    picks = [j % len(points) for j in range(n_samples)]    # round robin
+    picks = [j % len(points) for j in range(exp.n_samples)]    # round robin
     draws = [train.draw_tilde(rng) for _ in picks]
     rows = []
     for j, (sigma, steps) in enumerate(train.sample_sigmas(
@@ -335,10 +335,10 @@ def cmd_certify(exp, checkpoint, out_dir):
     write_csv(os.path.join(out_dir, "certify_summary.csv"),
               ("n_samples", "sigma_min", "sigma_mean", "sigma_max",
                "margin", "fraction_within"),
-              [[n_samples, min(sigmas), float(np.mean(sigmas)), max(sigmas),
+              [[exp.n_samples, min(sigmas), float(np.mean(sigmas)), max(sigmas),
                 margin, frac]])
     _write_provenance(out_dir, exp)
-    print(f"certify: {n_samples} samples, sigma max {max(sigmas):.4f}, "
+    print(f"certify: {exp.n_samples} samples, sigma max {max(sigmas):.4f}, "
           f"{100 * frac:.0f}% within 1+{margin:g}, {n_capped} at the "
           f"{exp.certify_power_iters}-step cap -> {out_dir}")
     return 0

@@ -525,7 +525,12 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
                else ["certify", "--n-samples", "2"])
     assert cli.main([*command, "--config", str(cfg_path), "--checkpoint",
                      str(ckpt)]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    rejected = {"osem-image-wrong-shape": "item004_osem.img",
+                "activity-wrong-shape": "phantom02_activity.img"}
+    if case in rejected:
+        assert rejected[case] in err
 
 
 @pytest.fixture(scope="module")
@@ -739,7 +744,8 @@ def test_certify_csv_matches_serial_loop(fuzz_run, tmp_path):
     assert cli.main(["certify", "--config", str(fuzz_run / "tiny.cfg"),
                      "--checkpoint", str(fuzz_run / "net.ckpt"),
                      "--out", str(out), "--n-samples", "5"]) == 0
-    dataset = cli._load_dataset(fuzz_run / "runs" / "data")
+    dataset = cli._load_dataset(
+        cli.build_experiment(load_config(str(fuzz_run / "tiny.cfg")), {}))
     params = net.load_checkpoint(fuzz_run / "net.ckpt")
     points = [(item, net.forward(params, item.x_noisy))
               for item in dataset.split("test")]
@@ -825,7 +831,7 @@ def test_reconstruct_abort_names_first_failing_item(tmp_path, capsys, monkeypatc
     net.save_checkpoint(tmp_path / "net.ckpt", net.init_params(arch, seed=1, scale=0.2))
     exp = cli.build_experiment(load_config(str(cfg_path)), {})
     tags = [f"item{i:03d}" for i, _ in
-            cli._select_test_sims(exp, cli._load_dataset(exp.paths["data"]))]
+            cli._select_test_sims(exp, cli._load_dataset(exp))]
     assert len(tags) == 3
     models = []
     original = cli._likelihood_for_item
@@ -858,7 +864,7 @@ def test_reconstruct_postfilter_abort_names_its_item(tmp_path, capsys, monkeypat
     arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
     net.save_checkpoint(tmp_path / "net.ckpt", net.init_params(arch, seed=1, scale=0.2))
     exp = cli.build_experiment(load_config(str(cfg_path)), {})
-    sims = cli._select_test_sims(exp, cli._load_dataset(exp.paths["data"]))
+    sims = cli._select_test_sims(exp, cli._load_dataset(exp))
     assert len(sims) == 2
     failing = sims[1][1].x_noisy
     original = recon.gaussian_postfilter_sweep
