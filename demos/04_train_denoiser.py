@@ -14,7 +14,7 @@ from pnprecon import net, recon, sim, train
 specs = [sim.random_phantom_spec(24, seed=60 + p) for p in range(3)]
 geom = sim.GeometryConfig(n_angles=24, n_bins=36, bin_width=1.0)
 doses = list(np.logspace(-0.3, 0.3, 4))
-dataset = train.build_dataset(specs, geom, doses, base_seed=17,
+dataset = train.build_dataset(specs, geom, [doses] * len(specs), base_seed=17,
                               osem_cfg=recon.OsemConfig(6, 6),
                               n_test_phantoms=1, norm_seed=4)
 print(f"dataset: {len(dataset.split('train'))} train / "

@@ -35,7 +35,7 @@ print(f"  dual   residual {hist.dual[0]:.2e} -> {hist.dual[-1]:.2e}")
 
 # 2. a quickly trained network denoiser
 specs = [sim.random_phantom_spec(32, seed=70 + p) for p in range(3)]
-dataset = train.build_dataset(specs, geom, [0.7, 1.0, 1.4], base_seed=31,
+dataset = train.build_dataset(specs, geom, [[0.7, 1.0, 1.4]] * 3, base_seed=31,
                               osem_cfg=recon.OsemConfig(8, 8),
                               n_test_phantoms=1, norm_seed=6)
 params = net.init_params(net.ArchConfig(n_layers=3, channels=8, kernel=3),

@@ -138,7 +138,7 @@ def cmd_simulate(exp, out_dir):
         exp.specs, exp.geometry, exp.doses, exp.cfg.seed, exp.osem,
         n_test_phantoms=exp.n_test,
         background_fraction=exp.background_fraction, norm_seed=exp.norm_seed)
-    for p, (activity, mu) in enumerate(dataset.phantoms):
+    for p, (activity, mu) in dataset.phantoms.items():
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_activity.img"), activity)
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_mu.img"), mu)
         sim.write_pgm(os.path.join(out_dir, f"phantom{p:02d}_activity.pgm"), activity)
@@ -156,18 +156,21 @@ def cmd_simulate(exp, out_dir):
     return 0
 
 
-def _read_grid_image(data_dir, name, grid_size):
-    """The image name in data_dir, checked to be grid_size x grid_size."""
+def _read_data_image(data_dir, name, shape):
+    """The image name in data_dir, checked to have the given shape."""
     path = os.path.join(data_dir, name)
     image = sim.read_image(path)
-    if image.shape != (grid_size, grid_size):
+    if image.shape != shape:
         raise FileFormatError(f"{path}: a {image.shape[0]}x{image.shape[1]} "
-                              f"image, not [phantoms] grid_size {grid_size}")
+                              f"image, expected {shape[0]}x{shape[1]}")
     return image
 
 
 def _load_dataset(exp):
-    data_dir, grid_size = exp.paths["data"], exp.cfg["phantoms"]["grid_size"]
+    """The dataset simulate wrote, each image read once and shape-checked:
+    activity, mu and OSEM images on the grid, counts on the sinogram."""
+    data_dir, grid = exp.paths["data"], (exp.cfg["phantoms"]["grid_size"],) * 2
+    sino = (exp.geometry.n_angles, exp.geometry.n_bins)
     manifest = os.path.join(data_dir, "manifest.csv")
     if not os.path.exists(manifest):
         raise ConfigError(f"no manifest at {manifest}; run simulate first")
@@ -178,7 +181,7 @@ def _load_dataset(exp):
         raise FileFormatError(f"{manifest}: not UTF-8 text") from exc
     if not lines or not lines[0].startswith("item,"):
         raise ConfigError(f"{manifest}: unexpected header")
-    items = []
+    items, phantoms = [], {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             i, p, dose, seed, split = line.strip().split(",")
@@ -188,13 +191,15 @@ def _load_dataset(exp):
         except ValueError as exc:
             raise FileFormatError(
                 f"{manifest}: line {lineno}: malformed row: {exc}") from exc
-        counts = sim.read_image(os.path.join(data_dir, f"item{i:03d}_counts.img"))
-        x_noisy = _read_grid_image(data_dir, f"item{i:03d}_osem.img", grid_size)
-        activity = _read_grid_image(data_dir, f"phantom{p:02d}_activity.img", grid_size)
+        counts = _read_data_image(data_dir, f"item{i:03d}_counts.img", sino)
+        x_noisy = _read_data_image(data_dir, f"item{i:03d}_osem.img", grid)
+        if p not in phantoms:
+            phantoms[p] = tuple(_read_data_image(data_dir, f"phantom{p:02d}_{kind}.img",
+                                                 grid) for kind in ("activity", "mu"))
         items.append(train.DatasetItem(
             phantom_id=p, dose_scale=dose, seed=seed, counts=counts,
-            x_noisy=x_noisy, x_ref=dose * activity, split=split))
-    return train.Dataset(items=tuple(items))
+            x_noisy=x_noisy, x_ref=dose * phantoms[p][0], split=split))
+    return train.Dataset(items=tuple(items), phantoms=phantoms)
 
 
 def cmd_train(exp, phase, out_dir):
@@ -233,20 +238,16 @@ def _select_test_sims(exp, dataset):
     return [test[i] for i in picks]
 
 
-def _likelihood_for_item(exp, item):
-    data_dir = exp.paths["data"]
-    mu = sim.read_image(
-        os.path.join(data_dir, f"phantom{item.phantom_id:02d}_mu.img"))
-    activity = sim.read_image(
-        os.path.join(data_dir, f"phantom{item.phantom_id:02d}_activity.img"))
+def _likelihood_for_item(exp, dataset, item):
+    activity, mu = dataset.phantoms[item.phantom_id]
     try:
         model = sim.phantom_model(exp.geometry, activity, mu, exp.norm_seed,
                                   exp.background_fraction)
         return recon.LikelihoodModel(
             model=train.item_model(model, item.dose_scale), y=item.counts)
     except ValueError as exc:
-        raise FileFormatError(
-            f"{data_dir}: phantom {item.phantom_id}, seed {item.seed}: {exc}") from exc
+        raise FileFormatError(f"{exp.paths['data']}: phantom {item.phantom_id}, "
+                              f"seed {item.seed}: {exc}") from exc
 
 
 def cmd_reconstruct(exp, checkpoint, out_dir):
@@ -254,7 +255,7 @@ def cmd_reconstruct(exp, checkpoint, out_dir):
     dataset = _load_dataset(exp)
     params = net.load_checkpoint(checkpoint)
     rho, iters = exp.admm.rho, exp.admm.n_iterations
-    sims = [(item_idx, item, _likelihood_for_item(exp, item))
+    sims = [(item_idx, item, _likelihood_for_item(exp, dataset, item))
             for item_idx, item in _select_test_sims(exp, dataset)]
     runs = admm.run_all([(f"item {i:03d}", lm, exp.admm, item.x_noisy, item.x_ref)
                          for i, item, lm in sims], params)
@@ -294,7 +295,7 @@ def cmd_sweep(exp, checkpoint, out_dir):
     dataset = _load_dataset(exp)
     params = net.load_checkpoint(checkpoint)
     item_idx, item = _select_test_sims(exp, dataset)[0]
-    lm = _likelihood_for_item(exp, item)
+    lm = _likelihood_for_item(exp, dataset, item)
     histories = admm.rho_sweep(lm, params, exp.sweep_rhos, exp.sweep,
                                z0=item.x_noisy, x_ref=item.x_ref)
     summary = [admm.summary_row(h) for h in histories]

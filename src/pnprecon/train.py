@@ -53,7 +53,7 @@ class DatasetItem:
 @dataclass(frozen=True)
 class Dataset:
     items: tuple
-    phantoms: tuple = ()    # (activity, mu) per phantom; empty when read from disk
+    phantoms: dict          # phantom id -> (activity, mu)
 
     def split(self, name):
         return [it for it in self.items if it.split == name]
@@ -97,22 +97,19 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
                   n_test_phantoms=1, background_fraction=0.2, norm_seed=0):
     """Simulate, reconstruct and pair every (phantom, dose) combination.
 
-    doses is either one list shared by all phantoms or one list per
-    phantom.  Each item's noise-free reference is the dose-scaled
-    activity map: the image that actually produced the counts.  The last
-    n_test_phantoms phantoms form the test split, so train and test
-    phantoms are disjoint by construction.
+    doses holds one list per phantom.  Each item's noise-free reference
+    is the dose-scaled activity map: the image that actually produced
+    the counts.  The last n_test_phantoms phantoms form the test split,
+    so train and test phantoms are disjoint by construction.
     """
     n_phantoms = len(phantom_specs)
     if n_phantoms < 2:
         raise ValueError("need at least 2 phantoms for a nontrivial split")
     if not 1 <= n_test_phantoms < n_phantoms:
         raise ValueError("test phantoms must leave at least one for training")
-    if np.ndim(doses[0]) == 0:
-        doses = [list(doses)] * n_phantoms
-    phantoms = tuple(sim.make_phantom(spec) for spec in phantom_specs)
+    phantoms = {p: sim.make_phantom(spec) for p, spec in enumerate(phantom_specs)}
     items = []
-    for p, (activity, mu) in enumerate(phantoms):
+    for p, (activity, mu) in phantoms.items():
         model = sim.phantom_model(geom, activity, mu, norm_seed,
                                   background_fraction)
         split = "test" if p >= n_phantoms - n_test_phantoms else "train"

@@ -477,7 +477,8 @@ def _truncate(path):
                                   "osem-image-truncated", "osem-image-nan-pixel",
                                   "mu-negative-pixel", "manifest-not-utf8",
                                   "manifest-bad-split", "osem-image-wrong-shape",
-                                  "activity-wrong-shape"])
+                                  "activity-wrong-shape", "mu-wrong-shape",
+                                  "counts-transposed"])
 def test_cli_file_error_exit_code(tmp_path, capsys, case):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CFG)
@@ -510,6 +511,13 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
     elif case == "activity-wrong-shape":
         sim.write_image(tmp_path / "runs" / "data" / "phantom02_activity.img",
                         np.ones((10, 10)))
+    elif case == "mu-wrong-shape":
+        sim.write_image(tmp_path / "runs" / "data" / "phantom02_mu.img",
+                        np.zeros((10, 10)))
+    elif case == "counts-transposed":
+        # the 26x12 transpose of the 12 angles x 26 bins sinogram of item 4
+        counts = tmp_path / "runs" / "data" / "item004_counts.img"
+        sim.write_image(counts, sim.read_image(counts).T)
     elif case == "manifest-not-utf8":
         manifest = tmp_path / "runs" / "data" / "manifest.csv"
         manifest.write_bytes(b"\xe9" + manifest.read_bytes()[1:])
@@ -520,15 +528,17 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
         assert text.count(",test\n") == 2
         manifest.write_text(text.replace(",test\n", ",tesd\n", 1))
     capsys.readouterr()
-    # reconstruct is the command that builds the system model from mu
-    command = (["reconstruct", "--iters", "1"] if case.startswith("mu")
+    # reconstruct is the command that builds the likelihood from mu and the counts
+    command = (["reconstruct", "--iters", "1"] if case.startswith(("mu", "counts"))
                else ["certify", "--n-samples", "2"])
     assert cli.main([*command, "--config", str(cfg_path), "--checkpoint",
                      str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     rejected = {"osem-image-wrong-shape": "item004_osem.img",
-                "activity-wrong-shape": "phantom02_activity.img"}
+                "activity-wrong-shape": "phantom02_activity.img",
+                "mu-wrong-shape": "phantom02_mu.img",
+                "counts-transposed": "item004_counts.img"}
     if case in rejected:
         assert rejected[case] in err
 
@@ -543,6 +553,25 @@ def fuzz_run(tmp_path_factory):
     vec = np.random.default_rng(5).normal(0.0, 0.2, net.n_params(arch))
     net.save_checkpoint(root / "net.ckpt", net.DenoiserParams(arch=arch, vec=vec))
     return root
+
+
+@pytest.mark.parametrize("argv", [["train", "--phase", "pre"],
+                                  ["reconstruct", "--iters", "1"]])
+def test_commands_read_each_data_image_once(fuzz_run, tmp_path, monkeypatch, argv):
+    reads = collections.Counter()
+    original = sim.read_image
+
+    def counted(path):
+        reads[os.path.basename(path)] += 1
+        return original(path)
+    monkeypatch.setattr(sim, "read_image", counted)
+    if argv[0] == "reconstruct":
+        argv = [*argv, "--checkpoint", str(fuzz_run / "net.ckpt")]
+    assert cli.main([*argv, "--config", str(fuzz_run / "tiny.cfg"),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert set(reads.values()) == {1}
+    # 3 phantoms x (activity, mu) and 6 items x (counts, osem)
+    assert len(reads) == 3 * 2 + 6 * 2
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["train", "--phase", "pre"],
@@ -836,8 +865,8 @@ def test_reconstruct_abort_names_first_failing_item(tmp_path, capsys, monkeypatc
     models = []
     original = cli._likelihood_for_item
 
-    def recorded(exp, item):
-        models.append(original(exp, item))
+    def recorded(exp, dataset, item):
+        models.append(original(exp, dataset, item))
         return models[-1]
     monkeypatch.setattr(cli, "_likelihood_for_item", recorded)
     _nan_prox(monkeypatch, lambda lm, rho: {1: 2, 2: 1}.get(

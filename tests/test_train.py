@@ -10,7 +10,7 @@ def tiny_dataset(n_phantoms=3, n_doses=2, grid=16, n_test=1):
     specs = [sim.random_phantom_spec(grid, seed=40 + p) for p in range(n_phantoms)]
     geom = sim.GeometryConfig(n_angles=12, n_bins=int(grid * 1.5) + 2, bin_width=1.0)
     doses = list(np.linspace(0.8, 1.6, n_doses))
-    return train.build_dataset(specs, geom, doses, base_seed=5,
+    return train.build_dataset(specs, geom, [doses] * n_phantoms, base_seed=5,
                                osem_cfg=recon.OsemConfig(4, 4),
                                n_test_phantoms=n_test, norm_seed=3)
 
