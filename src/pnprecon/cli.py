@@ -21,10 +21,17 @@ from .util import NumericalAbort, atomic_write, derive_seed, write_csv
 __all__ = ["main"]
 
 
-def _write_provenance(out_dir, exp, **extras):
+# command -> the [paths] entry that is its output directory without --out
+OUT_PATHS = {"simulate": "data", "train": "train", "reconstruct": "recon",
+             "sweep": "sweep", "certify": "certify"}
+
+
+def _write_provenance(out_dir, exp, args, extras):
     lines = [f"config_hash = {config_hash(exp.cfg)}",
              f"seed = {exp.cfg.seed}",
              f"version = pnprecon {__version__}"]
+    if "checkpoint" in args:
+        lines.append(f"checkpoint = {os.path.basename(args.checkpoint)}")
     lines += [f"{key} = {value}" for key, value in extras.items()]
     atomic_write(os.path.join(out_dir, "provenance.txt"), "\n".join(lines) + "\n")
 
@@ -132,8 +139,7 @@ def build_experiment(cfg, flags):
         filter_sigmas=tuple(a["filter_sigmas"]), sweep_rhos=rhos, sweep=sweep)
 
 
-def cmd_simulate(exp, out_dir):
-    out_dir = out_dir or exp.paths["data"]
+def cmd_simulate(exp, args, out_dir):
     dataset = train.build_dataset(
         exp.specs, exp.geometry, exp.doses, exp.cfg.seed, exp.osem,
         n_test_phantoms=exp.n_test,
@@ -151,9 +157,8 @@ def cmd_simulate(exp, out_dir):
         rows.append([i, item.phantom_id, item.dose_scale, item.seed, item.split])
     write_csv(os.path.join(out_dir, "manifest.csv"),
               ("item", "phantom", "dose_scale", "seed", "split"), rows)
-    _write_provenance(out_dir, exp)
     print(f"simulate: wrote {len(rows)} items for {len(exp.specs)} phantoms to {out_dir}")
-    return 0
+    return {}
 
 
 def _read_data_image(data_dir, name, shape):
@@ -202,8 +207,8 @@ def _load_dataset(exp):
     return train.Dataset(items=tuple(items), phantoms=phantoms)
 
 
-def cmd_train(exp, phase, out_dir):
-    out_dir = out_dir or exp.paths["train"]
+def cmd_train(exp, args, out_dir):
+    phase = args.phase
     dataset = _load_dataset(exp)
     if not dataset.split("train"):
         raise ConfigError("dataset has no training items")
@@ -216,15 +221,17 @@ def cmd_train(exp, phase, out_dir):
         if not os.path.exists(pre_path):
             raise ConfigError(f"jac phase requires {pre_path}; train pre first")
         params0 = net.load_checkpoint(pre_path)
+        if params0.arch != exp.arch:
+            raise ConfigError(f"{pre_path} has {params0.arch} but [net] gives "
+                              f"{exp.arch}; train pre again")
     params, rows = train.train_phase(params0, dataset, tc)
     net.save_checkpoint(os.path.join(out_dir, f"{phase}.ckpt"), params)
     write_csv(os.path.join(out_dir, f"train_{phase}.csv"),
               train.LOG_HEADER, rows, comment=train.ADAM_CONSTANTS)
-    _write_provenance(out_dir, exp)
     loss, mse = (rows[-1][train.LOG_HEADER.index(k)] for k in ("loss_total", "test_mse"))
     print(f"train {phase}: {tc.epochs} epochs, final loss {loss:.6g}, "
           f"test mse {mse:.6g}, checkpoint {phase}.ckpt")
-    return 0
+    return {}
 
 
 def _select_test_sims(exp, dataset):
@@ -250,10 +257,9 @@ def _likelihood_for_item(exp, dataset, item):
                               f"seed {item.seed}: {exc}") from exc
 
 
-def cmd_reconstruct(exp, checkpoint, out_dir):
-    out_dir = out_dir or exp.paths["recon"]
+def cmd_reconstruct(exp, args, out_dir):
     dataset = _load_dataset(exp)
-    params = net.load_checkpoint(checkpoint)
+    params = net.load_checkpoint(args.checkpoint)
     rho, iters = exp.admm.rho, exp.admm.n_iterations
     sims = [(item_idx, item, _likelihood_for_item(exp, dataset, item))
             for item_idx, item in _select_test_sims(exp, dataset)]
@@ -283,17 +289,14 @@ def cmd_reconstruct(exp, checkpoint, out_dir):
     write_csv(os.path.join(out_dir, "summary.csv"),
               ("item", "method", "mse", "log_likelihood", "final_primal",
                "final_dual", "extra"), summary)
-    _write_provenance(out_dir, exp, checkpoint=os.path.basename(checkpoint),
-                      rho=rho, iterations=iters)
     print(f"reconstruct: rho={rho:g}, {iters} iterations, "
           f"{len(summary) // 3} test simulations -> {out_dir}")
-    return 0
+    return {"rho": rho, "iterations": iters}
 
 
-def cmd_sweep(exp, checkpoint, out_dir):
-    out_dir = out_dir or exp.paths["sweep"]
+def cmd_sweep(exp, args, out_dir):
     dataset = _load_dataset(exp)
-    params = net.load_checkpoint(checkpoint)
+    params = net.load_checkpoint(args.checkpoint)
     item_idx, item = _select_test_sims(exp, dataset)[0]
     lm = _likelihood_for_item(exp, dataset, item)
     histories = admm.rho_sweep(lm, params, exp.sweep_rhos, exp.sweep,
@@ -303,17 +306,15 @@ def cmd_sweep(exp, checkpoint, out_dir):
               admm.CURVE_HEADER, admm.curve_rows(histories))
     write_csv(os.path.join(out_dir, "sweep_summary.csv"),
               admm.SUMMARY_HEADER, summary)
-    _write_provenance(out_dir, exp)
     n_ok = sum(row[5] for row in summary)       # meets_threshold
     print(f"sweep: item {item_idx}, {len(histories)} rho values, "
           f"{n_ok} meet the residual-decrease threshold -> {out_dir}")
-    return 0
+    return {}
 
 
-def cmd_certify(exp, checkpoint, out_dir):
-    out_dir = out_dir or exp.paths["certify"]
+def cmd_certify(exp, args, out_dir):
     dataset = _load_dataset(exp)
-    params = net.load_checkpoint(checkpoint)
+    params = net.load_checkpoint(args.checkpoint)
     test_items = dataset.split("test")
     if not test_items:
         raise ConfigError("dataset has no test items")
@@ -338,11 +339,10 @@ def cmd_certify(exp, checkpoint, out_dir):
                "margin", "fraction_within"),
               [[exp.n_samples, min(sigmas), float(np.mean(sigmas)), max(sigmas),
                 margin, frac]])
-    _write_provenance(out_dir, exp)
     print(f"certify: {exp.n_samples} samples, sigma max {max(sigmas):.4f}, "
           f"{100 * frac:.0f}% within 1+{margin:g}, {n_capped} at the "
           f"{exp.certify_power_iters}-step cap -> {out_dir}")
-    return 0
+    return {}
 
 
 def _build_parser():
@@ -350,7 +350,7 @@ def _build_parser():
         prog="pnprecon",
         description="2D Plug-and-Play ADMM emission-tomography experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "train", "reconstruct", "sweep", "certify"):
+    for name in OUT_PATHS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
@@ -386,23 +386,17 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         exp = build_experiment(load_config(args.config), vars(args))
-        if args.command == "simulate":
-            return cmd_simulate(exp, args.out)
-        if args.command == "train":
-            return cmd_train(exp, args.phase, args.out)
-        if args.command == "reconstruct":
-            return cmd_reconstruct(exp, args.checkpoint, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(exp, args.checkpoint, args.out)
-        if args.command == "certify":
-            return cmd_certify(exp, args.checkpoint, args.out)
-        raise AssertionError(args.command)
+        out_dir = args.out or exp.paths[OUT_PATHS[args.command]]
+        # looked up at call time, so a wrapper set on cli.cmd_* runs
+        extras = globals()[f"cmd_{args.command}"](exp, args, out_dir)
+        _write_provenance(out_dir, exp, args, extras)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

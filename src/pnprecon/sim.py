@@ -60,7 +60,6 @@ class EllipseRegion:
 class PhantomSpec:
     grid_size: int
     regions: tuple
-    seed: int = 0
 
     def __post_init__(self):
         if self.grid_size < 8:
@@ -136,7 +135,7 @@ def random_phantom_spec(grid_size, seed):
             c + rad * np.cos(ang), c + rad * np.sin(ang),
             r, r * rng.uniform(0.6, 1.0), rng.uniform(0, np.pi),
             activity=act, mu=0.0096))
-    return PhantomSpec(grid_size=n, regions=tuple(regions), seed=int(seed))
+    return PhantomSpec(grid_size=n, regions=tuple(regions))
 
 
 @dataclass(frozen=True)

@@ -283,9 +283,11 @@ def train_phase(params0, dataset, cfg):
                 raise NumericalAbort(
                     f"non-finite loss at epoch {epoch}, batch start {start}")
             vec, state = adam_step(vec, gvec, state, cfg.learning_rate)
-            if not np.all(np.isfinite(vec)):
-                raise NumericalAbort(f"non-finite parameters after the Adam step "
-                                     f"at epoch {epoch}, batch start {start}")
+            for what, arrays in (("parameters", (vec,)),
+                                 ("Adam moments", (state.m, state.v))):
+                if not all(np.all(np.isfinite(x)) for x in arrays):
+                    raise NumericalAbort(f"non-finite {what} after the Adam step "
+                                         f"at epoch {epoch}, batch start {start}")
             tot += loss
             tot_mse += mse_part
             tot_pen += pen_part

@@ -607,6 +607,47 @@ def test_certify_primal_passes(fuzz_run, tmp_path, monkeypatch):
     assert calls[0] == 5 + 2
 
 
+def test_certify_provenance_names_its_checkpoint(fuzz_run, tmp_path):
+    lines = {}
+    for name in ("jac", "pre"):
+        shutil.copy(fuzz_run / "net.ckpt", tmp_path / f"{name}.ckpt")
+        out = tmp_path / f"certify_{name}"
+        assert cli.main(["certify", "--config", str(fuzz_run / "tiny.cfg"),
+                         "--checkpoint", str(tmp_path / f"{name}.ckpt"),
+                         "--out", str(out), "--n-samples", "2"]) == 0
+        lines[name] = (out / "provenance.txt").read_text().splitlines()
+    assert lines["jac"][:3] == lines["pre"][:3]
+    assert lines["jac"][3:] == ["checkpoint = jac.ckpt"]
+    assert lines["pre"][3:] == ["checkpoint = pre.ckpt"]
+
+
+def test_main_calls_commands_through_the_module(tmp_path, monkeypatch):
+    # a wrapper set on cli.cmd_* (as the benchmark's span recorder sets
+    # them) is the function main runs
+    ran = []
+
+    def recording(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            ran.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+    for name in ("cmd_simulate", "cmd_certify"):
+        recording(name)
+    (tmp_path / "tiny.cfg").write_text(TINY_CFG)
+    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    net.save_checkpoint(tmp_path / "net.ckpt", net.init_params(arch, seed=1, scale=0.2))
+    assert cli.main(["simulate", "--config", str(tmp_path / "tiny.cfg")]) == 0
+    assert cli.main(["certify", "--config", str(tmp_path / "tiny.cfg"), "--checkpoint",
+                     str(tmp_path / "net.ckpt"), "--n-samples", "2"]) == 0
+    assert ran == ["cmd_simulate", "cmd_certify"]
+    runs = tmp_path / "runs"
+    for name in ("data/manifest.csv", "data/provenance.txt",
+                 "certify/certify.csv", "certify/provenance.txt"):
+        assert (runs / name).is_file()
+
+
 def test_certify_non_finite_sigma_aborts(fuzz_run, tmp_path, capsys):
     # a kernel weight of 1e307 overflows the net's output
     params = net.load_checkpoint(fuzz_run / "net.ckpt")
@@ -745,6 +786,41 @@ def test_train_adam_overflow_aborts(fuzz_run, tmp_path, capsys):
     err = capsys.readouterr().err
     assert re.match(r"numerical abort: .*Adam step at epoch 0, batch start 0", err)
     assert not (out / "pre.ckpt").exists()
+
+
+def test_train_adam_moment_overflow_aborts(fuzz_run, tmp_path, capsys):
+    # at init_scale = 1e300 the squared gradient overflows the second Adam
+    # moment while the parameters stay finite (frozen, as the step is 0)
+    cfg_path = tmp_path / "scale.cfg"
+    cfg_path.write_text(_with_data(
+        TINY_CFG.replace("kernel = 3", "kernel = 3\ninit_scale = 1e300"), fuzz_run))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        rc = cli.main(["train", "--phase", "pre", "--config", str(cfg_path),
+                       "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == ("numerical abort: non-finite Adam moments "
+                                       "after the Adam step at epoch 0, batch start 0\n")
+    assert not (out / "pre.ckpt").exists()
+
+
+def test_train_jac_rejects_pre_checkpoint_of_another_arch(fuzz_run, tmp_path, capsys):
+    # pre.ckpt has 3 channels; the config now asks for 4
+    cfg_path = tmp_path / "wide.cfg"
+    cfg_path.write_text(_with_data(
+        TINY_CFG.replace("channels = 3", "channels = 4"), fuzz_run))
+    out = tmp_path / "out"
+    out.mkdir()
+    shutil.copy(fuzz_run / "net.ckpt", out / "pre.ckpt")
+    capsys.readouterr()
+    rc = cli.main(["train", "--phase", "jac", "--config", str(cfg_path),
+                   "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {out / 'pre.ckpt'} has ")
+    assert "channels=3" in err and "channels=4" in err
+    assert sorted(p.name for p in out.iterdir()) == ["pre.ckpt"]
 
 
 @pytest.mark.parametrize("phase", ["pre", "jac"])
