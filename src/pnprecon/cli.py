@@ -130,7 +130,7 @@ def build_experiment(cfg, flags):
         cfg=cfg, paths={name: os.path.normpath(os.path.join(cfg.base_dir, path))
                         for name, path in cfg["paths"].items()},
         specs=specs, n_test=ph["n_test"], doses=doses, geometry=geometry,
-        norm_seed=derive_seed(cfg.seed, 101) if s["normalization"] else None,
+        norm_seed=derive_seed(cfg.seed, 101),
         background_fraction=s["background_fraction"], osem=osem, arch=arch,
         init_scale=n["init_scale"], train=phases,
         certify_power_iters=n["certify_power_iters"],
@@ -162,18 +162,21 @@ def cmd_simulate(exp, args, out_dir):
 
 
 def _read_data_image(data_dir, name, shape):
-    """The image name in data_dir, checked to have the given shape."""
+    """The image name in data_dir, checked to have the given shape and no
+    negative pixel (every data image is nonnegative by construction)."""
     path = os.path.join(data_dir, name)
     image = sim.read_image(path)
     if image.shape != shape:
         raise FileFormatError(f"{path}: a {image.shape[0]}x{image.shape[1]} "
                               f"image, expected {shape[0]}x{shape[1]}")
+    if np.any(image < 0):
+        raise FileFormatError(f"{path}: negative pixel values")
     return image
 
 
 def _load_dataset(exp):
-    """The dataset simulate wrote, each image read once and shape-checked:
-    activity, mu and OSEM images on the grid, counts on the sinogram."""
+    """The dataset simulate wrote, each image read once and checked, activity,
+    mu and OSEM on the grid and counts on the sinogram; both splits non-empty."""
     data_dir, grid = exp.paths["data"], (exp.cfg["phantoms"]["grid_size"],) * 2
     sino = (exp.geometry.n_angles, exp.geometry.n_bins)
     manifest = os.path.join(data_dir, "manifest.csv")
@@ -204,14 +207,15 @@ def _load_dataset(exp):
         items.append(train.DatasetItem(
             phantom_id=p, dose_scale=dose, seed=seed, counts=counts,
             x_noisy=x_noisy, x_ref=dose * phantoms[p][0], split=split))
+    for split, name in (("train", "training"), ("test", "test")):
+        if not any(item.split == split for item in items):
+            raise ConfigError(f"dataset has no {name} items")
     return train.Dataset(items=tuple(items), phantoms=phantoms)
 
 
 def cmd_train(exp, args, out_dir):
     phase = args.phase
     dataset = _load_dataset(exp)
-    if not dataset.split("train"):
-        raise ConfigError("dataset has no training items")
     tc = exp.train[phase]
     if phase == "pre":
         params0 = net.init_params(exp.arch, seed=derive_seed(exp.cfg.seed, 300),
@@ -238,8 +242,6 @@ def _select_test_sims(exp, dataset):
     """n_test_sims items evenly spaced over the dose-sorted test split."""
     test = sorted(((i, it) for i, it in enumerate(dataset.items)
                    if it.split == "test"), key=lambda t: t[1].dose_scale)
-    if not test:
-        raise ConfigError("dataset has no test items")
     n = min(exp.n_test_sims, len(test))
     picks = np.unique(np.linspace(0, len(test) - 1, n).round().astype(int))
     return [test[i] for i in picks]
@@ -247,14 +249,10 @@ def _select_test_sims(exp, dataset):
 
 def _likelihood_for_item(exp, dataset, item):
     activity, mu = dataset.phantoms[item.phantom_id]
-    try:
-        model = sim.phantom_model(exp.geometry, activity, mu, exp.norm_seed,
-                                  exp.background_fraction)
-        return recon.LikelihoodModel(
-            model=train.item_model(model, item.dose_scale), y=item.counts)
-    except ValueError as exc:
-        raise FileFormatError(f"{exp.paths['data']}: phantom {item.phantom_id}, "
-                              f"seed {item.seed}: {exc}") from exc
+    model = sim.phantom_model(exp.geometry, activity, mu, exp.norm_seed,
+                              exp.background_fraction)
+    return recon.LikelihoodModel(
+        model=train.item_model(model, item.dose_scale), y=item.counts)
 
 
 def cmd_reconstruct(exp, args, out_dir):
@@ -316,8 +314,6 @@ def cmd_certify(exp, args, out_dir):
     dataset = _load_dataset(exp)
     params = net.load_checkpoint(args.checkpoint)
     test_items = dataset.split("test")
-    if not test_items:
-        raise ConfigError("dataset has no test items")
     points = [(item.x_ref, net.forward(params, item.x_noisy)) for item in test_items]
     rng = np.random.default_rng(derive_seed(exp.cfg.seed, 401))
     picks = [j % len(points) for j in range(exp.n_samples)]    # round robin

@@ -28,15 +28,6 @@ def _floats(text):
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _bool(text):
-    low = text.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # section -> key -> (parser, default); sections in canonical order
 _SCHEMA = {
     "": {
@@ -58,7 +49,6 @@ _SCHEMA = {
         "dose_center": (float, 1.0),
         "dose_decades": (float, 1.0),
         "background_fraction": (float, 0.2),
-        "normalization": (_bool, True),
     },
     "osem": {
         "n_iterations": (int, 8),
@@ -170,8 +160,6 @@ def load_config(path):
 
 
 def _fmt_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, list):
         return ",".join(fmt(x) for x in v)
     return fmt(v)

@@ -329,7 +329,7 @@ def spectral_norm_l(lin, max_iters=10, tol=LANCZOS_TOL, seed=0, u0=None):
     seeded normal draw.  Each step is one jvp and, unless it is the last,
     one vjp.  Stops once the top Ritz value rises by at most tol times
     itself, on breakdown (beta at rounding level: the Krylov space is
-    invariant and the value exact) or after max_iters steps.
+    invariant and the value exact) or after min(max_iters, lin.x.size) steps.
 
     Returns (sigma, u, steps): the top singular value of the bidiagonal, a
     lower bound on the true norm; its unit right Ritz vector, with
@@ -341,6 +341,7 @@ def spectral_norm_l(lin, max_iters=10, tol=LANCZOS_TOL, seed=0, u0=None):
     v = (np.random.default_rng(seed).standard_normal(shape) if u0 is None
          else np.asarray(u0, dtype=float)).ravel()
     v = v / np.linalg.norm(v)
+    max_iters = min(max_iters, v.size)
     vs, us = np.zeros((2, max_iters, v.size))
     bid = np.zeros((max_iters, max_iters))      # upper bidiagonal B = U^T J_L V
     sigma = beta = 0.0

@@ -232,11 +232,12 @@ class AdamState:
 def adam_step(params_vec, grad_vec, state, lr):
     """Standard bias-corrected Adam update on flat parameter vectors."""
     step = state.step + 1
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad_vec
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad_vec * grad_vec
-    mhat = m / (1.0 - ADAM_BETA1 ** step)
-    vhat = v / (1.0 - ADAM_BETA2 ** step)
-    new_vec = params_vec - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: train_phase aborts
+        m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad_vec
+        v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad_vec * grad_vec
+        mhat = m / (1.0 - ADAM_BETA1 ** step)
+        vhat = v / (1.0 - ADAM_BETA2 ** step)
+        new_vec = params_vec - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return new_vec, AdamState(m=m, v=v, step=step)
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnprecon import admm, cli, net, prox, recon, sim, train
+from pnprecon import admm, cli, config, net, prox, recon, sim, train
 from pnprecon.config import (ConfigError, canonical_text, config_hash,
                              load_config, parse_config)
 from pnprecon.util import NumericalAbort, derive_seed, write_csv
@@ -100,6 +100,23 @@ def test_unknown_section_and_key_rejected():
         parse_config("[phantoms]\njust words\n")
     with pytest.raises(ConfigError, match="line 2.*unknown key"):
         parse_config("[admm]\nrecord_t_residual = true\n")
+    with pytest.raises(ConfigError, match="line 2.*unknown key"):
+        parse_config("[simulation]\nnormalization = true\n")
+
+
+def test_demo_config_sets_every_schema_key_once():
+    # bench/run.py's render_config and the acceptance fixture both start
+    # from configs/demo.cfg, so a key it lacks or repeats is schema drift
+    section, pairs = "", collections.Counter()
+    for raw in DEMO_CFG.read_text().splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            pairs[section, line.partition("=")[0].strip()] += 1
+    assert set(pairs.values()) == {1}
+    assert set(pairs) == {(sec, key) for sec, keys in config._SCHEMA.items()
+                          for key in keys}
 
 
 def test_canonical_roundtrip():
@@ -382,8 +399,7 @@ def _old_builders(cfg, rho=None, iters=None):
         n_test=pc["n_test"],
         geometry=sim.GeometryConfig(n_angles=g["n_angles"], n_bins=g["n_bins"],
                                     bin_width=g["bin_width"]),
-        norm_seed=(derive_seed(cfg.seed, 101)
-                   if cfg["simulation"]["normalization"] else None),
+        norm_seed=derive_seed(cfg.seed, 101),
         background_fraction=cfg["simulation"]["background_fraction"],
         osem=recon.OsemConfig(n_iterations=o["n_iterations"], n_subsets=n_sub),
         arch=net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
@@ -478,7 +494,7 @@ def _truncate(path):
                                   "mu-negative-pixel", "manifest-not-utf8",
                                   "manifest-bad-split", "osem-image-wrong-shape",
                                   "activity-wrong-shape", "mu-wrong-shape",
-                                  "counts-transposed"])
+                                  "counts-transposed", "counts-negative-pixel"])
 def test_cli_file_error_exit_code(tmp_path, capsys, case):
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CFG)
@@ -518,6 +534,9 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
         # the 26x12 transpose of the 12 angles x 26 bins sinogram of item 4
         counts = tmp_path / "runs" / "data" / "item004_counts.img"
         sim.write_image(counts, sim.read_image(counts).T)
+    elif case == "counts-negative-pixel":
+        counts = tmp_path / "runs" / "data" / "item004_counts.img"
+        sim.write_image(counts, -sim.read_image(counts))
     elif case == "manifest-not-utf8":
         manifest = tmp_path / "runs" / "data" / "manifest.csv"
         manifest.write_bytes(b"\xe9" + manifest.read_bytes()[1:])
@@ -528,17 +547,16 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
         assert text.count(",test\n") == 2
         manifest.write_text(text.replace(",test\n", ",tesd\n", 1))
     capsys.readouterr()
-    # reconstruct is the command that builds the likelihood from mu and the counts
-    command = (["reconstruct", "--iters", "1"] if case.startswith(("mu", "counts"))
-               else ["certify", "--n-samples", "2"])
-    assert cli.main([*command, "--config", str(cfg_path), "--checkpoint",
-                     str(ckpt)]) == 2
+    assert cli.main(["certify", "--n-samples", "2", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     rejected = {"osem-image-wrong-shape": "item004_osem.img",
                 "activity-wrong-shape": "phantom02_activity.img",
                 "mu-wrong-shape": "phantom02_mu.img",
-                "counts-transposed": "item004_counts.img"}
+                "counts-transposed": "item004_counts.img",
+                "mu-negative-pixel": "phantom02_mu.img",
+                "counts-negative-pixel": "item004_counts.img"}
     if case in rejected:
         assert rejected[case] in err
 
@@ -821,6 +839,54 @@ def test_train_jac_rejects_pre_checkpoint_of_another_arch(fuzz_run, tmp_path, ca
     assert err.startswith(f"config error: {out / 'pre.ckpt'} has ")
     assert "channels=3" in err and "channels=4" in err
     assert sorted(p.name for p in out.iterdir()) == ["pre.ckpt"]
+
+
+@pytest.mark.parametrize("name", ["phantom02_mu.img", "item004_counts.img"])
+def test_train_rejects_negative_data_pixel(fuzz_run, tmp_path, capsys, name):
+    # train reads mu and the counts only to check them
+    root = pathlib.Path(shutil.copytree(fuzz_run, tmp_path / "run"))
+    path = root / "runs" / "data" / name
+    sim.write_image(path, -sim.read_image(path))
+    capsys.readouterr()
+    rc = cli.main(["train", "--phase", "pre", "--config", str(root / "tiny.cfg"),
+                   "--out", str(root / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == (f"config error: {path}: "
+                                       "negative pixel values\n")
+    assert not (root / "out").exists()
+
+
+def test_lanczos_cap_above_pixel_count(fuzz_run, tmp_path):
+    # a Krylov space on the 16x16 grid has at most 256 dimensions
+    cfg_path = tmp_path / "cap.cfg"
+    cfg_path.write_text(_with_data(TINY_CFG.replace(
+        "certify_power_iters = 10", "certify_power_iters = 1000000000").replace(
+        "sigma_eval_samples = 2", "sigma_eval_samples = 2\npower_iters = 1000000000",
+        1), fuzz_run))
+    assert cli.main(["train", "--phase", "pre", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "train")]) == 0
+    out = tmp_path / "cert"
+    assert cli.main(["certify", "--config", str(cfg_path), "--checkpoint",
+                     str(fuzz_run / "net.ckpt"), "--n-samples", "3",
+                     "--out", str(out)]) == 0
+    steps = [int(line.split(",")[3])
+             for line in (out / "certify.csv").read_text().splitlines()[1:]]
+    assert len(steps) == 3 and max(steps) <= 256
+
+
+@pytest.mark.parametrize("edit, what", [
+    (("learning_rate = 0.005", "learning_rate = 1e308"), "parameters"),
+    (("kernel = 3", "kernel = 3\ninit_scale = 1e300"), "Adam moments")],
+    ids=["learning-rate", "init-scale"])
+def test_train_adam_overflow_leaves_one_stderr_line(fuzz_run, tmp_path, edit, what):
+    # a child process, so no errstate or warning capture of the test runner
+    # hides a numpy warning
+    (tmp_path / "bad.cfg").write_text(_with_data(TINY_CFG.replace(*edit), fuzz_run))
+    res = _run_python(["-m", "pnprecon.cli", "train", "--phase", "pre",
+                       "--config", "bad.cfg", "--out", "out"], str(tmp_path))
+    assert res.returncode == 3
+    assert res.stderr == (f"numerical abort: non-finite {what} after the Adam "
+                          "step at epoch 0, batch start 0\n")
 
 
 @pytest.mark.parametrize("phase", ["pre", "jac"])
