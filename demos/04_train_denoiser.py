@@ -20,7 +20,7 @@ dataset = train.build_dataset(specs, geom, [doses] * len(specs), base_seed=17,
 print(f"dataset: {len(dataset.split('train'))} train / "
       f"{len(dataset.split('test'))} test items")
 
-arch = net.ArchConfig(n_layers=3, channels=8, kernel=3)
+arch = net.ArchConfig(n_layers=3, channels=8)
 params = net.init_params(arch, seed=1, scale=0.3)
 
 

@@ -38,7 +38,7 @@ specs = [sim.random_phantom_spec(32, seed=70 + p) for p in range(3)]
 dataset = train.build_dataset(specs, geom, [[0.7, 1.0, 1.4]] * 3, base_seed=31,
                               osem_cfg=recon.OsemConfig(8, 8),
                               n_test_phantoms=1, norm_seed=6)
-params = net.init_params(net.ArchConfig(n_layers=3, channels=8, kernel=3),
+params = net.init_params(net.ArchConfig(n_layers=3, channels=8),
                          seed=4, scale=0.3)
 params, _ = train.train_phase(params, dataset, train.TrainConfig(
     phase="pre", epochs=20, learning_rate=5e-3, batch_size=1, seed=5,

@@ -91,19 +91,14 @@ def _masked_norm(arr, mask):
     return float(np.linalg.norm(arr.ravel()[mask.ravel()]))
 
 
-def admm_pnp(lm, denoiser, cfg, z0=None, x_ref=None, on_iterate=None):
-    """Run the Plug-and-Play loop; returns (final x, History).
+def admm_pnp(lm, denoiser, cfg, z0, x_ref=None, on_iterate=None):
+    """Run the Plug-and-Play loop from z = z0, u = 0; returns (final x, History).
 
-    z0 defaults to an OSEM reconstruction (8 iterations, interleaved
-    subsets) and u starts at zero.  The prox is warm-started with the
-    previous x iterate (first call: z0).  on_iterate(state: AdmmState),
-    when given, sees every post-update state.
+    The prox is warm-started with the previous x iterate (first call: z0).
+    on_iterate(state: AdmmState), when given, sees every post-update state.
     """
     denoise = _as_denoiser(denoiser)
     mask = lm.model.mask
-    if z0 is None:
-        n_sub = recon.default_n_subsets(lm.model.geometry.n_angles)
-        z0 = recon.osem_reconstruct(lm, recon.OsemConfig(8, n_sub))
     z = np.asarray(z0, dtype=float).copy()
     if not np.all(np.isfinite(z)):
         raise ValueError("z0 must be finite")
@@ -189,7 +184,7 @@ def run_all(runs, denoiser):
     return ordered_map(run, runs)
 
 
-def rho_sweep(lm, denoiser, rhos, cfg, z0=None, x_ref=None):
+def rho_sweep(lm, denoiser, rhos, cfg, z0, x_ref=None):
     """One History per rho, each from admm_pnp run with cfg at that rho,
     through run_all with each run named rho = <rho>."""
     cfgs = [replace(cfg, rho=rho) for rho in rhos]

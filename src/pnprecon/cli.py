@@ -95,8 +95,7 @@ def build_experiment(cfg, flags):
         osem = recon.OsemConfig(n_iterations=cfg["osem"]["n_iterations"],
                                 n_subsets=recon.default_n_subsets(geometry.n_angles))
     with _naming("[net]"):
-        arch = net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
-                              kernel=n["kernel"], activation=n["activation"])
+        arch = net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"])
         _require(0 <= n["init_scale"] < np.inf and n["certify_power_iters"] >= 1
                  and np.isfinite(n["certify_margin"]),
                  "need init_scale >= 0 and finite, certify_power_iters >= 1 "
@@ -374,7 +373,7 @@ def _keep_heap():
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     mallopt(-1, 16 << 20)   # M_TRIM_THRESHOLD
-    mallopt(-3, 1 << 20)    # M_MMAP_THRESHOLD
+    mallopt(-3, 4 << 20)    # M_MMAP_THRESHOLD, above a counted row block
 
 
 def main(argv=None):

@@ -56,8 +56,6 @@ _SCHEMA = {
     "net": {
         "n_layers": (int, 5),
         "channels": (int, 16),
-        "kernel": (int, 3),
-        "activation": (str, "softplus"),
         "init_scale": (float, 0.1),
         "certify_power_iters": (int, 30),
         "certify_margin": (float, 0.05),

@@ -4,7 +4,9 @@ The operator is  D(x) = s * (w + cnn(w))  with  w = x / s  and s the mean
 of the positive entries of x (floored at 1e-12, treated as a constant in
 all derivatives).  Because s cancels in the input Jacobian, jvp and vjp
 are exactly the Jacobian products of the unnormalized residual stack
-evaluated at w.
+evaluated at w.  The architecture is fixed but for its depth and width:
+KERNEL x KERNEL convolutions and the shifted softplus between layers,
+whose second derivative the hinge loss's parameter gradient reads.
 
 Parameters live in one float64 vector in checkpoint order (per layer, the
 kernel (c_out, c_in, k, k) then the bias (c_out,)); DenoiserParams.kernels
@@ -38,6 +40,7 @@ from .config import FileFormatError
 from .util import atomic_write
 
 __all__ = [
+    "KERNEL",
     "ArchConfig",
     "DenoiserParams",
     "init_params",
@@ -57,7 +60,10 @@ __all__ = [
 ]
 
 _NET_MAGIC = b"PNPNET1\x00"
-_ACTIVATIONS = {"softplus": 0, "relu": 1}
+KERNEL = 3
+# the fixed checkpoint-header fields after n_layers and channels
+_FIXED_HEADER = (("kernel", KERNEL), ("activation code", 0),   # 0: softplus
+                 ("global-skip flag", 1))
 _LOG2 = math.log(2.0)
 _SCALE_FLOOR = 1e-12
 # spectral_norm_l stops once the top Ritz value rises by at most LANCZOS_TOL
@@ -70,18 +76,12 @@ _BREAKDOWN = 1e-12
 class ArchConfig:
     n_layers: int = 5
     channels: int = 16
-    kernel: int = 3
-    activation: str = "softplus"
 
     def __post_init__(self):
         if self.n_layers < 2:
             raise ValueError("need at least 2 layers")
         if self.channels < 1:
             raise ValueError("need at least 1 channel")
-        if self.kernel < 1 or self.kernel % 2 != 1:
-            raise ValueError("kernel size must be odd and >= 1")
-        if self.activation not in _ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     def layer_shapes(self):
         """(out_channels, in_channels) per layer: 1 -> C -> ... -> C -> 1."""
@@ -100,9 +100,9 @@ class DenoiserParams:
             raise ValueError("parameter vector length does not match architecture")
         if not np.all(np.isfinite(self.vec)):
             raise ValueError("parameters must be finite")
-        self.kernels = []   # per layer (c_out, c_in, k, k)
+        self.kernels = []   # per layer (c_out, c_in, KERNEL, KERNEL)
         self.biases = []    # per layer (c_out,)
-        k = self.arch.kernel
+        k = KERNEL
         pos = 0
         for co, ci in self.arch.layer_shapes():
             nk = co * ci * k * k
@@ -112,8 +112,7 @@ class DenoiserParams:
 
 
 def n_params(arch):
-    k = arch.kernel
-    return sum(co * ci * k * k + co for co, ci in arch.layer_shapes())
+    return sum(co * ci * KERNEL * KERNEL + co for co, ci in arch.layer_shapes())
 
 
 def identity_params(arch):
@@ -132,8 +131,8 @@ def init_params(arch, seed, scale=0.1):
 
 
 # ---------------------------------------------------------------------------
-# activations (value and first derivative; param_grad_penalty forms the
-# second from the first)
+# the activation: shifted softplus; its derivative is _sigmoid, and
+# param_grad_penalty forms the second from the first
 
 
 def _sigmoid(t):
@@ -146,23 +145,15 @@ def _sigmoid(t):
     return out
 
 
-def _act(name, t):
-    if name == "softplus":
-        # max(t, 0) + log1p(exp(-|t|)) - log 2 in one buffer, the same bits;
-        # shifted so that act(0) = 0, keeping zero parameters = identity
-        out = np.abs(t)
-        np.exp(np.negative(out, out=out), out=out)
-        np.log1p(out, out=out)
-        out += np.maximum(t, 0.0)
-        out -= _LOG2
-        return out
-    return np.maximum(t, 0.0)
-
-
-def _act_d(name, t):
-    if name == "softplus":
-        return _sigmoid(t)
-    return (t > 0).astype(float)
+def _act(t):
+    # max(t, 0) + log1p(exp(-|t|)) - log 2 in one buffer, the same bits;
+    # shifted so that act(0) = 0, keeping zero parameters = identity
+    out = np.abs(t)
+    np.exp(np.negative(out, out=out), out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(t, 0.0)
+    out -= _LOG2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +245,7 @@ def _stack(params, a, biases, nonlin):
     _, h, wd = a.shape
     z_list, in_list = [], []
     for layer in range(arch.n_layers):
-        xp = _pad_flat(a, arch.kernel)
+        xp = _pad_flat(a, KERNEL)
         z_list.append(_conv(xp, params.kernels[layer],
                             None if biases is None else biases[layer], h, wd))
         in_list.append(xp)
@@ -280,15 +271,14 @@ class Linearization:
         self.params = params
         self.x = np.asarray(x, dtype=float)
         self.s = input_scale(self.x)
-        act = params.arch.activation
         self.z_list, self.in_list = _stack(
-            params, (self.x / self.s)[None], params.biases, lambda _, z: _act(act, z))
+            params, (self.x / self.s)[None], params.biases, lambda _, z: _act(z))
         # algebraically s * (w + z_L); written so zero residual returns x exactly
         self.out = self.x + self.s * self.z_list[-1][0]
 
     @cached_property
     def dacts(self):
-        return [_act_d(self.params.arch.activation, z) for z in self.z_list[:-1]]
+        return [_sigmoid(z) for z in self.z_list[:-1]]
 
     def _shaped(self, v, what):
         v = np.asarray(v, dtype=float)
@@ -441,8 +431,7 @@ def param_grad_penalty(lin, u_fixed, epsilon=0.05, alpha=0.1):
         a_bar = _conv_adjoint(z_bar, params.kernels[layer], h, wd)
         d1 = lin.dacts[layer - 1]
         zt_bar = d1 * t_bar
-        # act'' = s (1 - s) for softplus (act' = s, the sigmoid); for relu
-        # act' is 0 or 1, so this is 0, its second derivative
+        # act'' = s (1 - s) with act' = s, the sigmoid
         z_bar = d1 * (1.0 - d1) * zt_list[layer - 1] * t_bar + d1 * a_bar
     grad.vec *= slope
     return grad, sigma
@@ -470,8 +459,7 @@ def vector_to_params(arch, vec):
 def save_checkpoint(path, params):
     arch = params.arch
     head = _NET_MAGIC + np.array(
-        [arch.n_layers, arch.channels, arch.kernel,
-         _ACTIVATIONS[arch.activation], 1],     # 1: the global skip
+        [arch.n_layers, arch.channels] + [want for _, want in _FIXED_HEADER],
         dtype="<u4").tobytes()
     payload = params_to_vector(params).astype("<f8").tobytes()
     atomic_write(path, head + payload)
@@ -485,14 +473,11 @@ def load_checkpoint(path):
     if len(raw) < 28:
         raise FileFormatError(f"{path}: truncated header")
     fields = [int(v) for v in np.frombuffer(raw[8:28], dtype="<u4")]
-    names = {v: k for k, v in _ACTIVATIONS.items()}
-    if fields[3] not in names:
-        raise FileFormatError(f"{path}: unknown activation code {fields[3]}")
-    if fields[4] != 1:
-        raise FileFormatError(f"{path}: global-skip flag {fields[4]} is not 1")
+    for (field, want), got in zip(_FIXED_HEADER, fields[2:]):
+        if got != want:
+            raise FileFormatError(f"{path}: {field} {got} is not {want}")
     try:
-        arch = ArchConfig(n_layers=fields[0], channels=fields[1],
-                          kernel=fields[2], activation=names[fields[3]])
+        arch = ArchConfig(n_layers=fields[0], channels=fields[1])
     except ValueError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
     # each layer has a bias: checked first, as n_params loops over n_layers

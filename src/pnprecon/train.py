@@ -244,8 +244,6 @@ def adam_step(params_vec, grad_vec, state, lr):
 def _test_metrics(params, test_items, cfg, rng):
     """Mean test MSE plus sampled test spectral norms for the epoch log;
     the item picks and draws come from rng in order."""
-    if not test_items:
-        return float("nan"), float("nan"), float("nan")
     outs = [net.forward(params, item.x_noisy) for item in test_items]
     mses = [recon.mse(out, item.x_ref) for out, item in zip(outs, test_items)]
     n = len(test_items)
@@ -265,6 +263,8 @@ def train_phase(params0, dataset, cfg):
     test_items = dataset.split("test")
     if not train_items:
         raise ValueError("dataset has no training items")
+    if not test_items:
+        raise ValueError("dataset has no test items")
     rng = np.random.default_rng(cfg.seed)
     vec = net.params_to_vector(params0)
     state = AdamState.zeros(vec.size)

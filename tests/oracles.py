@@ -26,6 +26,12 @@ def make_test_problem(grid=16, n_angles=12, seed=0, dose=1.0,
     return activity, lm
 
 
+def osem_start(lm):
+    """An ADMM start: 8 OSEM iterations at the default subset count."""
+    n_sub = recon.default_n_subsets(lm.model.geometry.n_angles)
+    return recon.osem_reconstruct(lm, recon.OsemConfig(8, n_sub))
+
+
 def scalar_model(y_value, mult=1.0, background=0.0):
     """1-pixel, 1-active-bin system: A = [1], second detector row zero."""
     import scipy.sparse as sp
@@ -138,7 +144,7 @@ def naive_net_forward(params, x):
     s = net.input_scale(x)
     w = x / s
     a = [w]
-    k = arch.kernel
+    k = net.KERNEL
     pad = k // 2
     for layer in range(arch.n_layers):
         ker = params.kernels[layer]
@@ -159,11 +165,8 @@ def naive_net_forward(params, x):
                                 acc += ker[o, c, di, dj] * padded[c, i + di, j + dj]
                     z[o, i, j] = acc
         if layer < arch.n_layers - 1:
-            if arch.activation == "softplus":
-                a = [np.maximum(t, 0) + np.log1p(np.exp(-np.abs(t))) - np.log(2.0)
-                     for t in z]
-            else:
-                a = [np.maximum(t, 0) for t in z]
+            a = [np.maximum(t, 0) + np.log1p(np.exp(-np.abs(t))) - np.log(2.0)
+                 for t in z]
         else:
             a = [z[0]]
     return s * (w + a[0])

@@ -28,8 +28,8 @@ import pytest
 
 import pnprecon
 from pnprecon import admm, net, prox, recon, sim, train
-from oracles import (dense_jacobian_l, make_test_problem, penalized_solver,
-                     scalar_model)
+from oracles import (dense_jacobian_l, make_test_problem, osem_start,
+                     penalized_solver, scalar_model)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEMO_CFG = os.path.join(REPO, "configs", "demo.cfg")
@@ -134,7 +134,7 @@ def test_criterion_03_prox_oracle_equivalence():
 
 def test_criterion_04_differentiation_engine():
     t0 = time.time()
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     rng = np.random.default_rng(401)
     params = net.vector_to_params(arch, rng.normal(0.0, 0.7, net.n_params(arch)))
     x = np.abs(rng.normal(1.0, 0.5, (8, 8))) + 0.1
@@ -192,7 +192,7 @@ def test_criterion_04_differentiation_engine():
 
 def test_criterion_05_power_iteration():
     t0 = time.time()
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     rng = np.random.default_rng(501)
     worst = 0.0
     for i in range(5):
@@ -229,7 +229,7 @@ def test_criterion_06_convex_admm_oracle():
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
     cfg = admm.AdmmConfig(rho=rho, n_iterations=200, n_inner=200)
-    x, hist = admm.admm_pnp(lm, denoise, cfg)
+    x, hist = admm.admm_pnp(lm, denoise, cfg, osem_start(lm))
     k_pass = next((k for k in range(len(hist))
                    if hist.primal[k] < 1e-6 and hist.dual[k] < 1e-6), None)
     assert k_pass is not None and k_pass < 200

@@ -9,7 +9,7 @@ import pytest
 
 from pnprecon import admm, net, prox, recon, sim, util
 from pnprecon.util import NumericalAbort
-from oracles import make_test_problem, penalized_solver
+from oracles import make_test_problem, osem_start, penalized_solver
 
 IDENTITY = lambda img: img.copy()
 
@@ -33,11 +33,11 @@ def test_identity_denoiser_stays_at_fixed_point():
 
 def test_dual_update_identity_bitwise():
     _, lm = make_test_problem(grid=16, seed=2)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.init_params(arch, seed=0, scale=0.2)
     states = []
     cfg = admm.AdmmConfig(rho=20.0, n_iterations=4, n_inner=10)
-    admm.admm_pnp(lm, params, cfg,
+    admm.admm_pnp(lm, params, cfg, osem_start(lm),
                   on_iterate=lambda st: states.append(
                       (st.k, st.x.copy(), st.z.copy(), st.u.copy())))
     assert [st[0] for st in states] == [1, 2, 3, 4]
@@ -49,7 +49,7 @@ def test_dual_update_identity_bitwise():
 
 def test_single_iteration_matches_hand_stepped_composition():
     _, lm = make_test_problem(grid=16, seed=3)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.init_params(arch, seed=1, scale=0.2)
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
     cfg = admm.AdmmConfig(rho=15.0, n_iterations=1, n_inner=25)
@@ -73,7 +73,7 @@ def test_quadratic_prox_denoiser_matches_convex_oracle():
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
     cfg = admm.AdmmConfig(rho=rho, n_iterations=200, n_inner=100)
-    x, hist = admm.admm_pnp(lm, denoise, cfg)
+    x, hist = admm.admm_pnp(lm, denoise, cfg, osem_start(lm))
     assert hist.primal[-1] < 1e-6
     assert hist.dual[-1] < 1e-6
     want = penalized_solver(lm, m, lam, kkt_target=1e-10)
@@ -88,7 +88,7 @@ def test_dr_residual_and_secant_match_recorded_states():
     w[:, 8 * 16 + 8] = 0.0
     lm = recon.LikelihoodModel(model=replace(lm.model, weights=w.tocsr()), y=lm.y)
     assert not lm.model.mask[8, 8]
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     rng = np.random.default_rng(3)
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
@@ -128,7 +128,7 @@ def test_dr_residual_falls_and_secant_is_exact_for_linear_denoiser():
     m = np.clip(activity + 0.1, 0.0, None)
     denoise = lambda v: (rho * v + lam * m) / (rho + lam)
     cfg = admm.AdmmConfig(rho=rho, n_iterations=60, n_inner=100)
-    _, hist = admm.admm_pnp(lm, denoise, cfg)
+    _, hist = admm.admm_pnp(lm, denoise, cfg, osem_start(lm))
     # ||x_1 - z_0|| is no T step, so the DR sequence starts at k = 2
     assert hist.dr_residual[1] > hist.dr_residual[0]
     res = np.asarray(hist.dr_residual[1:])
@@ -145,9 +145,9 @@ def test_abort_on_nonfinite_denoiser():
     bad = lambda img: np.full_like(img, np.inf)
     cfg = admm.AdmmConfig(rho=10.0, n_iterations=3)
     with pytest.raises(NumericalAbort, match="iteration 1"):
-        admm.admm_pnp(lm, bad, cfg)
+        admm.admm_pnp(lm, bad, cfg, osem_start(lm))
     # a finite but huge start overflows the prox: the net never sees it
-    params = net.init_params(net.ArchConfig(n_layers=2, channels=3, kernel=3),
+    params = net.init_params(net.ArchConfig(n_layers=2, channels=3),
                              seed=0, scale=0.2)
     z0 = np.ones((16, 16))
     z0[8, 8] = 1e302
@@ -157,7 +157,7 @@ def test_abort_on_nonfinite_denoiser():
 
 def test_rho_sweep_single_value_equals_one_run():
     _, lm = make_test_problem(grid=16, seed=9)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.init_params(arch, seed=2, scale=0.2)
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
     cfg = admm.AdmmConfig(rho=25.0, n_iterations=6)
@@ -169,7 +169,7 @@ def test_rho_sweep_single_value_equals_one_run():
 
 def test_rho_sweep_row_count_and_determinism():
     activity, lm = make_test_problem(grid=16, seed=10)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     rng = np.random.default_rng(3)
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
@@ -189,16 +189,16 @@ def test_rho_sweep_validates_input():
     calls = []
     counted = lambda img: calls.append(1) or img.copy()
     with pytest.raises(ValueError):
-        admm.rho_sweep(lm, counted, [], cfg)
+        admm.rho_sweep(lm, counted, [], cfg, osem_start(lm))
     with pytest.raises(ValueError):
-        admm.rho_sweep(lm, counted, [1.0, -2.0], cfg)
+        admm.rho_sweep(lm, counted, [1.0, -2.0], cfg, osem_start(lm))
     assert calls == []       # the bad rho is rejected before any run
 
 
 def test_sweep_rows_match_per_rho_runs():
     # reference rows written inline from one AdmmConfig run per rho
     activity, lm = make_test_problem(grid=16, seed=13)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     rng = np.random.default_rng(5)
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
     z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
@@ -240,7 +240,7 @@ def test_history_rows_shape():
     _, lm = make_test_problem(grid=16, seed=11)
     cfg = admm.AdmmConfig(rho=30.0, n_iterations=3)
     x_ref, _ = make_test_problem(grid=16, seed=11)
-    _, hist = admm.admm_pnp(lm, IDENTITY, cfg, x_ref=x_ref)
+    _, hist = admm.admm_pnp(lm, IDENTITY, cfg, osem_start(lm), x_ref=x_ref)
     rows = hist.as_rows()
     assert len(rows) == 3
     assert rows[0][0] == 1 and rows[-1][0] == 3
@@ -251,8 +251,8 @@ def test_history_rows_shape():
 @pytest.mark.parametrize("start", ["osem", "given"])
 def test_rho_sweep_matches_serial_loop_bitwise(start):
     # the loop rho_sweep replaced, run on a separately built model so the
-    # parallel runs build their own caches; z0 = None runs OSEM per run
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    # parallel runs build their own caches
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.vector_to_params(
         arch, np.random.default_rng(6).normal(0, 0.2, net.n_params(arch)))
     rhos = [0.3, 3.0, 30.0]
@@ -260,7 +260,7 @@ def test_rho_sweep_matches_serial_loop_bitwise(start):
     runs = []
     for _ in range(2):
         activity, lm = make_test_problem(grid=16, seed=14)
-        z0 = None if start == "osem" else recon.osem_reconstruct(
+        z0 = osem_start(lm) if start == "osem" else recon.osem_reconstruct(
             lm, recon.OsemConfig(2, 4))
         runs.append((activity, lm, z0))
     activity, lm, z0 = runs[0]
@@ -277,7 +277,7 @@ def test_rho_sweep_matches_serial_loop_bitwise(start):
 def test_run_all_matches_serial_runs_bitwise():
     # three items, each with its own model, rho, start and reference,
     # against the serial admm_pnp loop on separately built models
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.vector_to_params(
         arch, np.random.default_rng(8).normal(0, 0.2, net.n_params(arch)))
     cfg = admm.AdmmConfig(1.0, n_iterations=5, n_inner=5)
@@ -300,10 +300,9 @@ def test_run_all_matches_serial_runs_bitwise():
 
 
 def test_rho_sweep_stress_more_workers_than_cores(monkeypatch):
-    # 8 workers, a 1 us switch interval and z0 = None on a fresh projector,
-    # so the runs race to build its shared subset-block cache: the
+    # 8 workers and a 1 us switch interval on a fresh projector: the
     # histories stay bitwise those of the serial loop
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.vector_to_params(
         arch, np.random.default_rng(7).normal(0, 0.2, net.n_params(arch)))
     rhos = [0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0]
@@ -314,15 +313,17 @@ def test_rho_sweep_stress_more_workers_than_cores(monkeypatch):
     monkeypatch.setattr(util, "N_WORKERS", 8)
     sim._assemble_projector.cache_clear()
     activity, lm = make_test_problem(grid=12, seed=15)
+    z0 = osem_start(lm)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = admm.rho_sweep(lm, params, rhos, cfg, x_ref=activity)
+        got = admm.rho_sweep(lm, params, rhos, cfg, z0, x_ref=activity)
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown(wait=True)
     sim._assemble_projector.cache_clear()
     activity, lm = make_test_problem(grid=12, seed=15)
-    want = [admm.admm_pnp(lm, params, replace(cfg, rho=rho), x_ref=activity)[1]
+    z0 = osem_start(lm)
+    want = [admm.admm_pnp(lm, params, replace(cfg, rho=rho), z0, x_ref=activity)[1]
             for rho in rhos]
     assert got == want

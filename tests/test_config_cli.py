@@ -45,7 +45,6 @@ n_iterations = 4
 [net]
 n_layers = 2
 channels = 3
-kernel = 3
 certify_power_iters = 10
 
 [train.pre]
@@ -209,7 +208,7 @@ def test_cli_reruns_are_byte_identical(workspace):
 
 def test_cli_identity_checkpoint_certifies_sigma_one(workspace, tmp_path):
     root, cfg_path = workspace
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     ident = tmp_path / "identity.ckpt"
     net.save_checkpoint(ident, net.identity_params(arch))
     out = tmp_path / "cert"
@@ -249,9 +248,9 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
      r"unknown key 'n_subsets' in \[osem\]"),
     ("rhos = 10.0,300.0", "rhos = 1,x", r"\[sweep\] rhos"),
     ("count = 3", "count = 1", r"\[phantoms\] count"),
-    ("kernel = 3", "kernel = 3\nactivation = tanh", r"\[net\] unknown activation"),
-    ("kernel = 3", "kernel = 4", r"\[net\] kernel size"),
-    ("kernel = 3", "kernel = -1", r"\[net\] kernel size"),
+    ("channels = 3", "channels = 3\nkernel = 3", r"unknown key 'kernel' in \[net\]"),
+    ("channels = 3", "channels = 3\nactivation = softplus",
+     r"unknown key 'activation' in \[net\]"),
     ("learning_rate = 0.005", "learning_rate = -1", r"\[train\.pre\]"),
     ("n_bins = 26", "n_bins = 10", r"\[geometry\] detector"),
     ("power_iters = 5", "power_iters = 5\nepsilon = 1.5", r"\[train\.jac\]"),
@@ -267,7 +266,7 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("n_test_sims = 2", "n_test_sims = 0", r"\[admm\] need n_test_sims"),
     ("certify_power_iters = 10", "certify_power_iters = 0",
      r"\[net\] .*certify_power_iters"),
-    ("kernel = 3", "kernel = 3\ninit_scale = -1", r"\[net\] need init_scale"),
+    ("channels = 3", "channels = 3\ninit_scale = -1", r"\[net\] need init_scale"),
     ("learning_rate = 0.005", "learning_rate = 0.005\npower_iters = 0",
      r"\[train\.pre\] power_iters"),
     ("learning_rate = 0.005\nsigma_eval_samples = 2",
@@ -298,10 +297,10 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
      r"\[simulation\] .*background_fraction"),
     ("learning_rate = 0.005", "learning_rate = inf", r"\[train\.pre\] .*learning_rate"),
     ("learning_rate = 0.005", "learning_rate = nan", r"\[train\.pre\] .*learning_rate"),
-    ("kernel = 3", "kernel = 3\ninit_scale = inf", r"\[net\] .*init_scale"),
+    ("channels = 3", "channels = 3\ninit_scale = inf", r"\[net\] .*init_scale"),
     ("n_bins = 26", "n_bins = 26\nbin_width = inf", r"\[geometry\] .*bin_width"),
     ("n_bins = 26", "n_bins = 26\nbin_width = nan", r"\[geometry\] .*bin_width"),
-    ("kernel = 3", "kernel = 3\ncertify_margin = nan", r"\[net\] .*certify_margin"),
+    ("channels = 3", "channels = 3\ncertify_margin = nan", r"\[net\] .*certify_margin"),
     ("power_iters = 5", "power_iters = 5\nbeta = inf", r"\[train\.jac\] .*beta"),
     ("power_iters = 5", "power_iters = 5\nalpha = nan", r"\[train\.jac\] .*alpha"),
 ])
@@ -402,8 +401,7 @@ def _old_builders(cfg, rho=None, iters=None):
         norm_seed=derive_seed(cfg.seed, 101),
         background_fraction=cfg["simulation"]["background_fraction"],
         osem=recon.OsemConfig(n_iterations=o["n_iterations"], n_subsets=n_sub),
-        arch=net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"],
-                            kernel=n["kernel"], activation=n["activation"]),
+        arch=net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"]),
         init_scale=n["init_scale"],
         train={phase: train_config(phase) for phase in ("pre", "jac")},
         certify_power_iters=n["certify_power_iters"],
@@ -489,7 +487,7 @@ def _truncate(path):
 
 
 @pytest.mark.parametrize("case", ["checkpoint-bad-magic", "checkpoint-truncated",
-                                  "checkpoint-huge-layer-count",
+                                  "checkpoint-huge-layer-count", "checkpoint-relu",
                                   "osem-image-truncated", "osem-image-nan-pixel",
                                   "mu-negative-pixel", "manifest-not-utf8",
                                   "manifest-bad-split", "osem-image-wrong-shape",
@@ -501,7 +499,7 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
     ckpt = tmp_path / "net.ckpt"
     net.save_checkpoint(ckpt, net.identity_params(
-        net.ArchConfig(n_layers=2, channels=3, kernel=3)))
+        net.ArchConfig(n_layers=2, channels=3)))
     if case == "checkpoint-bad-magic":
         ckpt.write_bytes(b"WRONGMAG" + ckpt.read_bytes()[8:])
     elif case == "checkpoint-truncated":
@@ -509,6 +507,10 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
     elif case == "checkpoint-huge-layer-count":
         raw = bytearray(ckpt.read_bytes())
         raw[11] = 0x40                    # n_layers = 2 + 2**30
+        ckpt.write_bytes(bytes(raw))
+    elif case == "checkpoint-relu":
+        raw = bytearray(ckpt.read_bytes())
+        raw[20] = 1                       # activation code 1, once relu
         ckpt.write_bytes(bytes(raw))
     elif case == "osem-image-truncated":
         _truncate(tmp_path / "runs" / "data" / "item000_osem.img")
@@ -546,19 +548,25 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
         text = manifest.read_text()
         assert text.count(",test\n") == 2
         manifest.write_text(text.replace(",test\n", ",tesd\n", 1))
-    capsys.readouterr()
-    assert cli.main(["certify", "--n-samples", "2", "--config", str(cfg_path),
-                     "--checkpoint", str(ckpt)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:")
     rejected = {"osem-image-wrong-shape": "item004_osem.img",
                 "activity-wrong-shape": "phantom02_activity.img",
                 "mu-wrong-shape": "phantom02_mu.img",
                 "counts-transposed": "item004_counts.img",
                 "mu-negative-pixel": "phantom02_mu.img",
-                "counts-negative-pixel": "item004_counts.img"}
-    if case in rejected:
-        assert rejected[case] in err
+                "counts-negative-pixel": "item004_counts.img",
+                "checkpoint-relu": "net.ckpt: activation code 1 is not 0"}
+    commands = [("certify", ["--n-samples", "2"], "certify")]
+    if case == "checkpoint-relu":
+        commands.append(("reconstruct", ["--iters", "1"], "recon"))
+    for command, extra, out in commands:
+        capsys.readouterr()
+        assert cli.main([command, *extra, "--config", str(cfg_path),
+                         "--checkpoint", str(ckpt)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        if case in rejected:
+            assert rejected[case] in err
+        assert not (tmp_path / "runs" / out).exists()
 
 
 @pytest.fixture(scope="module")
@@ -567,7 +575,7 @@ def fuzz_run(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "tiny.cfg").write_text(TINY_CFG)
     assert cli.main(["simulate", "--config", str(root / "tiny.cfg")]) == 0
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     vec = np.random.default_rng(5).normal(0.0, 0.2, net.n_params(arch))
     net.save_checkpoint(root / "net.ckpt", net.DenoiserParams(arch=arch, vec=vec))
     return root
@@ -654,7 +662,7 @@ def test_main_calls_commands_through_the_module(tmp_path, monkeypatch):
     for name in ("cmd_simulate", "cmd_certify"):
         recording(name)
     (tmp_path / "tiny.cfg").write_text(TINY_CFG)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     net.save_checkpoint(tmp_path / "net.ckpt", net.init_params(arch, seed=1, scale=0.2))
     assert cli.main(["simulate", "--config", str(tmp_path / "tiny.cfg")]) == 0
     assert cli.main(["certify", "--config", str(tmp_path / "tiny.cfg"), "--checkpoint",
@@ -811,7 +819,7 @@ def test_train_adam_moment_overflow_aborts(fuzz_run, tmp_path, capsys):
     # moment while the parameters stay finite (frozen, as the step is 0)
     cfg_path = tmp_path / "scale.cfg"
     cfg_path.write_text(_with_data(
-        TINY_CFG.replace("kernel = 3", "kernel = 3\ninit_scale = 1e300"), fuzz_run))
+        TINY_CFG.replace("channels = 3", "channels = 3\ninit_scale = 1e300"), fuzz_run))
     out = tmp_path / "out"
     capsys.readouterr()
     with np.errstate(all="ignore"):
@@ -876,7 +884,7 @@ def test_lanczos_cap_above_pixel_count(fuzz_run, tmp_path):
 
 @pytest.mark.parametrize("edit, what", [
     (("learning_rate = 0.005", "learning_rate = 1e308"), "parameters"),
-    (("kernel = 3", "kernel = 3\ninit_scale = 1e300"), "Adam moments")],
+    (("channels = 3", "channels = 3\ninit_scale = 1e300"), "Adam moments")],
     ids=["learning-rate", "init-scale"])
 def test_train_adam_overflow_leaves_one_stderr_line(fuzz_run, tmp_path, edit, what):
     # a child process, so no errstate or warning capture of the test runner
@@ -998,7 +1006,7 @@ def test_reconstruct_abort_names_first_failing_item(tmp_path, capsys, monkeypatc
     cfg_path.write_text(TINY_CFG.replace("n_doses = 2", "n_doses = 3")
                         .replace("n_test_sims = 2", "n_test_sims = 3"))
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     net.save_checkpoint(tmp_path / "net.ckpt", net.init_params(arch, seed=1, scale=0.2))
     exp = cli.build_experiment(load_config(str(cfg_path)), {})
     tags = [f"item{i:03d}" for i, _ in
@@ -1032,7 +1040,7 @@ def test_reconstruct_postfilter_abort_names_its_item(tmp_path, capsys, monkeypat
     cfg_path = tmp_path / "tiny.cfg"
     cfg_path.write_text(TINY_CFG)
     assert cli.main(["simulate", "--config", str(cfg_path)]) == 0
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     net.save_checkpoint(tmp_path / "net.ckpt", net.init_params(arch, seed=1, scale=0.2))
     exp = cli.build_experiment(load_config(str(cfg_path)), {})
     sims = cli._select_test_sims(exp, cli._load_dataset(exp))

@@ -9,9 +9,9 @@ from pnprecon import net
 from pnprecon.config import FileFormatError
 from oracles import dense_jacobian_l, naive_net_forward, power_iteration_l
 
-ARCH2 = net.ArchConfig(n_layers=2, channels=3, kernel=3)
-ARCH3 = net.ArchConfig(n_layers=3, channels=4, kernel=3)
-ARCH_DEMO = net.ArchConfig(n_layers=5, channels=16, kernel=3)
+ARCH2 = net.ArchConfig(n_layers=2, channels=3)
+ARCH3 = net.ArchConfig(n_layers=3, channels=4)
+ARCH_DEMO = net.ArchConfig(n_layers=5, channels=16)
 
 
 def random_params(arch, seed, scale=0.5, zero_bias=False):
@@ -92,7 +92,7 @@ def test_jvp_matches_finite_differences():
 
     def residual(w):
         return net._stack(params, w[None], params.biases,
-                          lambda _, z: net._act(params.arch.activation, z))[0][-1][0]
+                          lambda _, z: net._act(z))[0][-1][0]
     fd = (residual((x + h * t) / s) - residual((x - h * t) / s)) * s / (2 * h)
     got = net.Linearization(params, x).jvp(t)
     want = t + fd
@@ -195,7 +195,7 @@ def test_softplus_in_place_matches_expression():
     t = np.concatenate([rng.standard_normal(1000), 800.0 * rng.standard_normal(1000),
                         [0.0, -0.0, 1e300, -1e300, np.inf, -np.inf, np.nan, -np.nan]])
     want = np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))) - math.log(2.0)
-    got = net._act("softplus", t.reshape(2, 4, -1))
+    got = net._act(t.reshape(2, 4, -1))
     np.testing.assert_array_equal(got.ravel(), want)
     finite = np.isfinite(want)
     assert got.ravel()[finite].tobytes() == want[finite].tobytes()
@@ -345,9 +345,11 @@ def test_checkpoint_corruption_rejected(tmp_path):
     path = tmp_path / "net.ckpt"
     net.save_checkpoint(path, random_params(ARCH2, 3))
     raw = path.read_bytes()
+    bad_kernel = raw[:16] + np.array([5], dtype="<u4").tobytes() + raw[20:]
     bad_code = raw[:20] + np.array([7], dtype="<u4").tobytes() + raw[24:]
     for payload, needle in ((raw[:20], "truncated header"),
                             (raw[:-3], "payload"),
+                            (bad_kernel, "kernel 5 is not 3"),
                             (bad_code, "activation code 7")):
         path.write_bytes(payload)
         with pytest.raises(FileFormatError, match=needle):
@@ -369,30 +371,25 @@ def test_checkpoint_global_skip_field(tmp_path):
 def test_arch_validation():
     with pytest.raises(ValueError):
         net.ArchConfig(n_layers=1)
-    with pytest.raises(ValueError):
-        net.ArchConfig(kernel=4)
-    with pytest.raises(ValueError, match="kernel size"):
-        net.ArchConfig(kernel=-1)     # odd, as -1 % 2 == 1
-    with pytest.raises(ValueError):
-        net.ArchConfig(activation="tanh")
+    with pytest.raises(ValueError, match="channel"):
+        net.ArchConfig(channels=0)
 
 
 def _reference_primal(params, w):
     """The primal layer loop that net._stack replaced: per-layer
     pre-activations and padded inputs at the normalized input w."""
     arch = params.arch
-    act = arch.activation
     h, wd = w.shape
     a = w[None, :, :]
     in_list = []
     z_list = []
     for layer in range(arch.n_layers):
-        xp = net._pad_flat(a, arch.kernel)
+        xp = net._pad_flat(a, net.KERNEL)
         z = net._conv(xp, params.kernels[layer], params.biases[layer], h, wd)
         in_list.append(xp)
         z_list.append(z)
         if layer < arch.n_layers - 1:
-            a = net._act(act, z)
+            a = net._act(z)
     return z_list, in_list
 
 
@@ -404,7 +401,7 @@ def _reference_tangent(params, dacts, tan):
     in_t = []
     zt_list = []
     for layer in range(params.arch.n_layers):
-        xp = net._pad_flat(t, params.arch.kernel)
+        xp = net._pad_flat(t, net.KERNEL)
         zt = net._conv(xp, params.kernels[layer], None, h, wd)
         in_t.append(xp)
         zt_list.append(zt)
@@ -421,7 +418,7 @@ def _same_bits(got, want):
 
 @pytest.mark.parametrize("arch, size", [
     (ARCH_DEMO, 48),
-    (net.ArchConfig(n_layers=3, channels=4, kernel=3, activation="relu"), 16),
+    (ARCH3, 16),
 ])
 def test_one_layer_loop_bitwise_equals_separate_loops(arch, size):
     params = random_params(arch, 81, scale=0.2)
@@ -469,33 +466,16 @@ def test_sigmoid_bitwise_equals_masked_form():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("activation", ["softplus", "relu"])
-def test_second_derivative_from_dacts_matches_direct_form(activation):
+def test_second_derivative_from_dacts_matches_direct_form():
     """param_grad_penalty forms act'' as d1 (1 - d1) from lin.dacts; bitwise
-    that is sigmoid(z) (1 - sigmoid(z)) for softplus and +0.0 for relu."""
-    arch = net.ArchConfig(n_layers=3, channels=3, kernel=3, activation=activation)
+    that is sigmoid(z) (1 - sigmoid(z))."""
+    arch = net.ArchConfig(n_layers=3, channels=3)
     lin = net.Linearization(random_params(arch, 72), random_image((10, 12), 73))
     for d1, z in zip(lin.dacts, lin.z_list[:-1]):
-        if activation == "softplus":
-            s = _old_sigmoid(z)
-            want = s * (1.0 - s)
-        else:
-            want = np.zeros_like(z)
+        s = _old_sigmoid(z)
+        want = s * (1.0 - s)
         got = d1 * (1.0 - d1)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_relu_variant_runs():
-    arch = net.ArchConfig(n_layers=2, channels=2, kernel=3, activation="relu")
-    params = random_params(arch, 34)
-    x = random_image((8, 8), 35)
-    out = net.forward(params, x)
-    assert np.all(np.isfinite(out))
-    t = random_image((8, 8), 36, positive=False)
-    c = random_image((8, 8), 37, positive=False)
-    lhs = np.sum(net.Linearization(params, x).jvp(t) * c)
-    rhs = np.sum(t * net.Linearization(params, x).vjp(c))
-    assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
 
 def test_init_params_matches_per_layer_draws():
@@ -504,7 +484,7 @@ def test_init_params_matches_per_layer_draws():
     arch = ARCH3
     params = net.init_params(arch, seed=42, scale=0.2)
     rng = np.random.default_rng(42)
-    k = arch.kernel
+    k = net.KERNEL
     for i, (co, ci) in enumerate(arch.layer_shapes()):
         if i == arch.n_layers - 1:
             want = np.zeros((co, ci, k, k))

@@ -69,7 +69,7 @@ def _inline_sigma_draw(params, x_ref, d_out, rng, power_iters, u0=None):
 @pytest.mark.parametrize("warm", [True, False])
 def test_sigma_at_tilde_matches_inline_draw(warm):
     ds = tiny_dataset()
-    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+    arch = net.ArchConfig(n_layers=3, channels=4)
     params = net.vector_to_params(
         arch, np.random.default_rng(21).normal(0, 0.5, net.n_params(arch)))
     item = ds.items[0]
@@ -102,7 +102,7 @@ def _jac_cfg(**kw):
 
 def test_loss_beta_zero_equals_mse_and_gradient():
     ds = tiny_dataset()
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.init_params(arch, seed=0)
     batch = list(ds.items[:2])
     rng = np.random.default_rng(1)
@@ -121,7 +121,7 @@ def test_loss_identity_denoiser_noise_free_inputs():
     # D = Id on x_b = ref_b: MSE = 0 and sigma = 1, so each element
     # contributes hinge(1) = eps^(1+alpha)
     ds = tiny_dataset()
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.identity_params(arch)
     items = [train.DatasetItem(phantom_id=i.phantom_id, dose_scale=i.dose_scale,
                                seed=i.seed, counts=i.counts, x_noisy=i.x_ref,
@@ -137,7 +137,7 @@ def test_loss_identity_denoiser_noise_free_inputs():
 
 def test_loss_decomposition_exact():
     ds = tiny_dataset()
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.vector_to_params(
         arch, np.random.default_rng(3).normal(0, 0.5, net.n_params(arch)))
     rng = np.random.default_rng(4)
@@ -152,7 +152,7 @@ def test_loss_and_grad_primal_passes(monkeypatch, phase, passes_per_item):
     # one pass on x_noisy (loss, output and MSE gradient); in JAC one more
     # on x_tilde, shared by power iteration and the penalty gradient
     ds = tiny_dataset()
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.init_params(arch, seed=0, scale=0.3)
     batch = list(ds.items[:3])
     cfg = _pre_cfg(batch_size=3) if phase == "pre" else _jac_cfg(batch_size=3)
@@ -167,12 +167,11 @@ def test_loss_and_grad_primal_passes(monkeypatch, phase, passes_per_item):
     assert calls[0] == passes_per_item * len(batch)
 
 
-@pytest.mark.parametrize("activation", ["softplus", "relu"])
-def test_jac_loss_and_grad_matches_separate_linearizations(activation):
+def test_jac_loss_and_grad_matches_separate_linearizations():
     # the replaced path: power iteration on one linearization of x_tilde
     # and the penalty gradient on a fresh one, drawing the same rng values
     ds = tiny_dataset()
-    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3, activation=activation)
+    arch = net.ArchConfig(n_layers=3, channels=4)
     params = net.vector_to_params(
         arch, np.random.default_rng(17).normal(0, 0.5, net.n_params(arch)))
     batch = list(ds.items[:3])
@@ -208,7 +207,7 @@ def test_jac_loss_and_grad_matches_serial_loop_bitwise():
     # the per-item loop loss_and_grad ran before its items were fanned out:
     # losses, gradient, the stored warm starts and the final RNG state
     ds = tiny_dataset()
-    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+    arch = net.ArchConfig(n_layers=3, channels=4)
     params = net.vector_to_params(
         arch, np.random.default_rng(24).normal(0, 0.5, net.n_params(arch)))
     batch = list(ds.items[:3])
@@ -252,7 +251,7 @@ def test_test_metrics_match_serial_loop_bitwise():
     ds = tiny_dataset(n_phantoms=3, n_doses=3)
     test_items = ds.split("test")
     assert len(test_items) == 3
-    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+    arch = net.ArchConfig(n_layers=3, channels=4)
     params = net.vector_to_params(
         arch, np.random.default_rng(27).normal(0, 0.5, net.n_params(arch)))
     cfg = _pre_cfg(sigma_eval_samples=3, power_iters=6)
@@ -276,7 +275,7 @@ def test_sample_sigmas_matches_serial_loop_bitwise():
     # certify's sampling: round-robin picks over the test points, every
     # draw taken in order before the samples run, each sample started cold
     ds = tiny_dataset(n_phantoms=3, n_doses=3)
-    arch = net.ArchConfig(n_layers=3, channels=4, kernel=3)
+    arch = net.ArchConfig(n_layers=3, channels=4)
     params = net.vector_to_params(
         arch, np.random.default_rng(29).normal(0, 0.5, net.n_params(arch)))
     points = [(it.x_ref, net.forward(params, it.x_noisy)) for it in ds.split("test")]
@@ -296,7 +295,7 @@ def test_sample_sigmas_matches_serial_loop_bitwise():
 
 def test_full_loss_gradient_matches_finite_differences():
     ds = tiny_dataset(grid=16)
-    arch = net.ArchConfig(n_layers=2, channels=2, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=2)
     vec0 = np.random.default_rng(5).normal(0, 0.6, net.n_params(arch))
     item = ds.items[0]
     eps, alpha, beta = 0.05, 0.1, 10.0
@@ -373,7 +372,7 @@ def test_adam_converges_on_scalar_quadratic():
 def test_train_pre_reduces_mse_on_toy_set():
     # one training phantom at five doses; MSE must halve within 30 epochs
     ds = tiny_dataset(n_phantoms=2, n_doses=5, n_test=1)
-    arch = net.ArchConfig(n_layers=3, channels=6, kernel=3)
+    arch = net.ArchConfig(n_layers=3, channels=6)
     params0 = net.init_params(arch, seed=8, scale=0.3)
     cfg = _pre_cfg(epochs=30, learning_rate=1e-2, seed=9)
     params, log = train.train_phase(params0, ds, cfg)
@@ -387,7 +386,7 @@ def test_train_pre_reduces_mse_on_toy_set():
 def test_train_jac_enforces_sigma_on_toy_set():
     # after the constrained phase, sampled test spectral norms sit under 1.05
     ds = tiny_dataset(n_phantoms=3, n_doses=5, n_test=1)
-    arch = net.ArchConfig(n_layers=3, channels=6, kernel=3)
+    arch = net.ArchConfig(n_layers=3, channels=6)
     params0 = net.init_params(arch, seed=8, scale=0.3)
     pre, _ = train.train_phase(params0, ds, _pre_cfg(
         epochs=30, learning_rate=1e-2, seed=9, sigma_eval_samples=2))
@@ -412,7 +411,7 @@ def test_train_jac_enforces_sigma_on_toy_set():
 
 def test_train_reproducible():
     ds = tiny_dataset(n_phantoms=2, n_doses=1)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params0 = net.init_params(arch, seed=10)
     cfg = _pre_cfg(epochs=3, seed=11)
     p1, log1 = train.train_phase(params0, ds, cfg)
@@ -426,7 +425,7 @@ def test_train_jac_penalty_inactive_matches_pre_gradient():
     # identity denoiser with eps=0: every sigma = 1 keeps the hinge dead,
     # so the JAC gradient equals the PRE gradient bit for bit
     ds = tiny_dataset(n_phantoms=2, n_doses=1)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.identity_params(arch)
     batch = list(ds.items)
     _, _, _, g_pre = train.loss_and_grad(params, batch, _pre_cfg(),
@@ -438,10 +437,20 @@ def test_train_jac_penalty_inactive_matches_pre_gradient():
     np.testing.assert_array_equal(g_pre, g_jac)
 
 
+@pytest.mark.parametrize("split, what", [("train", "training"), ("test", "test")])
+def test_train_phase_rejects_an_empty_split(split, what):
+    ds = tiny_dataset(n_phantoms=2, n_doses=1)
+    ds = train.Dataset(items=tuple(it for it in ds.items if it.split != split),
+                       phantoms=ds.phantoms)
+    params0 = net.init_params(net.ArchConfig(n_layers=2, channels=3), seed=16)
+    with pytest.raises(ValueError, match=f"^dataset has no {what} items$"):
+        train.train_phase(params0, ds, _pre_cfg(epochs=1, seed=17))
+
+
 def test_train_nonfinite_loss_aborts():
     from pnprecon.util import NumericalAbort
     ds = tiny_dataset(n_phantoms=2, n_doses=1)
-    arch = net.ArchConfig(n_layers=2, channels=3, kernel=3)
+    arch = net.ArchConfig(n_layers=2, channels=3)
     params0 = net.init_params(arch, seed=14)
     params0.kernels[0][:] = 1e200   # overflow through both layers
     params0.kernels[1][:] = 1e200
