@@ -31,7 +31,7 @@ for k in range(24):
 
 # OSEM reaches a similar point in far fewer passes over the data.
 n_sub = recon.default_n_subsets(geom.n_angles)
-x_osem = recon.osem_reconstruct(lm, recon.OsemConfig(8, n_sub))
+x_osem = recon.osem_reconstruct(lm, 8)
 print(f"OSEM 8 iterations x {n_sub} subsets: "
       f"LL = {recon.log_likelihood(lm, x_osem):.2f}, "
       f"MSE vs truth = {recon.mse(x_osem, activity):.4f}")

@@ -17,7 +17,7 @@ model = sim.build_system_model(geom, mu, norm_seed=6)
 model = sim.with_background(model, activity, fraction=0.2)
 counts = sim.simulate_counts(model, activity, dose_scale=1.0, seed=23)
 lm = recon.LikelihoodModel(model=model, y=counts)
-z0 = recon.osem_reconstruct(lm, recon.OsemConfig(8, 8))
+z0 = recon.osem_reconstruct(lm, 8)
 print(f"{int(counts.sum())} counts; OSEM start MSE "
       f"{recon.mse(z0, activity):.4f}")
 
@@ -36,15 +36,13 @@ print(f"  dual   residual {hist.dual[0]:.2e} -> {hist.dual[-1]:.2e}")
 # 2. a quickly trained network denoiser
 specs = [sim.random_phantom_spec(32, seed=70 + p) for p in range(3)]
 dataset = train.build_dataset(specs, geom, [[0.7, 1.0, 1.4]] * 3, base_seed=31,
-                              osem_cfg=recon.OsemConfig(8, 8),
-                              n_test_phantoms=1, norm_seed=6)
+                              osem_iterations=8, n_test_phantoms=1, norm_seed=6)
 params = net.init_params(net.ArchConfig(n_layers=3, channels=8),
                          seed=4, scale=0.3)
 params, _ = train.train_phase(params, dataset, train.TrainConfig(
-    phase="pre", epochs=20, learning_rate=5e-3, batch_size=1, seed=5,
-    sigma_eval_samples=2))
+    epochs=20, learning_rate=5e-3, batch_size=1, seed=5, sigma_eval_samples=2))
 params, _ = train.train_phase(params, dataset, train.TrainConfig(
-    phase="jac", epochs=10, learning_rate=2e-3, batch_size=3, beta=10.0,
+    epochs=10, learning_rate=2e-3, batch_size=3, beta=10.0,
     alpha=0.1, epsilon=0.05, power_iters=10, seed=6, sigma_eval_samples=2))
 
 cfg = admm.AdmmConfig(rho=rho, n_iterations=40)

@@ -41,9 +41,9 @@ def _write_provenance(out_dir, exp, args, extras):
 # rhos as floats, the sweep's AdmmConfig, n_samples None outside certify),
 # built once by build_experiment.
 Experiment = collections.namedtuple("Experiment", (
-    "cfg paths specs n_test doses geometry norm_seed background_fraction osem "
-    "arch init_scale train certify_power_iters certify_margin n_samples admm "
-    "n_test_sims filter_sigmas sweep_rhos sweep"))
+    "cfg paths specs n_test doses geometry norm_seed background_fraction "
+    "osem_iterations arch init_scale train certify_power_iters certify_margin "
+    "n_samples admm n_test_sims filter_sigmas sweep_rhos sweep"))
 
 
 @contextlib.contextmanager
@@ -92,8 +92,7 @@ def build_experiment(cfg, flags):
         _require(ok, "each drawn dose must be finite and > 0: narrow dose_decades "
                  "or move dose_center")
     with _naming("[osem]"):
-        osem = recon.OsemConfig(n_iterations=cfg["osem"]["n_iterations"],
-                                n_subsets=recon.default_n_subsets(geometry.n_angles))
+        _require(cfg["osem"]["n_iterations"] >= 1, "need n_iterations >= 1")
     with _naming("[net]"):
         arch = net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"])
         _require(0 <= n["init_scale"] < np.inf and n["certify_power_iters"] >= 1
@@ -103,15 +102,15 @@ def build_experiment(cfg, flags):
     phases = {}
     for phase, key in (("pre", 301), ("jac", 302)):
         with _naming(f"[train.{phase}]"):
-            phases[phase] = train.TrainConfig(
-                phase=phase, seed=derive_seed(cfg.seed, key), **cfg[f"train.{phase}"])
+            phases[phase] = train.TrainConfig(seed=derive_seed(cfg.seed, key),
+                                              **cfg[f"train.{phase}"])
     with _naming("[admm]"):
         acfg = admm.AdmmConfig(
             rho=a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"])
         _require(a["n_test_sims"] >= 1 and a["filter_sigmas"]
-                 and all(np.isfinite(f) and f >= 0 for f in a["filter_sigmas"]),
+                 and all(0 <= f <= ph["grid_size"] for f in a["filter_sigmas"]),
                  "need n_test_sims >= 1 and at least one filter sigma, "
-                 "each finite and >= 0")
+                 "each in [0, grid_size]")
     with _naming("[sweep] rhos:"):
         rhos = tuple(dataclasses.replace(acfg, rho=float(tok)).rho
                      for tok in sw["rhos"].split(","))
@@ -130,7 +129,8 @@ def build_experiment(cfg, flags):
                         for name, path in cfg["paths"].items()},
         specs=specs, n_test=ph["n_test"], doses=doses, geometry=geometry,
         norm_seed=derive_seed(cfg.seed, 101),
-        background_fraction=s["background_fraction"], osem=osem, arch=arch,
+        background_fraction=s["background_fraction"],
+        osem_iterations=cfg["osem"]["n_iterations"], arch=arch,
         init_scale=n["init_scale"], train=phases,
         certify_power_iters=n["certify_power_iters"],
         certify_margin=n["certify_margin"], n_samples=flags.get("n_samples"),
@@ -140,7 +140,7 @@ def build_experiment(cfg, flags):
 
 def cmd_simulate(exp, args, out_dir):
     dataset = train.build_dataset(
-        exp.specs, exp.geometry, exp.doses, exp.cfg.seed, exp.osem,
+        exp.specs, exp.geometry, exp.doses, exp.cfg.seed, exp.osem_iterations,
         n_test_phantoms=exp.n_test,
         background_fraction=exp.background_fraction, norm_seed=exp.norm_seed)
     for p, (activity, mu) in dataset.phantoms.items():

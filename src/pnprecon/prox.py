@@ -38,9 +38,10 @@ def surrogate_root(s, b, v, rho):
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
     v = np.asarray(v, dtype=float)
-    c = rho * v - s
-    disc = np.sqrt(c * c + 4.0 * rho * b)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    # overflow from a huge rho gives inf/nan, on which admm_pnp aborts
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        c = rho * v - s
+        disc = np.sqrt(c * c + 4.0 * rho * b)
         return np.where(c < 0, 2.0 * b / (disc - c), (c + disc) / (2.0 * rho))
 
 

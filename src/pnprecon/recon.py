@@ -10,7 +10,6 @@ from .util import NumericalAbort, read_only
 
 __all__ = [
     "LikelihoodModel",
-    "OsemConfig",
     "default_n_subsets",
     "subset_blocks",
     "log_likelihood",
@@ -57,16 +56,6 @@ class LikelihoodModel:
                 self.y.ravel()[rows])
 
 
-@dataclass(frozen=True)
-class OsemConfig:
-    n_iterations: int = 8
-    n_subsets: int = 1
-
-    def __post_init__(self):
-        if self.n_iterations < 1 or self.n_subsets < 1:
-            raise ValueError("n_iterations and n_subsets must be >= 1")
-
-
 def default_n_subsets(n_angles):
     """Largest divisor of n_angles that is at most 14: OSEM's subset count."""
     return max(d for d in range(1, 15) if n_angles % d == 0)
@@ -82,18 +71,19 @@ def _rows_of(A, rows):
     return rows, a, read_only(a.T.tocsr())
 
 
-def subset_blocks(model, n_subsets):
+def subset_blocks(model):
     """One read-only (rows, A[rows], A[rows]^T) per OSEM subset s, whose rows
-    are those of angles s, s + n_subsets, ...  Built once per projector matrix and subset count
-    and shared by every model holding that matrix; the cache is kept on the
-    matrix object, so it is freed with it."""
+    are those of angles s, s + n, ... for n = default_n_subsets(n_angles),
+    the only place the subset count is chosen.  Built once per projector
+    matrix and shared by every model holding it; the partition is kept on
+    the matrix object, so it is freed with it."""
     A, (n_angles, n_bins) = model.weights, model.sino_shape()
-    shared = vars(A).setdefault("_pnprecon_subset_blocks", {})
-    if (n_bins, n_subsets) not in shared:
+    if "_pnprecon_subset_blocks" not in vars(A):
+        n = default_n_subsets(n_angles)
         bins = np.arange(A.shape[0]).reshape(n_angles, n_bins)
-        shared[n_bins, n_subsets] = tuple(
-            _rows_of(A, bins[s::n_subsets].ravel()) for s in range(n_subsets))
-    return shared[n_bins, n_subsets]
+        A._pnprecon_subset_blocks = tuple(
+            _rows_of(A, bins[s::n].ravel()) for s in range(n))
+    return A._pnprecon_subset_blocks
 
 
 def log_likelihood(lm, x):
@@ -160,21 +150,20 @@ def uniform_start(model):
     return x0.reshape((model.grid_size, model.grid_size))
 
 
-def osem_reconstruct(lm, cfg, x0=None):
-    """Ordered-subsets EM over angle-interleaved subsets; each subset step
-    projects only its own rows of the sinogram.
+def osem_reconstruct(lm, n_iterations, x0=None):
+    """n_iterations of ordered-subsets EM over the angle-interleaved subsets
+    of subset_blocks; each subset step projects only its own rows of the
+    sinogram.
 
-    n_subsets = 1 reproduces plain MLEM bit for bit.
+    Where n_angles has no divisor in 2..14 there is one subset, and this
+    is plain MLEM bit for bit.
     """
     model = lm.model
-    if model.geometry.n_angles % cfg.n_subsets != 0:
-        raise ValueError("n_subsets must divide n_angles")
     x = uniform_start(model) if x0 is None else np.asarray(x0, dtype=float).copy()
-    blocks = [lm.row_block(*block)
-              for block in subset_blocks(model, cfg.n_subsets)]
+    blocks = [lm.row_block(*block) for block in subset_blocks(model)]
     sens = [a_t @ mult for _, _, a_t, mult, _, _ in blocks]
     xf = x.ravel()
-    for _ in range(cfg.n_iterations):
+    for _ in range(n_iterations):
         for block, sens_s in zip(blocks, sens):
             xf = _em_update(xf, _em_ratio_backproj(block, xf), sens_s)
     return xf.reshape(x.shape)

@@ -279,7 +279,8 @@ def with_background(model, x_true, fraction):
     if fraction < 0:
         raise ValueError("background fraction must be nonnegative")
     trues = model.mult_factors * (model.weights @ np.asarray(x_true, float).ravel())
-    level = fraction * trues.mean()
+    with np.errstate(over="ignore"):    # an inf level: simulate_counts aborts
+        level = fraction * trues.mean()
     return dataclasses.replace(
         model, background=np.full(model.n_rows, level))
 

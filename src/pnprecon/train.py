@@ -61,11 +61,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    phase: str                  # "pre" | "jac"
     epochs: int
     learning_rate: float
     batch_size: int
-    beta: float = 0.0
+    beta: float = 0.0               # hinge weight: 0 in PRE, > 0 in JAC
     alpha: float = 0.1
     epsilon: float = 0.05
     power_iters: int = 10           # Lanczos step cap of each sigma
@@ -73,8 +72,6 @@ class TrainConfig:
     sigma_eval_samples: int = 8     # test-sigma samples logged per epoch
 
     def __post_init__(self):
-        if self.phase not in ("pre", "jac"):
-            raise ValueError("phase must be 'pre' or 'jac'")
         if not 0 < self.learning_rate < np.inf or self.epochs < 1 or self.batch_size < 1:
             raise ValueError("need 0 < learning_rate < inf and epochs, batch_size >= 1")
         if self.power_iters < 1 or self.sigma_eval_samples < 0:
@@ -82,8 +79,6 @@ class TrainConfig:
         if not (0 <= self.beta < np.inf and 0 <= self.alpha < np.inf
                 and 0 <= self.epsilon < 1):
             raise ValueError("hinge needs finite beta, alpha >= 0 and 0 <= epsilon < 1")
-        if self.phase == "pre" and self.beta != 0:
-            raise ValueError("the PRE phase trains with beta = 0")
 
 
 def item_model(base_model, dose_scale):
@@ -93,7 +88,7 @@ def item_model(base_model, dose_scale):
                                background=dose_scale * base_model.background)
 
 
-def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
+def build_dataset(phantom_specs, geom, doses, base_seed, osem_iterations,
                   n_test_phantoms=1, background_fraction=0.2, norm_seed=0):
     """Simulate, reconstruct and pair every (phantom, dose) combination.
 
@@ -122,7 +117,7 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_cfg,
             except NumericalAbort as exc:
                 raise NumericalAbort(f"phantom {p}, dose {dose:g}: {exc}") from exc
             lm = recon.LikelihoodModel(model=item_model(model, dose), y=counts)
-            x_noisy = recon.osem_reconstruct(lm, osem_cfg, x0=x0)
+            x_noisy = recon.osem_reconstruct(lm, osem_iterations, x0=x0)
             items.append(DatasetItem(
                 phantom_id=p, dose_scale=float(dose), seed=seed, counts=counts,
                 x_noisy=x_noisy, x_ref=dose * activity, split=split))
@@ -172,7 +167,7 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
     the spectral norm estimated by warm-started Lanczos; its top Ritz
     vector is reused, frozen, inside the gradient, and both read one
     linearization at x_tilde.
-    In the PRE phase the penalty is skipped entirely.
+    At beta = 0 (the PRE phase) the penalty is skipped entirely.
 
     The items run in parallel (util.ordered_map).  The draws, the warm
     starts read from power_warm, the sums and the power_warm stores stay
@@ -182,7 +177,7 @@ def loss_and_grad(params, batch, cfg, rng, power_warm=None):
     """
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
-    with_penalty = cfg.phase == "jac" and cfg.beta > 0
+    with_penalty = cfg.beta > 0
     # every warm start is read before any is stored
     power_warm = {} if power_warm is None else power_warm
     keys = [(item.phantom_id, round(item.dose_scale, 12)) for item in batch]

@@ -27,9 +27,39 @@ def make_test_problem(grid=16, n_angles=12, seed=0, dose=1.0,
 
 
 def osem_start(lm):
-    """An ADMM start: 8 OSEM iterations at the default subset count."""
-    n_sub = recon.default_n_subsets(lm.model.geometry.n_angles)
-    return recon.osem_reconstruct(lm, recon.OsemConfig(8, n_sub))
+    """An ADMM start: 8 OSEM iterations."""
+    return recon.osem_reconstruct(lm, 8)
+
+
+def masked_osem(lm, n_iterations, n_subsets, x0):
+    """OSEM from x0 over n_subsets angle-interleaved subsets, any count that
+    divides n_angles, by the path recon.osem_reconstruct replaced: per
+    subset step, a full forward projection, the ratio zeroed outside the
+    subset and a full back-projection, over sensitivities back-projected
+    from indicator sinograms."""
+    model, geom = lm.model, lm.model.geometry
+    at = model.weights.T.tocsr()
+    rows = [(np.arange(s, geom.n_angles, n_subsets)[:, None] * geom.n_bins
+             + np.arange(geom.n_bins)[None, :]).ravel() for s in range(n_subsets)]
+    sens = []
+    for r in rows:
+        ones = np.zeros(model.n_rows)
+        ones[r] = 1.0
+        sens.append(at @ (model.mult_factors * ones))
+    y = lm.y.ravel()
+    x = np.asarray(x0, dtype=float).ravel().copy()
+    for _ in range(n_iterations):
+        for r, sen in zip(rows, sens):
+            ybar = model.mult_factors * (model.weights @ x) + model.background
+            ratio = np.divide(y, ybar, out=np.zeros_like(ybar), where=ybar > 0)
+            keep = np.zeros_like(ratio)
+            keep[r] = ratio[r]
+            num = at @ (model.mult_factors * keep)
+            mask = sen > 0
+            out = np.zeros_like(x)
+            out[mask] = x[mask] * num[mask] / sen[mask]
+            x = out
+    return x.reshape(np.shape(x0))
 
 
 def scalar_model(y_value, mult=1.0, background=0.0):

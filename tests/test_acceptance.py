@@ -4,7 +4,7 @@ Criteria 1-6 are self-contained numerical checks.  Criteria 7-11 train
 and evaluate the bundled demo config (configs/demo.cfg) through the CLI;
 the pipeline runs twice with identical seeds, in two concurrent runs,
 so that criterion 11 can demand byte-identical CSV artifacts.  Expect the
-module to take about 3 minutes on 2 cores.
+module to take about a minute on 2 cores, most of it that pipeline.
 
 The CLI children put the directory holding the `pnprecon` this process
 imported first on their PYTHONPATH, so the suite runs the same code from an

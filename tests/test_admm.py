@@ -9,7 +9,7 @@ import pytest
 
 from pnprecon import admm, net, prox, recon, sim, util
 from pnprecon.util import NumericalAbort
-from oracles import make_test_problem, osem_start, penalized_solver
+from oracles import make_test_problem, masked_osem, osem_start, penalized_solver
 
 IDENTITY = lambda img: img.copy()
 
@@ -51,7 +51,7 @@ def test_single_iteration_matches_hand_stepped_composition():
     _, lm = make_test_problem(grid=16, seed=3)
     arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.init_params(arch, seed=1, scale=0.2)
-    z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+    z0 = recon.osem_reconstruct(lm, 2)
     cfg = admm.AdmmConfig(rho=15.0, n_iterations=1, n_inner=25)
     x, hist = admm.admm_pnp(lm, params, cfg, z0=z0)
 
@@ -91,7 +91,7 @@ def test_dr_residual_and_secant_match_recorded_states():
     arch = net.ArchConfig(n_layers=2, channels=3)
     rng = np.random.default_rng(3)
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
-    z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+    z0 = recon.osem_reconstruct(lm, 2)
     states = []
     cfg = admm.AdmmConfig(rho=20.0, n_iterations=6, n_inner=10)
     _, hist = admm.admm_pnp(lm, params, cfg, z0=z0, on_iterate=states.append)
@@ -159,7 +159,7 @@ def test_rho_sweep_single_value_equals_one_run():
     _, lm = make_test_problem(grid=16, seed=9)
     arch = net.ArchConfig(n_layers=2, channels=3)
     params = net.init_params(arch, seed=2, scale=0.2)
-    z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+    z0 = recon.osem_reconstruct(lm, 2)
     cfg = admm.AdmmConfig(rho=25.0, n_iterations=6)
     (swept,) = admm.rho_sweep(lm, params, [25.0], cfg, z0=z0)
     _, hist = admm.admm_pnp(lm, params, cfg, z0=z0)
@@ -172,7 +172,7 @@ def test_rho_sweep_row_count_and_determinism():
     arch = net.ArchConfig(n_layers=2, channels=3)
     rng = np.random.default_rng(3)
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
-    z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+    z0 = recon.osem_reconstruct(lm, 2)
     rhos = [5.0, 50.0, 500.0]
     cfg = admm.AdmmConfig(rho=1.0, n_iterations=4)
     r1 = admm.rho_sweep(lm, params, rhos, cfg, z0=z0, x_ref=activity)
@@ -201,7 +201,8 @@ def test_sweep_rows_match_per_rho_runs():
     arch = net.ArchConfig(n_layers=2, channels=3)
     rng = np.random.default_rng(5)
     params = net.vector_to_params(arch, rng.normal(0, 0.2, net.n_params(arch)))
-    z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+    # the 4-subset OSEM start the pinned flags below were taken from
+    z0 = masked_osem(lm, 2, 4, recon.uniform_start(lm.model))
     rhos = [0.05, 0.5, 1.5, 5.0]
     want_curves, want_summary = [], []
     for rho in rhos:
@@ -261,7 +262,7 @@ def test_rho_sweep_matches_serial_loop_bitwise(start):
     for _ in range(2):
         activity, lm = make_test_problem(grid=16, seed=14)
         z0 = osem_start(lm) if start == "osem" else recon.osem_reconstruct(
-            lm, recon.OsemConfig(2, 4))
+            lm, 2)
         runs.append((activity, lm, z0))
     activity, lm, z0 = runs[0]
     want = [admm.admm_pnp(lm, params, replace(cfg, rho=rho), z0=z0, x_ref=activity)[1]
@@ -286,7 +287,7 @@ def test_run_all_matches_serial_runs_bitwise():
         out = []
         for seed, rho in ((16, 3.0), (17, 30.0), (18, 300.0)):
             activity, lm = make_test_problem(grid=16, seed=seed)
-            z0 = recon.osem_reconstruct(lm, recon.OsemConfig(2, 4))
+            z0 = recon.osem_reconstruct(lm, 2)
             out.append((f"item {seed}", lm, replace(cfg, rho=rho), z0, activity))
         return out
     want = [admm.admm_pnp(lm, params, c, z0=z0, x_ref=ref)

@@ -259,6 +259,9 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("rho = 30.0", "rho = 30.0\nprox_tol = nan", r"unknown key 'prox_tol'"),
     ("filter_sigmas = 0,1.0", "filter_sigmas = -1.0", r"\[admm\] .*filter sigma"),
     ("filter_sigmas = 0,1.0", "filter_sigmas = 0,nan", r"\[admm\] .*filter sigma"),
+    ("filter_sigmas = 0,1.0", "filter_sigmas = 0,1e300", r"\[admm\] .*filter sigma"),
+    ("filter_sigmas = 0,1.0", "filter_sigmas = 17", r"\[admm\] .*grid_size"),
+    ("n_iterations = 4", "n_iterations = 0", r"\[osem\] need n_iterations >= 1"),
     ("rho = 30.0\niterations = 3", "rho = 30.0\niterations = 0",
      r"\[admm\] need at least one iteration"),
     ("rho = 30.0", "rho = 30.0\nprox_inner = 0", r"\[admm\] invalid inner"),
@@ -369,12 +372,11 @@ def test_cli_bad_flag_exit_code(tmp_path, capsys, argv, flag):
 def _old_builders(cfg, rho=None, iters=None):
     """The per-command construction that build_experiment replaced."""
     g, o, n, a, s = (cfg[sec] for sec in ("geometry", "osem", "net", "admm", "sweep"))
-    n_sub = recon.default_n_subsets(g["n_angles"])
 
     def train_config(phase):
         sec = cfg[f"train.{phase}"]
         return train.TrainConfig(
-            phase=phase, epochs=sec["epochs"], learning_rate=sec["learning_rate"],
+            epochs=sec["epochs"], learning_rate=sec["learning_rate"],
             batch_size=sec["batch_size"],
             beta=sec.get("beta", 0.0), alpha=sec.get("alpha", 0.1),
             epsilon=sec.get("epsilon", 0.05), power_iters=sec["power_iters"],
@@ -400,7 +402,7 @@ def _old_builders(cfg, rho=None, iters=None):
                                     bin_width=g["bin_width"]),
         norm_seed=derive_seed(cfg.seed, 101),
         background_fraction=cfg["simulation"]["background_fraction"],
-        osem=recon.OsemConfig(n_iterations=o["n_iterations"], n_subsets=n_sub),
+        osem_iterations=o["n_iterations"],
         arch=net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"]),
         init_scale=n["init_scale"],
         train={phase: train_config(phase) for phase in ("pre", "jac")},
@@ -438,7 +440,7 @@ def test_experiment_matches_old_builders(tmp_path, source, flags):
             assert list(got[name]) == value, name
         else:
             assert got[name] == value, name
-    assert type(exp.osem.n_subsets) is int
+    assert type(exp.osem_iterations) is int
     assert all(type(r) is float for r in exp.sweep_rhos)
 
 
@@ -895,6 +897,27 @@ def test_train_adam_overflow_leaves_one_stderr_line(fuzz_run, tmp_path, edit, wh
     assert res.returncode == 3
     assert res.stderr == (f"numerical abort: non-finite {what} after the Adam "
                           "step at epoch 0, batch start 0\n")
+
+
+@pytest.mark.parametrize("edit, argv, abort", [
+    (("rhos = 10.0,300.0", "rhos = 1e308"), ["sweep"],
+     r"rho = 1e\+308: non-finite denoiser input at iteration 1"),
+    (None, ["reconstruct", "--rho", "1e308"],
+     r"item \d{3}: non-finite denoiser input at iteration 1"),
+    (("background_fraction = 0.2", "background_fraction = 1e308"), ["simulate"],
+     r"phantom 0, dose [\d.]+: bin \d+, mean count inf: lam value too large")],
+    ids=["sweep-rhos", "reconstruct-rho", "background-fraction"])
+def test_huge_value_abort_leaves_one_stderr_line(fuzz_run, tmp_path, edit, argv, abort):
+    # finite values whose products overflow; a child process, so no errstate
+    # or warning capture of the test runner hides a numpy warning
+    text = TINY_CFG.replace(*edit) if edit else TINY_CFG
+    (tmp_path / "bad.cfg").write_text(_with_data(text, fuzz_run))
+    if argv[0] != "simulate":
+        argv = [*argv, "--checkpoint", str(fuzz_run / "net.ckpt")]
+    res = _run_python(["-m", "pnprecon.cli", *argv, "--config", "bad.cfg",
+                       "--out", "out"], str(tmp_path))
+    assert res.returncode == 3
+    assert re.fullmatch(f"numerical abort: {abort}\n", res.stderr), res.stderr
 
 
 @pytest.mark.parametrize("phase", ["pre", "jac"])

@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from pnprecon import config, prox, recon, sim
-from oracles import make_test_problem, scalar_model
+from oracles import make_test_problem, masked_osem, scalar_model
 
 DEMO_CFG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "demo.cfg"
 
@@ -93,7 +93,7 @@ def test_ll_gradient_names_bad_bin():
     for step in (lambda: recon.ll_gradient(dead, x),
                  lambda: recon.mlem_step(dead, x),
                  lambda: prox.prox_neg_ll(dead, x, prox.ProxConfig(rho=1.0), x),
-                 lambda: recon.osem_reconstruct(dead, recon.OsemConfig(1, 2))):
+                 lambda: recon.osem_reconstruct(dead, 1)):
         with pytest.raises(ZeroDivisionError, match="bin 0"):
             step()
     # with the second row empty, the bad bin is row 0 of the second subset;
@@ -101,7 +101,7 @@ def test_ll_gradient_names_bad_bin():
     model = dataclasses.replace(model, weights=sp.csr_matrix([[1.0], [0.0]]))
     dead = recon.LikelihoodModel(model=model, y=np.array([[1.0], [2.0]]))
     with pytest.raises(ZeroDivisionError, match="bin 1"):
-        recon.osem_reconstruct(dead, recon.OsemConfig(1, 2))
+        recon.osem_reconstruct(dead, 1)
     # bin 1 is entry 0 of the bins with counts; the data step projects only
     # those and must name its global index
     dead = recon.LikelihoodModel(model=model, y=np.array([[0.0], [2.0]]))
@@ -133,8 +133,10 @@ def test_mlem_monotone_loglikelihood_50_iterations():
 
 
 def test_osem_single_subset_is_mlem_bitwise():
-    _, lm = make_test_problem(grid=16, seed=7)
-    via_osem = recon.osem_reconstruct(lm, recon.OsemConfig(5, 1))
+    # 17 angles have no divisor in 2..14, so OSEM runs one subset
+    _, lm = make_test_problem(grid=16, n_angles=17, seed=7)
+    assert len(recon.subset_blocks(lm.model)) == 1
+    via_osem = recon.osem_reconstruct(lm, 5)
     x = recon.uniform_start(lm.model)
     for _ in range(5):
         x = recon.mlem_step(lm, x)
@@ -143,17 +145,10 @@ def test_osem_single_subset_is_mlem_bitwise():
 
 def test_osem_deterministic_and_nonnegative():
     _, lm = make_test_problem(grid=16, seed=8)
-    cfg = recon.OsemConfig(4, 4)
-    a = recon.osem_reconstruct(lm, cfg)
-    b = recon.osem_reconstruct(lm, cfg)
+    a = recon.osem_reconstruct(lm, 4)
+    b = recon.osem_reconstruct(lm, 4)
     np.testing.assert_array_equal(a, b)
     assert np.all(a >= 0)
-
-
-def test_osem_subsets_must_divide_angles():
-    _, lm = make_test_problem(grid=16, seed=8, n_angles=12)
-    with pytest.raises(ValueError, match="divide"):
-        recon.osem_reconstruct(lm, recon.OsemConfig(2, 5))
 
 
 def test_zero_sensitivity_pixel_masked_not_nan():
@@ -166,65 +161,44 @@ def test_zero_sensitivity_pixel_masked_not_nan():
                             mult_factors=lm.model.mult_factors,
                             background=lm.model.background)
     lm2 = recon.LikelihoodModel(model=model, y=lm.y)
-    x = recon.osem_reconstruct(lm2, recon.OsemConfig(3, 4))
+    x = recon.osem_reconstruct(lm2, 3)
     assert np.all(np.isfinite(x))
     assert x.ravel()[0] == 0.0
 
 
-def _masked_osem(lm, n_iterations, n_subsets, x0):
-    """The replaced OSEM path: per subset step, a full forward projection,
-    the ratio zeroed outside the subset and a full back-projection, over
-    sensitivities back-projected from indicator sinograms."""
-    model, geom = lm.model, lm.model.geometry
-    at = model.weights.T.tocsr()
-    rows = [(np.arange(s, geom.n_angles, n_subsets)[:, None] * geom.n_bins
-             + np.arange(geom.n_bins)[None, :]).ravel() for s in range(n_subsets)]
-    sens = []
-    for r in rows:
-        ones = np.zeros(model.n_rows)
-        ones[r] = 1.0
-        sens.append(at @ (model.mult_factors * ones))
-    y = lm.y.ravel()
-    x = np.asarray(x0, dtype=float).ravel().copy()
-    for _ in range(n_iterations):
-        for r, sen in zip(rows, sens):
-            ybar = model.mult_factors * (model.weights @ x) + model.background
-            ratio = np.divide(y, ybar, out=np.zeros_like(ybar), where=ybar > 0)
-            keep = np.zeros_like(ratio)
-            keep[r] = ratio[r]
-            num = at @ (model.mult_factors * keep)
-            mask = sen > 0
-            out = np.zeros_like(x)
-            out[mask] = x[mask] * num[mask] / sen[mask]
-            x = out
-    return x.reshape(np.shape(x0))
-
-
-def _zero_column_problem(seed):
+def _zero_column_problem(seed, n_angles):
     """make_test_problem with pixel 0 outside every ray."""
-    _, lm = make_test_problem(grid=16, seed=seed)
+    _, lm = make_test_problem(grid=16, n_angles=n_angles, seed=seed)
     w = lm.model.weights.tolil()
     w[:, 0] = 0.0
     model = dataclasses.replace(lm.model, weights=w.tocsr())
     return recon.LikelihoodModel(model=model, y=lm.y)
 
 
-@pytest.mark.parametrize("n_subsets", [1, 2, 4, 12])
+# an angle count for each derived OSEM subset count (48: configs/demo.cfg)
+ANGLES_FOR_SUBSETS = {1: 17, 2: 34, 4: 68, 12: 48}
+
+
+@pytest.mark.parametrize("n_subsets", sorted(ANGLES_FOR_SUBSETS))
 def test_osem_matches_masked_full_sinogram_path_bitwise(n_subsets):
-    _, lm = make_test_problem(grid=16, n_angles=12, seed=13)
+    n_angles = ANGLES_FOR_SUBSETS[n_subsets]
+    _, lm = make_test_problem(grid=16, n_angles=n_angles, seed=13)
+    blocks = recon.subset_blocks(lm.model)
+    assert len(blocks) == recon.default_n_subsets(n_angles) == n_subsets
+    # another phantom on the same geometry: one projector, one partition
+    assert recon.subset_blocks(make_test_problem(
+        grid=16, n_angles=n_angles, seed=17)[1].model) is blocks
     x0 = recon.uniform_start(lm.model)
-    np.testing.assert_array_equal(
-        recon.osem_reconstruct(lm, recon.OsemConfig(3, n_subsets)),
-        _masked_osem(lm, 3, n_subsets, x0))
-    lm = _zero_column_problem(seed=14)
+    np.testing.assert_array_equal(recon.osem_reconstruct(lm, 3),
+                                  masked_osem(lm, 3, n_subsets, x0))
+    lm = _zero_column_problem(seed=14, n_angles=n_angles)
     x0 = recon.uniform_start(lm.model)
-    got = recon.osem_reconstruct(lm, recon.OsemConfig(3, n_subsets))
+    got = recon.osem_reconstruct(lm, 3)
     assert got.ravel()[0] == 0.0
-    np.testing.assert_array_equal(got, _masked_osem(lm, 3, n_subsets, x0))
+    np.testing.assert_array_equal(got, masked_osem(lm, 3, n_subsets, x0))
     x0 = np.random.default_rng(15).uniform(0.2, 3.0, x0.shape)
-    np.testing.assert_array_equal(
-        recon.osem_reconstruct(lm, recon.OsemConfig(3, n_subsets), x0=x0),
-        _masked_osem(lm, 3, n_subsets, x0))
+    np.testing.assert_array_equal(recon.osem_reconstruct(lm, 3, x0=x0),
+                                  masked_osem(lm, 3, n_subsets, x0))
 
 
 def test_osem_subset_loop_makes_no_full_projection(monkeypatch):
@@ -242,13 +216,12 @@ def test_osem_subset_loop_makes_no_full_projection(monkeypatch):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(sim, name, counted)
-    n_subsets = recon.default_n_subsets(geom.n_angles)
-    assert n_subsets == 12
-    recon.osem_reconstruct(lm, recon.OsemConfig(2, n_subsets))
+    assert len(recon.subset_blocks(model)) == 12
+    recon.osem_reconstruct(lm, 2)
     # the only full projection is the one sensitivity behind the start
     # image's mask, which the model caches
     assert calls == {"back_project": 1}
-    recon.osem_reconstruct(lm, recon.OsemConfig(3, n_subsets))
+    recon.osem_reconstruct(lm, 3)
     assert calls == {"back_project": 1}
 
 
@@ -270,11 +243,12 @@ def test_row_blocks_match_direct_construction_bitwise(all_counted):
         assert np.mean(lm.y == 0) >= 0.3
     rows = np.flatnonzero(lm.y > 0)
     want, got = [(rows, A[rows], A[rows].T.tocsr())], [lm.counted[:3]]
-    bins = np.arange(A.shape[0]).reshape(12, -1)
-    for n_subsets in (1, 2, 4, 12):
-        for s, block in enumerate(recon.subset_blocks(lm.model, n_subsets)):
+    for n_subsets, n_angles in ANGLES_FOR_SUBSETS.items():
+        model = make_test_problem(grid=16, n_angles=n_angles, seed=16)[1].model
+        bins = np.arange(model.n_rows).reshape(n_angles, -1)
+        for s, block in enumerate(recon.subset_blocks(model)):
             r = bins[s::n_subsets].ravel()
-            a = A if n_subsets == 1 else A[r]
+            a = model.weights if n_subsets == 1 else model.weights[r]
             want.append((r, a, a.T.tocsr()))
             got.append(block)
     for (g_rows, g_a, g_at), (w_rows, w_a, w_at) in zip(got, want, strict=True):

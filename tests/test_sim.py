@@ -196,14 +196,14 @@ def test_projector_shared_per_geometry_and_read_only():
     models = [a, b, sim.with_background(a, np.ones((16, 16)), 0.2),
               train.item_model(b, 2.0)]
     for m in models:
-        assert recon.subset_blocks(m, 4) is recon.subset_blocks(a, 4)
-    mats = [mat for _, *pair in recon.subset_blocks(a, 4) for mat in pair]
-    assert len(mats) == 8
+        assert recon.subset_blocks(m) is recon.subset_blocks(a)
+    mats = [mat for _, *pair in recon.subset_blocks(a) for mat in pair]
+    assert len(mats) == 2 * 8       # 8 subsets at 8 angles
     for mat in mats:
         for arr in (mat.data, mat.indices, mat.indptr):
             with pytest.raises(ValueError):
                 arr[0] = arr[0]
-    for rows, _, _ in recon.subset_blocks(a, 4):
+    for rows, _, _ in recon.subset_blocks(a):
         with pytest.raises(ValueError):
             rows[0] = 0
 
