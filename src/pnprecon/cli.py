@@ -36,14 +36,15 @@ def _write_provenance(out_dir, exp, args, extras):
     atomic_write(os.path.join(out_dir, "provenance.txt"), "\n".join(lines) + "\n")
 
 
-# Every config value and command-line flag in the typed form the commands
-# use (admm with --rho and --iters applied, train configs by phase, sweep
-# rhos as floats, the sweep's AdmmConfig, n_samples None outside certify),
-# built once by build_experiment.
+# What build_experiment builds or derives from the config and the flags
+# (admm with --rho and --iters applied, train configs by phase, sweep rhos
+# as floats, the sweep's AdmmConfig); a plain value is read from cfg once
+# build_experiment has checked it.
 Experiment = collections.namedtuple("Experiment", (
-    "cfg paths specs n_test doses geometry norm_seed background_fraction "
-    "osem_iterations arch init_scale train certify_power_iters certify_margin "
-    "n_samples admm n_test_sims filter_sigmas sweep_rhos sweep"))
+    "cfg paths specs doses geometry norm_seed arch train admm sweep_rhos sweep"))
+
+# certify_summary.csv counts the samples with sigma(2D - Id) <= 1 + this
+CERTIFY_MARGIN = 0.05
 
 
 @contextlib.contextmanager
@@ -95,10 +96,8 @@ def build_experiment(cfg, flags):
         _require(cfg["osem"]["n_iterations"] >= 1, "need n_iterations >= 1")
     with _naming("[net]"):
         arch = net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"])
-        _require(0 <= n["init_scale"] < np.inf and n["certify_power_iters"] >= 1
-                 and np.isfinite(n["certify_margin"]),
-                 "need init_scale >= 0 and finite, certify_power_iters >= 1 "
-                 "and a finite certify_margin")
+        _require(0 <= n["init_scale"] < np.inf and n["certify_power_iters"] >= 1,
+                 "need init_scale >= 0 and finite and certify_power_iters >= 1")
     phases = {}
     for phase, key in (("pre", 301), ("jac", 302)):
         with _naming(f"[train.{phase}]"):
@@ -127,22 +126,18 @@ def build_experiment(cfg, flags):
     return Experiment(
         cfg=cfg, paths={name: os.path.normpath(os.path.join(cfg.base_dir, path))
                         for name, path in cfg["paths"].items()},
-        specs=specs, n_test=ph["n_test"], doses=doses, geometry=geometry,
-        norm_seed=derive_seed(cfg.seed, 101),
-        background_fraction=s["background_fraction"],
-        osem_iterations=cfg["osem"]["n_iterations"], arch=arch,
-        init_scale=n["init_scale"], train=phases,
-        certify_power_iters=n["certify_power_iters"],
-        certify_margin=n["certify_margin"], n_samples=flags.get("n_samples"),
-        admm=acfg, n_test_sims=a["n_test_sims"],
-        filter_sigmas=tuple(a["filter_sigmas"]), sweep_rhos=rhos, sweep=sweep)
+        specs=specs, doses=doses, geometry=geometry,
+        norm_seed=derive_seed(cfg.seed, 101), arch=arch, train=phases,
+        admm=acfg, sweep_rhos=rhos, sweep=sweep)
 
 
 def cmd_simulate(exp, args, out_dir):
+    cfg = exp.cfg
     dataset = train.build_dataset(
-        exp.specs, exp.geometry, exp.doses, exp.cfg.seed, exp.osem_iterations,
-        n_test_phantoms=exp.n_test,
-        background_fraction=exp.background_fraction, norm_seed=exp.norm_seed)
+        exp.specs, exp.geometry, exp.doses, cfg.seed, cfg["osem"]["n_iterations"],
+        n_test_phantoms=cfg["phantoms"]["n_test"],
+        background_fraction=cfg["simulation"]["background_fraction"],
+        norm_seed=exp.norm_seed)
     for p, (activity, mu) in dataset.phantoms.items():
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_activity.img"), activity)
         sim.write_image(os.path.join(out_dir, f"phantom{p:02d}_mu.img"), mu)
@@ -218,7 +213,7 @@ def cmd_train(exp, args, out_dir):
     tc = exp.train[phase]
     if phase == "pre":
         params0 = net.init_params(exp.arch, seed=derive_seed(exp.cfg.seed, 300),
-                                  scale=exp.init_scale)
+                                  scale=exp.cfg["net"]["init_scale"])
     else:
         pre_path = os.path.join(out_dir, "pre.ckpt")
         if not os.path.exists(pre_path):
@@ -241,7 +236,7 @@ def _select_test_sims(exp, dataset):
     """n_test_sims items evenly spaced over the dose-sorted test split."""
     test = sorted(((i, it) for i, it in enumerate(dataset.items)
                    if it.split == "test"), key=lambda t: t[1].dose_scale)
-    n = min(exp.n_test_sims, len(test))
+    n = min(exp.cfg["admm"]["n_test_sims"], len(test))
     picks = np.unique(np.linspace(0, len(test) - 1, n).round().astype(int))
     return [test[i] for i in picks]
 
@@ -249,7 +244,7 @@ def _select_test_sims(exp, dataset):
 def _likelihood_for_item(exp, dataset, item):
     activity, mu = dataset.phantoms[item.phantom_id]
     model = sim.phantom_model(exp.geometry, activity, mu, exp.norm_seed,
-                              exp.background_fraction)
+                              exp.cfg["simulation"]["background_fraction"])
     return recon.LikelihoodModel(
         model=train.item_model(model, item.dose_scale), y=item.counts)
 
@@ -267,7 +262,7 @@ def cmd_reconstruct(exp, args, out_dir):
     for (item_idx, item, lm), (x, hist) in zip(sims, runs):
         try:
             best_sigma, x_filt = recon.gaussian_postfilter_sweep(
-                item.x_noisy, item.x_ref, exp.filter_sigmas)
+                item.x_noisy, item.x_ref, exp.cfg["admm"]["filter_sigmas"])
         except NumericalAbort as exc:
             raise NumericalAbort(f"item {item_idx:03d}: {exc}") from exc
         tag = f"item{item_idx:03d}"
@@ -315,28 +310,28 @@ def cmd_certify(exp, args, out_dir):
     test_items = dataset.split("test")
     points = [(item.x_ref, net.forward(params, item.x_noisy)) for item in test_items]
     rng = np.random.default_rng(derive_seed(exp.cfg.seed, 401))
-    picks = [j % len(points) for j in range(exp.n_samples)]    # round robin
+    cap = exp.cfg["net"]["certify_power_iters"]
+    picks = [j % len(points) for j in range(args.n_samples)]    # round robin
     draws = [train.draw_tilde(rng) for _ in picks]
     rows = []
     for j, (sigma, steps) in enumerate(train.sample_sigmas(
-            params, [points[i] for i in picks], draws, exp.certify_power_iters)):
+            params, [points[i] for i in picks], draws, cap)):
         if not np.isfinite(sigma):
             raise NumericalAbort(f"non-finite sigma at sample {j}")
         rows.append([j, test_items[picks[j]].phantom_id, draws[j][0], steps, sigma])
     sigmas = [row[4] for row in rows]
-    n_capped = sum(row[3] == exp.certify_power_iters for row in rows)
+    n_capped = sum(row[3] == cap for row in rows)
     write_csv(os.path.join(out_dir, "certify.csv"),
               ("sample", "phantom", "kappa", "steps", "sigma"), rows)
-    margin = exp.certify_margin
-    frac = float(np.mean([s <= 1.0 + margin for s in sigmas]))
+    frac = float(np.mean([s <= 1.0 + CERTIFY_MARGIN for s in sigmas]))
     write_csv(os.path.join(out_dir, "certify_summary.csv"),
               ("n_samples", "sigma_min", "sigma_mean", "sigma_max",
                "margin", "fraction_within"),
-              [[exp.n_samples, min(sigmas), float(np.mean(sigmas)), max(sigmas),
-                margin, frac]])
-    print(f"certify: {exp.n_samples} samples, sigma max {max(sigmas):.4f}, "
-          f"{100 * frac:.0f}% within 1+{margin:g}, {n_capped} at the "
-          f"{exp.certify_power_iters}-step cap -> {out_dir}")
+              [[args.n_samples, min(sigmas), float(np.mean(sigmas)), max(sigmas),
+                CERTIFY_MARGIN, frac]])
+    print(f"certify: {args.n_samples} samples, sigma max {max(sigmas):.4f}, "
+          f"{100 * frac:.0f}% within 1+{CERTIFY_MARGIN:g}, {n_capped} at the "
+          f"{cap}-step cap -> {out_dir}")
     return {}
 
 

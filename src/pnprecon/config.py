@@ -58,7 +58,6 @@ _SCHEMA = {
         "channels": (int, 16),
         "init_scale": (float, 0.1),
         "certify_power_iters": (int, 30),
-        "certify_margin": (float, 0.05),
     },
     "train.pre": {
         "epochs": (int, 50),
@@ -113,7 +112,6 @@ class ExperimentConfig:
 
 def parse_config(text, base_dir="."):
     values = {sec: dict() for sec in _SCHEMA}
-    seen = {sec: set() for sec in _SCHEMA}
     section = ""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -133,9 +131,8 @@ def parse_config(text, base_dir="."):
         if key not in schema:
             where = f"[{section}]" if section else "the global scope"
             raise ConfigError(f"line {lineno}: unknown key {key!r} in {where}")
-        if key in seen[section]:
+        if key in values[section]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen[section].add(key)
         parser = schema[key][0]
         try:
             values[section][key] = parser(val)

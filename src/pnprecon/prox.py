@@ -68,11 +68,13 @@ def prox_neg_ll(lm, v, cfg, x_init, callback=None):
     # a masked pixel has s = 0 and b = 0, so with v = 0 its root is 0
     v = np.where(mask, v, 0.0)
     shape = (lm.model.grid_size, lm.model.grid_size)
-    for it in range(cfg.n_inner):
-        x = surrogate_root(sens, x * recon._em_ratio_backproj(lm.counted, x),
-                           v, cfg.rho)
-        if callback is not None:
-            callback(it, x.reshape(shape))
+    # a root overflowed by a huge rho gives inf * 0 = nan: admm_pnp aborts
+    with np.errstate(invalid="ignore"):
+        for it in range(cfg.n_inner):
+            x = surrogate_root(sens, x * recon._em_ratio_backproj(lm.counted, x),
+                               v, cfg.rho)
+            if callback is not None:
+                callback(it, x.reshape(shape))
     return x.reshape(shape)
 
 

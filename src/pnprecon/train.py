@@ -112,12 +112,13 @@ def build_dataset(phantom_specs, geom, doses, base_seed, osem_iterations,
         x0 = recon.uniform_start(model)
         for d, dose in enumerate(doses[p]):
             seed = derive_seed(base_seed, p, d)
+            # OSEM divides by zero at a count whose expected count is 0
             try:
                 counts = sim.simulate_counts(model, activity, dose, seed)
-            except NumericalAbort as exc:
+                lm = recon.LikelihoodModel(model=item_model(model, dose), y=counts)
+                x_noisy = recon.osem_reconstruct(lm, osem_iterations, x0=x0)
+            except (NumericalAbort, ZeroDivisionError) as exc:
                 raise NumericalAbort(f"phantom {p}, dose {dose:g}: {exc}") from exc
-            lm = recon.LikelihoodModel(model=item_model(model, dose), y=counts)
-            x_noisy = recon.osem_reconstruct(lm, osem_iterations, x0=x0)
             items.append(DatasetItem(
                 phantom_id=p, dose_scale=float(dose), seed=seed, counts=counts,
                 x_noisy=x_noisy, x_ref=dose * activity, split=split))

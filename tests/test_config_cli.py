@@ -190,6 +190,12 @@ def test_cli_pipeline_end_to_end(workspace):
     cdir = root / "runs" / "certify"
     cert = (cdir / "certify.csv").read_text().splitlines()
     assert len(cert) - 1 == 5
+    # the fraction within the fixed margin of criterion 7: sigma <= 1.05
+    sigmas = [float(line.split(",")[4]) for line in cert[1:]]
+    header, row = (cdir / "certify_summary.csv").read_text().splitlines()
+    summary = dict(zip(header.split(","), map(float, row.split(","))))
+    assert summary["margin"] == cli.CERTIFY_MARGIN == 0.05
+    assert summary["fraction_within"] == np.mean([s <= 1.05 for s in sigmas])
 
 
 def test_cli_reruns_are_byte_identical(workspace):
@@ -303,7 +309,8 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("channels = 3", "channels = 3\ninit_scale = inf", r"\[net\] .*init_scale"),
     ("n_bins = 26", "n_bins = 26\nbin_width = inf", r"\[geometry\] .*bin_width"),
     ("n_bins = 26", "n_bins = 26\nbin_width = nan", r"\[geometry\] .*bin_width"),
-    ("channels = 3", "channels = 3\ncertify_margin = nan", r"\[net\] .*certify_margin"),
+    ("channels = 3", "channels = 3\ncertify_margin = nan",
+     r"unknown key 'certify_margin' in \[net\]"),
     ("power_iters = 5", "power_iters = 5\nbeta = inf", r"\[train\.jac\] .*beta"),
     ("power_iters = 5", "power_iters = 5\nalpha = nan", r"\[train\.jac\] .*alpha"),
 ])
@@ -371,7 +378,7 @@ def test_cli_bad_flag_exit_code(tmp_path, capsys, argv, flag):
 
 def _old_builders(cfg, rho=None, iters=None):
     """The per-command construction that build_experiment replaced."""
-    g, o, n, a, s = (cfg[sec] for sec in ("geometry", "osem", "net", "admm", "sweep"))
+    g, n, a, s = (cfg[sec] for sec in ("geometry", "net", "admm", "sweep"))
 
     def train_config(phase):
         sec = cfg[f"train.{phase}"]
@@ -397,23 +404,15 @@ def _old_builders(cfg, rho=None, iters=None):
         specs=[sim.random_phantom_spec(pc["grid_size"], pc["family_seed"] + p)
                for p in range(pc["count"])],
         doses=[doses(p) for p in range(pc["count"])],
-        n_test=pc["n_test"],
         geometry=sim.GeometryConfig(n_angles=g["n_angles"], n_bins=g["n_bins"],
                                     bin_width=g["bin_width"]),
         norm_seed=derive_seed(cfg.seed, 101),
-        background_fraction=cfg["simulation"]["background_fraction"],
-        osem_iterations=o["n_iterations"],
         arch=net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"]),
-        init_scale=n["init_scale"],
         train={phase: train_config(phase) for phase in ("pre", "jac")},
-        certify_power_iters=n["certify_power_iters"],
-        certify_margin=n["certify_margin"],
         admm=admm.AdmmConfig(
             rho if rho is not None else a["rho"],
             n_iterations=iters if iters is not None else a["iterations"],
             n_inner=a["prox_inner"]),
-        n_test_sims=a["n_test_sims"],
-        filter_sigmas=a["filter_sigmas"],
         sweep_rhos=[float(tok) for tok in s["rhos"].split(",")],
         sweep=admm.AdmmConfig(
             a["rho"], n_iterations=s["iterations"], n_inner=a["prox_inner"]))
@@ -432,7 +431,6 @@ def test_experiment_matches_old_builders(tmp_path, source, flags):
     want = _old_builders(cfg, flags.get("rho"), flags.get("iters"))
     got = exp._asdict()
     assert got.pop("cfg") is cfg
-    assert got.pop("n_samples") == flags.get("n_samples")
     assert set(got) == set(want)
     for name, value in want.items():
         if isinstance(value, list):
@@ -440,7 +438,6 @@ def test_experiment_matches_old_builders(tmp_path, source, flags):
             assert list(got[name]) == value, name
         else:
             assert got[name] == value, name
-    assert type(exp.osem_iterations) is int
     assert all(type(r) is float for r in exp.sweep_rhos)
 
 
@@ -477,7 +474,7 @@ def test_simulate_computes_each_thing_once(tmp_path, monkeypatch):
         mu = sim.read_image(data / f"phantom{int(p):02d}_mu.img")
         model = sim.with_background(
             sim.build_system_model(exp.geometry, mu, norm_seed=exp.norm_seed),
-            activity, exp.background_fraction)
+            activity, exp.cfg["simulation"]["background_fraction"])
         want = sim.simulate_counts(model, activity, float(dose), int(seed))
         got = sim.read_image(data / f"item{int(i):03d}_counts.img")
         np.testing.assert_array_equal(got, want)
@@ -633,6 +630,21 @@ def test_certify_primal_passes(fuzz_run, tmp_path, monkeypatch):
                      "--out", str(tmp_path / "out"), "--n-samples", "5"]) == 0
     # 1 test phantom x 2 doses
     assert calls[0] == 5 + 2
+
+
+def test_certify_summary_counts_sigmas_within_fixed_margin(fuzz_run, tmp_path,
+                                                           monkeypatch):
+    # sigmas on both sides of 1 + CERTIFY_MARGIN, one exactly at it
+    sigmas = [0.9, 1.04, 1.05, 1.0500001, 1.3]
+    monkeypatch.setattr(train, "sample_sigmas",
+                        lambda params, points, draws, cap: [(s, 3) for s in sigmas])
+    out = tmp_path / "out"
+    assert cli.main(["certify", "--config", str(fuzz_run / "tiny.cfg"),
+                     "--checkpoint", str(fuzz_run / "net.ckpt"),
+                     "--out", str(out), "--n-samples", "5"]) == 0
+    header, row = (out / "certify_summary.csv").read_text().splitlines()
+    summary = dict(zip(header.split(","), map(float, row.split(","))))
+    assert (summary["margin"], summary["fraction_within"]) == (0.05, 0.6)
 
 
 def test_certify_provenance_names_its_checkpoint(fuzz_run, tmp_path):
@@ -905,10 +917,19 @@ def test_train_adam_overflow_leaves_one_stderr_line(fuzz_run, tmp_path, edit, wh
     (None, ["reconstruct", "--rho", "1e308"],
      r"item \d{3}: non-finite denoiser input at iteration 1"),
     (("background_fraction = 0.2", "background_fraction = 1e308"), ["simulate"],
-     r"phantom 0, dose [\d.]+: bin \d+, mean count inf: lam value too large")],
-    ids=["sweep-rhos", "reconstruct-rho", "background-fraction"])
+     r"phantom 0, dose [\d.]+: bin \d+, mean count inf: lam value too large"),
+    (("rhos = 10.0,300.0", "rhos = 1e300"), ["sweep"],
+     r"rho = 1e\+300: non-finite denoiser input at iteration 1"),
+    (None, ["reconstruct", "--rho", "1e300"],
+     r"item \d{3}: non-finite denoiser input at iteration 1"),
+    (("background_fraction = 0.2", "background_fraction = 0"), ["simulate"],
+     r"phantom \d+, dose [\d.]+: expected counts vanish at bin \d+ "
+     r"with observed counts")],
+    ids=["sweep-rhos", "reconstruct-rho", "background-fraction", "sweep-rhos-1e300",
+         "reconstruct-rho-1e300", "background-fraction-0"])
 def test_huge_value_abort_leaves_one_stderr_line(fuzz_run, tmp_path, edit, argv, abort):
-    # finite values whose products overflow; a child process, so no errstate
+    # finite values whose products overflow, and a zero background that
+    # leaves a count with no expected count; a child process, so no errstate
     # or warning capture of the test runner hides a numpy warning
     text = TINY_CFG.replace(*edit) if edit else TINY_CFG
     (tmp_path / "bad.cfg").write_text(_with_data(text, fuzz_run))
