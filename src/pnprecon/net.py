@@ -13,9 +13,11 @@ kernel (c_out, c_in, k, k) then the bias (c_out,)); DenoiserParams.kernels
 and .biases are views into it.  A parameter gradient is a DenoiserParams of
 the same layout.
 
-Implemented products.  Linearization(params, x) is the one primal pass at
-x: D(x), s, each layer's padded input and pre-activation, and (on first
-use) the activation derivatives.  Every product reads it:
+Implemented products.  Linearization(params, x, dtype) is the one primal
+pass at x: D(x), s, each layer's padded input and pre-activation, and (on
+first use) the activation derivatives.  Its passes and products run in
+dtype (float32 for the sigmas that train nothing); the parameters, x, D(x)
+and what jvp and vjp return stay float64.  Every product reads it:
   forward              D(x); computes no derivatives,
   Linearization.jvp/vjp  first-order input derivatives,
   spectral_norm_l      Golub-Kahan-Lanczos for sigma(2 J - I) at lin and its
@@ -173,13 +175,14 @@ def _pad_flat(x, k):
     c, h, w = x.shape
     pad = k // 2
     hp, wp = h + 2 * pad, w + 2 * pad
-    xp = np.zeros((c, hp * wp + 2 * pad))
+    xp = np.zeros((c, hp * wp + 2 * pad), dtype=x.dtype)
     xp[:, :hp * wp].reshape(c, hp, wp)[:, pad:pad + h, pad:pad + w] = x
     return xp
 
 
 def _conv(xp, kernel, bias, h, w):
-    """'same' convolution of the _pad_flat buffer xp; (C_out, H, W) view."""
+    """'same' convolution of the _pad_flat buffer xp, computed in xp's dtype;
+    (C_out, H, W) view."""
     co, ci, k, _ = kernel.shape
     wp = w + k - 1
     n = h * wp
@@ -188,9 +191,9 @@ def _conv(xp, kernel, bias, h, w):
         step = xp.strides[1]
         win = np.lib.stride_tricks.as_strided(
             xp, (k, k, n), (wp * step, step, step), writeable=False)
-        out = kernel.reshape(co, -1) @ win.reshape(k * k, n)
+        out = kernel.reshape(co, -1).astype(xp.dtype) @ win.reshape(k * k, n)
     else:
-        taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1))
+        taps = np.ascontiguousarray(kernel.transpose(2, 3, 0, 1), dtype=xp.dtype)
         out = taps[0, 0] @ xp[:, :n]
         for di in range(k):
             for dj in range(k):
@@ -198,7 +201,7 @@ def _conv(xp, kernel, bias, h, w):
                     off = di * wp + dj
                     out += taps[di, dj] @ xp[:, off:off + n]
     if bias is not None:
-        out += bias[:, None]
+        out += bias.astype(out.dtype, copy=False)[:, None]
     return out.reshape(co, h, wp)[:, :, :w]
 
 
@@ -264,15 +267,18 @@ def _finite(x):
 
 
 class Linearization:
-    """The denoiser at x from one primal pass: out = D(x), s, z_list, in_list;
-    dacts, the activation derivatives, are computed on first use."""
+    """The denoiser at x from one primal pass in dtype: out = D(x), s,
+    z_list, in_list; dacts, the activation derivatives, are computed on
+    first use."""
 
-    def __init__(self, params, x):
+    def __init__(self, params, x, dtype=np.float64):
         self.params = params
         self.x = np.asarray(x, dtype=float)
         self.s = input_scale(self.x)
+        self.dtype = dtype
         self.z_list, self.in_list = _stack(
-            params, (self.x / self.s)[None], params.biases, lambda _, z: _act(z))
+            params, (self.x / self.s).astype(dtype, copy=False)[None],
+            params.biases, lambda _, z: _act(z))
         # algebraically s * (w + z_L); written so zero residual returns x exactly
         self.out = self.x + self.s * self.z_list[-1][0]
 
@@ -288,7 +294,7 @@ class Linearization:
 
     def _tangent_chain(self, tan):
         """Tangent pre-activations and padded tangent inputs of every layer."""
-        return _stack(self.params, tan[None], None,
+        return _stack(self.params, tan.astype(self.dtype, copy=False)[None], None,
                       lambda layer, zt: self.dacts[layer] * zt)
 
     def jvp(self, tan):
@@ -300,7 +306,7 @@ class Linearization:
         """Jacobian-transpose-vector product of forward at x."""
         cot = self._shaped(cot, "cotangent")
         h, wd = cot.shape
-        g = cot[None, :, :]
+        g = cot.astype(self.dtype, copy=False)[None, :, :]
         for layer in range(self.params.arch.n_layers - 1, -1, -1):
             g = _conv_adjoint(g, self.params.kernels[layer], h, wd)
             if layer > 0:

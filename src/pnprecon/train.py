@@ -139,13 +139,14 @@ def draw_tilde(rng):
     return float(rng.uniform()), int(rng.integers(2 ** 62))
 
 
-def sigma_at_tilde(params, x_ref, d_out, draw, power_iters, u0=None):
+def sigma_at_tilde(params, x_ref, d_out, draw, power_iters, u0=None,
+                   dtype=np.float64):
     """(lin, sigma, u, steps) at x_tilde = sample_tilde(x_ref, d_out, kappa)
     for draw = (kappa, seed) from draw_tilde, from net.spectral_norm_l
-    capped at power_iters Lanczos steps; the seed is unused when u0 is
-    given."""
+    capped at power_iters Lanczos steps on a linearization in dtype; the
+    seed is unused when u0 is given."""
     kappa, seed = draw
-    lin = net.Linearization(params, sample_tilde(x_ref, d_out, kappa))
+    lin = net.Linearization(params, sample_tilde(x_ref, d_out, kappa), dtype)
     return (lin,) + net.spectral_norm_l(lin, max_iters=power_iters, seed=seed,
                                         u0=u0)
 
@@ -153,10 +154,18 @@ def sigma_at_tilde(params, x_ref, d_out, draw, power_iters, u0=None):
 def sample_sigmas(params, points, draws, power_iters):
     """(sigma, steps) of sigma_at_tilde, started cold, at each (x_ref, d_out)
     point with its draw, lazily and in input order; the points run in
-    parallel (util.ordered_map), and closing early cancels those not started."""
+    parallel (util.ordered_map), and closing early cancels those not started.
+    Network passes run in float32, Lanczos in float64; a sample whose float32
+    work overflows or makes a NaN is redone in float64, not returned wrong."""
     def unit(args):
         (x_ref, d_out), draw = args
-        _, sigma, _, steps = sigma_at_tilde(params, x_ref, d_out, draw, power_iters)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                _, sigma, _, steps = sigma_at_tilde(params, x_ref, d_out, draw,
+                                                    power_iters, dtype=np.float32)
+        except FloatingPointError:
+            _, sigma, _, steps = sigma_at_tilde(params, x_ref, d_out, draw,
+                                                power_iters)
         return sigma, steps
     return ordered_map(unit, zip(points, draws))
 

@@ -977,9 +977,9 @@ def test_certify_csv_matches_serial_loop(fuzz_run, tmp_path):
     for j in range(5):
         item, d_out = points[j % len(points)]
         kappa = float(rng.uniform())
-        lin = net.Linearization(params, train.sample_tilde(item.x_ref, d_out, kappa))
-        sigma, _, steps = net.spectral_norm_l(lin, max_iters=10,
-                                              seed=int(rng.integers(2 ** 62)))
+        _, sigma, _, steps = train.sigma_at_tilde(
+            params, item.x_ref, d_out, (kappa, int(rng.integers(2 ** 62))), 10,
+            dtype=np.float32)
         rows.append([j, item.phantom_id, kappa, steps, sigma])
     write_csv(tmp_path / "want.csv", ("sample", "phantom", "kappa", "steps", "sigma"),
               rows)

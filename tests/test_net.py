@@ -190,6 +190,49 @@ def test_spectral_norm_deterministic():
     np.testing.assert_array_equal(a[1], b[1])
 
 
+def test_float32_linearization_stays_float32_inside():
+    # an upcast anywhere in the passes would silently give up the speed
+    lin = net.Linearization(random_params(ARCH_DEMO, 50, scale=0.1),
+                            random_image((12, 10), 51), np.float32)
+    t = random_image((12, 10), 52, positive=False)
+    zt_list, in_t = lin._tangent_chain(t)
+    for arr in lin.z_list + lin.in_list + lin.dacts + zt_list + in_t:
+        assert arr.dtype == np.float32
+    assert lin.x.dtype == lin.out.dtype == np.float64
+    assert lin.jvp(t).dtype == lin.vjp(t).dtype == np.float64
+    assert lin.params.vec.dtype == np.float64
+
+
+def test_float32_jvp_vjp_transpose_identity():
+    params = random_params(ARCH_DEMO, 53, scale=0.1)
+    x = random_image((16, 16), 54)
+    lin = net.Linearization(params, x, np.float32)
+    rng = np.random.default_rng(55)
+    for _ in range(20):
+        t = rng.standard_normal((16, 16))
+        c = rng.standard_normal((16, 16))
+        lhs = np.sum(lin.jvp(t) * c)
+        rhs = np.sum(t * lin.vjp(c))
+        scale = np.linalg.norm(lin.jvp(t)) * np.linalg.norm(c)
+        assert abs(lhs - rhs) <= 1e-5 * scale
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("scale", [0.1, 0.2])
+def test_float32_spectral_norm_pins_float64_on_demo_arch(seed, scale):
+    # the certify cap of 30 steps at LANCZOS_TOL: float32 products change
+    # neither the steps nor sigma beyond 1e-6 relative
+    params = random_params(ARCH_DEMO, seed, scale=scale)
+    for point in range(2):
+        x = random_image((24, 24), 100 * seed + point)
+        s64, _, steps64 = net.spectral_norm_l(net.Linearization(params, x),
+                                              max_iters=30, seed=seed + point)
+        s32, _, steps32 = net.spectral_norm_l(
+            net.Linearization(params, x, np.float32), max_iters=30, seed=seed + point)
+        assert steps32 == steps64
+        assert abs(s32 - s64) <= 1e-6 * s64
+
+
 def test_softplus_in_place_matches_expression():
     rng = np.random.default_rng(40)
     t = np.concatenate([rng.standard_normal(1000), 800.0 * rng.standard_normal(1000),

@@ -1,6 +1,7 @@
 """Dataset building, loss decomposition, Adam, and the two training phases."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -278,8 +279,9 @@ def test_test_metrics_match_serial_loop_bitwise():
     sigmas = []
     for _ in range(3):
         idx = int(rng_want.integers(len(test_items)))
-        sigmas.append(_inline_sigma_draw(params, test_items[idx].x_ref, outs[idx],
-                                         rng_want, cfg.power_iters)[2])
+        draw = (float(rng_want.uniform()), int(rng_want.integers(2 ** 62)))
+        sigmas.append(train.sigma_at_tilde(params, test_items[idx].x_ref, outs[idx],
+                                           draw, cfg.power_iters, dtype=np.float32)[1])
     assert got == (float(np.mean(mses)), float(np.max(sigmas)),
                    float(np.mean(sigmas)))
     assert len(set(sigmas)) == 3
@@ -289,6 +291,7 @@ def test_test_metrics_match_serial_loop_bitwise():
 def test_sample_sigmas_matches_serial_loop_bitwise():
     # certify's sampling: round-robin picks over the test points, every
     # draw taken in order before the samples run, each sample started cold
+    # on a float32 linearization
     ds = tiny_dataset(n_phantoms=3, n_doses=3)
     arch = net.ArchConfig(n_layers=3, channels=4)
     params = net.vector_to_params(
@@ -302,10 +305,41 @@ def test_sample_sigmas_matches_serial_loop_bitwise():
 
     want = []
     for (x_ref, out), draw in zip(picks, draws):
-        _, sigma, _, steps = train.sigma_at_tilde(params, x_ref, out, draw, 6)
+        _, sigma, _, steps = train.sigma_at_tilde(params, x_ref, out, draw, 6,
+                                                  dtype=np.float32)
         want.append((sigma, steps))
     assert got == want
     assert len({sigma for sigma, _ in got}) == 7
+
+
+def _huge_net(scale):
+    """init_params at scale with a last layer of the same scale: the layer
+    outputs grow as scale ** layer."""
+    params = net.init_params(net.ArchConfig(), 1, scale=scale)
+    last = params.kernels[-1]
+    last[...] = np.random.default_rng(2).normal(0.0, scale / np.sqrt(last[0].size),
+                                                last.shape)
+    return params
+
+
+@pytest.mark.parametrize("scale,redone", [(0.1, False), (1e3, False), (1e6, False),
+                                          (1e8, True), (1e12, True)])
+def test_sample_sigmas_redoes_float32_overflow_in_float64(scale, redone):
+    # at 1e8 float32 overflows and, unguarded, returns a finite sigma 3x too
+    # small; at 1e12 a NaN
+    params = _huge_net(scale)
+    rng = np.random.default_rng(60)
+    points = [(np.abs(rng.normal(1.0, 0.3, (48, 48))),
+               np.abs(rng.normal(1.0, 0.3, (48, 48)))) for _ in range(2)]
+    draws = [train.draw_tilde(rng) for _ in points]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = list(train.sample_sigmas(params, points, draws, 10))
+    for (x_ref, d_out), draw, (sigma, steps) in zip(points, draws, got):
+        want = train.sigma_at_tilde(params, x_ref, d_out, draw, 10,
+                                    dtype=np.float64 if redone else np.float32)
+        assert (sigma, steps) == (want[1], want[3])
+        assert np.isfinite(sigma)
 
 
 def test_full_loss_gradient_matches_finite_differences():
