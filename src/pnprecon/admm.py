@@ -63,19 +63,13 @@ class History:
     def __len__(self):
         return len(self.primal)
 
+    def row(self, k):
+        return [k + 1, self.primal[k], self.dual[k], self.log_likelihood[k],
+                self.mse[k] if self.mse else "", self.dr_residual[k],
+                "" if self.secant[k] is None else self.secant[k]]
+
     def as_rows(self):
-        rows = []
-        for k in range(len(self.primal)):
-            rows.append([
-                k + 1,
-                self.primal[k],
-                self.dual[k],
-                self.log_likelihood[k],
-                self.mse[k] if self.mse else "",
-                self.dr_residual[k],
-                "" if self.secant[k] is None else self.secant[k],
-            ])
-        return rows
+        return [self.row(k) for k in range(len(self))]
 
 
 def _as_denoiser(denoiser):
@@ -96,6 +90,8 @@ def admm_pnp(lm, denoiser, cfg, z0, x_ref=None, on_iterate=None):
 
     The prox is warm-started with the previous x iterate (first call: z0).
     on_iterate(state: AdmmState), when given, sees every post-update state.
+    Raises NumericalAbort naming the iteration on a non-finite denoiser
+    input, iterate or History row value (a blank "" is no value).
     """
     denoise = _as_denoiser(denoiser)
     mask = lm.model.mask
@@ -125,6 +121,9 @@ def admm_pnp(lm, denoiser, cfg, z0, x_ref=None, on_iterate=None):
         step = 0.0 if t_prev is None else float(np.linalg.norm(t - t_prev))
         hist.secant.append(float(np.linalg.norm(r - r_prev)) / step
                            if step > 0 else None)
+        for name, value in zip(History.HEADER, hist.row(k)):
+            if value != "" and not np.isfinite(value):
+                raise NumericalAbort(f"non-finite {name} at iteration {k + 1}")
         t_prev, r_prev = t, r
         z = z_new
         x_warm = x

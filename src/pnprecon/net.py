@@ -258,8 +258,7 @@ def _stack(params, a, biases, nonlin):
 
 
 def _finite(x):
-    # forward and param_grad_mse reject a non-finite x; a Linearization does
-    # not, so NaNs at x_tilde reach the callers' non-finite checks as before
+    # a Linearization takes a non-finite x: spectral_norm_l then returns NaN
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("denoiser input must be finite")
@@ -329,7 +328,8 @@ def spectral_norm_l(lin, max_iters=10, tol=LANCZOS_TOL, seed=0, u0=None):
 
     Returns (sigma, u, steps): the top singular value of the bidiagonal, a
     lower bound on the true norm; its unit right Ritz vector, with
-    ||J_L u|| = sigma; and the steps used.
+    ||J_L u|| = sigma; and the steps used.  Both sigma and u are NaN once
+    an alpha or beta is not finite (an overflowed product).
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
@@ -348,6 +348,8 @@ def spectral_norm_l(lin, max_iters=10, tol=LANCZOS_TOL, seed=0, u0=None):
         # over ||v||, so a start vector 1 ulp off unit norm still gives the
         # identity net exactly 1.0
         bid[k, k] = alpha = np.linalg.norm(p) / np.linalg.norm(v)
+        if not math.isfinite(alpha):
+            break
         lam, ritz = np.linalg.eigh(bid[:k + 1, :k + 1].T @ bid[:k + 1, :k + 1])
         prev, sigma = sigma, float(np.sqrt(lam[-1]))
         if not sigma - prev > tol * sigma or k + 1 == max_iters:
@@ -355,11 +357,12 @@ def spectral_norm_l(lin, max_iters=10, tol=LANCZOS_TOL, seed=0, u0=None):
         us[k] = p / np.linalg.norm(p)
         r = 2.0 * lin.vjp(us[k].reshape(shape)).ravel() - us[k] - alpha * v
         r -= vs[:k + 1].T @ (vs[:k + 1] @ r)
-        beta = np.linalg.norm(r)
-        if not beta > _BREAKDOWN * sigma:
+        bid[k, k + 1] = beta = np.linalg.norm(r)
+        if not (math.isfinite(beta) and beta > _BREAKDOWN * sigma):
             break
-        bid[k, k + 1] = beta
         v = r / beta
+    if not np.all(np.isfinite(bid)):
+        return math.nan, np.full(shape, math.nan), k + 1
     return sigma, (ritz[:, -1] @ vs[:k + 1]).reshape(shape), k + 1
 
 

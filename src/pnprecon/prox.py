@@ -38,7 +38,7 @@ def surrogate_root(s, b, v, rho):
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
     v = np.asarray(v, dtype=float)
-    # overflow from a huge rho gives inf/nan, on which admm_pnp aborts
+    # np.where's discarded branch is 0/0 at every masked pixel, in every call
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         c = rho * v - s
         disc = np.sqrt(c * c + 4.0 * rho * b)
@@ -68,13 +68,11 @@ def prox_neg_ll(lm, v, cfg, x_init, callback=None):
     # a masked pixel has s = 0 and b = 0, so with v = 0 its root is 0
     v = np.where(mask, v, 0.0)
     shape = (lm.model.grid_size, lm.model.grid_size)
-    # a root overflowed by a huge rho gives inf * 0 = nan: admm_pnp aborts
-    with np.errstate(invalid="ignore"):
-        for it in range(cfg.n_inner):
-            x = surrogate_root(sens, x * recon._em_ratio_backproj(lm.counted, x),
-                               v, cfg.rho)
-            if callback is not None:
-                callback(it, x.reshape(shape))
+    for it in range(cfg.n_inner):
+        x = surrogate_root(sens, x * recon._em_ratio_backproj(lm.counted, x),
+                           v, cfg.rho)
+        if callback is not None:
+            callback(it, x.reshape(shape))
     return x.reshape(shape)
 
 

@@ -279,8 +279,7 @@ def with_background(model, x_true, fraction):
     if fraction < 0:
         raise ValueError("background fraction must be nonnegative")
     trues = model.mult_factors * (model.weights @ np.asarray(x_true, float).ravel())
-    with np.errstate(over="ignore"):    # an inf level: simulate_counts aborts
-        level = fraction * trues.mean()
+    level = fraction * trues.mean()     # an inf level: simulate_counts aborts
     return dataclasses.replace(
         model, background=np.full(model.n_rows, level))
 

@@ -156,14 +156,13 @@ def sample_sigmas(params, points, draws, power_iters):
     point with its draw, lazily and in input order; the points run in
     parallel (util.ordered_map), and closing early cancels those not started.
     Network passes run in float32, Lanczos in float64; a sample whose float32
-    work overflows or makes a NaN is redone in float64, not returned wrong."""
+    sigma is not finite (an overflow) is redone in float64, not returned wrong."""
     def unit(args):
         (x_ref, d_out), draw = args
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                _, sigma, _, steps = sigma_at_tilde(params, x_ref, d_out, draw,
-                                                    power_iters, dtype=np.float32)
-        except FloatingPointError:
+        with np.errstate(all="ignore"):     # an overflow here is redone below
+            _, sigma, _, steps = sigma_at_tilde(params, x_ref, d_out, draw,
+                                                power_iters, dtype=np.float32)
+        if not np.isfinite(sigma):
             _, sigma, _, steps = sigma_at_tilde(params, x_ref, d_out, draw,
                                                 power_iters)
         return sigma, steps
@@ -235,14 +234,13 @@ class AdamState:
 
 
 def adam_step(params_vec, grad_vec, state, lr):
-    """Standard bias-corrected Adam update on flat parameter vectors."""
+    """Bias-corrected Adam on flat vectors; train_phase aborts on inf or NaN."""
     step = state.step + 1
-    with np.errstate(over="ignore", invalid="ignore"):  # inf/nan: train_phase aborts
-        m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad_vec
-        v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad_vec * grad_vec
-        mhat = m / (1.0 - ADAM_BETA1 ** step)
-        vhat = v / (1.0 - ADAM_BETA2 ** step)
-        new_vec = params_vec - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad_vec
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad_vec * grad_vec
+    mhat = m / (1.0 - ADAM_BETA1 ** step)
+    vhat = v / (1.0 - ADAM_BETA2 ** step)
+    new_vec = params_vec - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return new_vec, AdamState(m=m, v=v, step=step)
 
 

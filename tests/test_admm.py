@@ -155,6 +155,22 @@ def test_abort_on_nonfinite_denoiser():
         admm.admm_pnp(lm, params, cfg, z0=z0)
 
 
+def test_abort_on_overflowed_residual_norm():
+    # a huge but finite denoiser output: x, z and u stay finite, while the
+    # primal residual norm overflows and used to be recorded as inf
+    _, lm = make_test_problem(grid=16, seed=8)
+    cfg = admm.AdmmConfig(rho=10.0, n_iterations=3)
+    seen = []
+
+    def huge(img):
+        seen.append(np.full_like(img, 1e300))
+        return seen[-1]
+    with np.errstate(all="ignore"), pytest.raises(
+            NumericalAbort, match="^non-finite primal_residual_norm at iteration 1$"):
+        admm.admm_pnp(lm, huge, cfg, osem_start(lm))
+    assert len(seen) == 1 and np.all(np.isfinite(seen[0]))
+
+
 def test_rho_sweep_single_value_equals_one_run():
     _, lm = make_test_problem(grid=16, seed=9)
     arch = net.ArchConfig(n_layers=2, channels=3)

@@ -313,6 +313,9 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
      r"unknown key 'certify_margin' in \[net\]"),
     ("power_iters = 5", "power_iters = 5\nbeta = inf", r"\[train\.jac\] .*beta"),
     ("power_iters = 5", "power_iters = 5\nalpha = nan", r"\[train\.jac\] .*alpha"),
+    ("dose_center = 1.2", "dose_center = 1.2\ndose_decades = -1",
+     r"\[simulation\] need .*0 <= dose_decades < inf"),
+    ("family_seed = 40", "family_seed = -1", r"\[phantoms\] need family_seed >= 0"),
 ])
 def test_cli_bad_config_value_exit_code(tmp_path, capsys, line, bad, needle):
     assert line in TINY_CFG
@@ -911,30 +914,55 @@ def test_train_adam_overflow_leaves_one_stderr_line(fuzz_run, tmp_path, edit, wh
                           "step at epoch 0, batch start 0\n")
 
 
-@pytest.mark.parametrize("edit, argv, abort", [
-    (("rhos = 10.0,300.0", "rhos = 1e308"), ["sweep"],
+def _huge_checkpoint(path, scale):
+    """A net of init_params at scale with a last kernel drawn at the same
+    scale: its layer outputs grow as scale ** layer."""
+    params = net.init_params(net.ArchConfig(n_layers=2, channels=3), 1, scale)
+    last = params.kernels[-1]
+    last[...] = np.random.default_rng(2).normal(0.0, scale / np.sqrt(last[0].size),
+                                                last.shape)
+    net.save_checkpoint(path, params)
+    return path
+
+
+@pytest.mark.parametrize("edit, argv, scale, abort", [
+    (("rhos = 10.0,300.0", "rhos = 1e308"), ["sweep"], None,
      r"rho = 1e\+308: non-finite denoiser input at iteration 1"),
-    (None, ["reconstruct", "--rho", "1e308"],
+    (None, ["reconstruct", "--rho", "1e308"], None,
      r"item \d{3}: non-finite denoiser input at iteration 1"),
-    (("background_fraction = 0.2", "background_fraction = 1e308"), ["simulate"],
+    (("background_fraction = 0.2", "background_fraction = 1e308"), ["simulate"], None,
      r"phantom 0, dose [\d.]+: bin \d+, mean count inf: lam value too large"),
-    (("rhos = 10.0,300.0", "rhos = 1e300"), ["sweep"],
+    (("rhos = 10.0,300.0", "rhos = 1e300"), ["sweep"], None,
      r"rho = 1e\+300: non-finite denoiser input at iteration 1"),
-    (None, ["reconstruct", "--rho", "1e300"],
+    (None, ["reconstruct", "--rho", "1e300"], None,
      r"item \d{3}: non-finite denoiser input at iteration 1"),
-    (("background_fraction = 0.2", "background_fraction = 0"), ["simulate"],
+    (("background_fraction = 0.2", "background_fraction = 0"), ["simulate"], None,
      r"phantom \d+, dose [\d.]+: expected counts vanish at bin \d+ "
-     r"with observed counts")],
+     r"with observed counts"),
+    (("learning_rate = 0.005", "learning_rate = 1e300"), ["train", "--phase", "pre"],
+     None, r"non-finite loss at epoch 0, batch start \d+"),
+    (None, ["reconstruct"], 1e50,
+     r"item \d{3}: non-finite primal_residual_norm at iteration \d+"),
+    (None, ["sweep"], 1e50,
+     r"rho = 10: non-finite primal_residual_norm at iteration \d+"),
+    (None, ["certify", "--n-samples", "2"], 1e160, r"non-finite sigma at sample 0"),
+    (None, ["reconstruct"], 1e160, r"item \d{3}: non-finite iterate at iteration 1"),
+    (None, ["sweep"], 1e160, r"rho = 10: non-finite iterate at iteration 1")],
     ids=["sweep-rhos", "reconstruct-rho", "background-fraction", "sweep-rhos-1e300",
-         "reconstruct-rho-1e300", "background-fraction-0"])
-def test_huge_value_abort_leaves_one_stderr_line(fuzz_run, tmp_path, edit, argv, abort):
+         "reconstruct-rho-1e300", "background-fraction-0", "train-loss-lr-1e300",
+         "reconstruct-net-1e50", "sweep-net-1e50", "certify-net-1e160",
+         "reconstruct-net-1e160", "sweep-net-1e160"])
+def test_huge_value_abort_leaves_one_stderr_line(fuzz_run, tmp_path, edit, argv,
+                                                 scale, abort):
     # finite values whose products overflow, and a zero background that
     # leaves a count with no expected count; a child process, so no errstate
     # or warning capture of the test runner hides a numpy warning
     text = TINY_CFG.replace(*edit) if edit else TINY_CFG
     (tmp_path / "bad.cfg").write_text(_with_data(text, fuzz_run))
-    if argv[0] != "simulate":
-        argv = [*argv, "--checkpoint", str(fuzz_run / "net.ckpt")]
+    if argv[0] in ("reconstruct", "sweep", "certify"):
+        ckpt = (_huge_checkpoint(tmp_path / "huge.ckpt", scale) if scale
+                else fuzz_run / "net.ckpt")
+        argv = [*argv, "--checkpoint", str(ckpt)]
     res = _run_python(["-m", "pnprecon.cli", *argv, "--config", "bad.cfg",
                        "--out", "out"], str(tmp_path))
     assert res.returncode == 3

@@ -145,6 +145,29 @@ def test_spectral_norm_demo_arch_matches_dense_svd(seed):
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_spectral_norm_is_nan_once_a_product_is_not_finite():
+    # float64; an overflowed product used to end the run with a finite sigma:
+    # a NaN beta read as breakdown, and eigh of a bidiagonal with a NaN
+    # alpha can still return a finite top eigenvalue
+    params = random_params(ARCH2, 15, scale=0.4)
+    x = random_image((8, 8), 16)
+    for product, bad_call in (("jvp", 1), ("jvp", 2), ("vjp", 1), ("vjp", 2)):
+        lin = net.Linearization(params, x)
+        exact, calls = getattr(lin, product), []
+
+        def overflowing(v, exact=exact, calls=calls, bad_call=bad_call):
+            out = exact(v)
+            calls.append(v)
+            if len(calls) == bad_call:
+                out.flat[0] = np.inf
+            return out
+        setattr(lin, product, overflowing)
+        with np.errstate(all="ignore"):
+            sigma, u, steps = net.spectral_norm_l(lin, max_iters=10, tol=0.0, seed=2)
+        assert math.isnan(sigma) and np.all(np.isnan(u)), (product, bad_call)
+        assert steps == bad_call
+
+
 def test_lanczos_beats_power_iteration_from_same_start():
     # m power iterations reach a vector of the Krylov space that m + 1
     # Lanczos steps maximize over

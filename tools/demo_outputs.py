@@ -9,7 +9,9 @@ process with one BLAS thread: simulate, train pre and jac, certify jac.ckpt
 and pre.ckpt (100 samples each), sweep and reconstruct; then reconstruct
 with pre.ckpt at --rho 3.0 --iters 5.  Everything lands in OUT_DIR, which
 must not exist or be empty.  Two checkouts behave the same on the demo
-when `diff -r` of their two OUT_DIR trees is empty.  Each stage's wall
+when `diff -r` of their two OUT_DIR trees is empty.  A stage that fails
+or writes anything to standard error (a numpy warning, say) stops the
+run with its standard error echoed and a non-zero exit.  Each stage's wall
 time, minor page faults and maximum resident set size, those of its whole
 process (from os.wait4), go to standard output only, so OUT_DIR holds the
 same files either way.
@@ -19,6 +21,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -71,14 +74,20 @@ def main(argv):
     total, faults = 0.0, 0
     for args in STAGES:
         print(f"== {' '.join(args)}", flush=True)
-        start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, "-m", "pnprecon.cli", *args,
-                                 "--config", "demo.cfg"], cwd=out, env=env)
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - start
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        if proc.returncode:
-            raise subprocess.CalledProcessError(proc.returncode, proc.args)
+        with tempfile.TemporaryFile() as err:
+            start = time.perf_counter()
+            proc = subprocess.Popen([sys.executable, "-m", "pnprecon.cli", *args,
+                                     "--config", "demo.cfg"], cwd=out, env=env,
+                                    stderr=err)
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall = time.perf_counter() - start
+            err.seek(0)
+            stderr = err.read().decode(errors="replace")
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
+        if code or stderr:
+            sys.stderr.write(stderr)
+            raise SystemExit(f"{' '.join(args)} exited {code} with "
+                             f"{len(stderr.splitlines())} standard-error lines")
         total += wall
         faults += usage.ru_minflt
         print(f"== {' '.join(args)} took {wall:.2f} s, "
