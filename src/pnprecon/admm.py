@@ -99,7 +99,7 @@ def admm_pnp(lm, denoiser, cfg, z0, x_ref=None, on_iterate=None):
     if not np.all(np.isfinite(z)):
         raise ValueError("z0 must be finite")
     u = np.zeros_like(z)
-    x_warm = np.clip(z, 0.0, None)
+    x_warm = z
     t_prev = r_prev = None
     hist = History(rho=cfg.rho)
     for k in range(cfg.n_iterations):

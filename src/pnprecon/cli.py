@@ -2,7 +2,8 @@
 
 Every command reads one config file, writes CSV/image artifacts plus a
 provenance record, and is byte-reproducible given the same config and
-seeds.  Exit codes: 0 success, 2 config error, 3 numerical abort, decided
+seeds; no flag overrides a config value, so the config hash pins every
+setting.  Exit codes: 0 success, 2 config error, 3 numerical abort, decided
 by a non-finite value: main turns numpy's floating-point warnings off.
 """
 
@@ -27,20 +28,19 @@ OUT_PATHS = {"simulate": "data", "train": "train", "reconstruct": "recon",
              "sweep": "sweep", "certify": "certify"}
 
 
-def _write_provenance(out_dir, exp, args, extras):
+def _write_provenance(out_dir, exp, args):
     lines = [f"config_hash = {config_hash(exp.cfg)}",
              f"seed = {exp.cfg.seed}",
              f"version = pnprecon {__version__}"]
     if "checkpoint" in args:
         lines.append(f"checkpoint = {os.path.basename(args.checkpoint)}")
-    lines += [f"{key} = {value}" for key, value in extras.items()]
     atomic_write(os.path.join(out_dir, "provenance.txt"), "\n".join(lines) + "\n")
 
 
-# What build_experiment builds or derives from the config and the flags
-# (admm with --rho and --iters applied, train configs by phase, sweep rhos
-# as floats, the sweep's AdmmConfig); a plain value is read from cfg once
-# build_experiment has checked it.
+# What build_experiment builds or derives from the config (train configs
+# by phase, the [admm] AdmmConfig, sweep rhos as floats, the sweep's
+# AdmmConfig); a plain value is read from cfg once build_experiment has
+# checked it.
 Experiment = collections.namedtuple("Experiment", (
     "cfg paths specs doses geometry norm_seed arch train admm sweep_rhos sweep"))
 
@@ -63,9 +63,9 @@ def _require(ok, message):
 
 
 def build_experiment(cfg, flags):
-    """Turn each value of cfg, and the flags (a dict from argument names),
-    into its typed form once, through the constructor that validates it,
-    so that a bad value exits 2 before any command writes output."""
+    """Turn each value of cfg into its typed form once, through the
+    constructor that validates it, and check the flags (a dict from argument
+    names), so that a bad value exits 2 before any command writes output."""
     ph, s, n, a, sw = (cfg[sec] for sec in
                        ("phantoms", "simulation", "net", "admm", "sweep"))
     with _naming("[phantoms]"):
@@ -117,12 +117,6 @@ def build_experiment(cfg, flags):
                      for tok in sw["rhos"].split(","))
     with _naming("[sweep] iterations:"):
         sweep = dataclasses.replace(acfg, n_iterations=sw["iterations"])
-    with _naming("--rho:"):
-        if flags.get("rho") is not None:
-            acfg = dataclasses.replace(acfg, rho=flags["rho"])
-    with _naming("--iters:"):
-        if flags.get("iters") is not None:
-            acfg = dataclasses.replace(acfg, n_iterations=flags["iters"])
     with _naming("--n-samples:"):
         _require(flags.get("n_samples", 1) >= 1, "need at least one sample")
     return Experiment(
@@ -154,7 +148,6 @@ def cmd_simulate(exp, args, out_dir):
     write_csv(os.path.join(out_dir, "manifest.csv"),
               ("item", "phantom", "dose_scale", "seed", "split"), rows)
     print(f"simulate: wrote {len(rows)} items for {len(exp.specs)} phantoms to {out_dir}")
-    return {}
 
 
 def _read_data_image(data_dir, name, shape):
@@ -231,7 +224,6 @@ def cmd_train(exp, args, out_dir):
     loss, mse = (rows[-1][train.LOG_HEADER.index(k)] for k in ("loss_total", "test_mse"))
     print(f"train {phase}: {tc.epochs} epochs, final loss {loss:.6g}, "
           f"test mse {mse:.6g}, checkpoint {phase}.ckpt")
-    return {}
 
 
 def _select_test_sims(exp, dataset):
@@ -254,7 +246,6 @@ def _likelihood_for_item(exp, dataset, item):
 def cmd_reconstruct(exp, args, out_dir):
     dataset = _load_dataset(exp)
     params = net.load_checkpoint(args.checkpoint)
-    rho, iters = exp.admm.rho, exp.admm.n_iterations
     sims = [(item_idx, item, _likelihood_for_item(exp, dataset, item))
             for item_idx, item in _select_test_sims(exp, dataset)]
     runs = admm.run_all([(f"item {i:03d}", lm, exp.admm, item.x_noisy, item.x_ref)
@@ -279,13 +270,12 @@ def cmd_reconstruct(exp, args, out_dir):
                         recon.log_likelihood(lm, x_filt), "", "", best_sigma])
         summary.append([item_idx, "admm", recon.mse(x, item.x_ref),
                         hist.log_likelihood[-1], hist.primal[-1],
-                        hist.dual[-1], rho])
+                        hist.dual[-1], exp.admm.rho])
     write_csv(os.path.join(out_dir, "summary.csv"),
               ("item", "method", "mse", "log_likelihood", "final_primal",
                "final_dual", "extra"), summary)
-    print(f"reconstruct: rho={rho:g}, {iters} iterations, "
+    print(f"reconstruct: rho={exp.admm.rho:g}, {exp.admm.n_iterations} iterations, "
           f"{len(summary) // 3} test simulations -> {out_dir}")
-    return {"rho": rho, "iterations": iters}
 
 
 def cmd_sweep(exp, args, out_dir):
@@ -300,10 +290,9 @@ def cmd_sweep(exp, args, out_dir):
               admm.CURVE_HEADER, admm.curve_rows(histories))
     write_csv(os.path.join(out_dir, "sweep_summary.csv"),
               admm.SUMMARY_HEADER, summary)
-    n_ok = sum(row[5] for row in summary)       # meets_threshold
+    n_ok = sum(row[admm.SUMMARY_HEADER.index("meets_threshold")] for row in summary)
     print(f"sweep: item {item_idx}, {len(histories)} rho values, "
           f"{n_ok} meet the residual-decrease threshold -> {out_dir}")
-    return {}
 
 
 def cmd_certify(exp, args, out_dir):
@@ -334,7 +323,6 @@ def cmd_certify(exp, args, out_dir):
     print(f"certify: {args.n_samples} samples, sigma max {max(sigmas):.4f}, "
           f"{100 * frac:.0f}% within 1+{CERTIFY_MARGIN:g}, {n_capped} at the "
           f"{cap}-step cap -> {out_dir}")
-    return {}
 
 
 def _build_parser():
@@ -350,9 +338,6 @@ def _build_parser():
             p.add_argument("--phase", choices=("pre", "jac"), required=True)
         if name in ("reconstruct", "sweep", "certify"):
             p.add_argument("--checkpoint", required=True)
-        if name == "reconstruct":
-            p.add_argument("--rho", type=float, default=None)
-            p.add_argument("--iters", type=int, default=None)
         if name == "certify":
             p.add_argument("--n-samples", type=int, default=100)
     return parser
@@ -381,8 +366,8 @@ def main(argv=None):
         exp = build_experiment(load_config(args.config), vars(args))
         out_dir = args.out or exp.paths[OUT_PATHS[args.command]]
         # looked up at call time, so a wrapper set on cli.cmd_* runs
-        extras = globals()[f"cmd_{args.command}"](exp, args, out_dir)
-        _write_provenance(out_dir, exp, args, extras)
+        globals()[f"cmd_{args.command}"](exp, args, out_dir)
+        _write_provenance(out_dir, exp, args)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -100,15 +100,15 @@ def log_likelihood(lm, x):
 
 
 def _count_ratio(y, ybar, bins):
-    """y / ybar, 0 where ybar = 0; a bin with counts but ybar = 0 is an
-    error, since the likelihood is -inf there.  bins maps each entry to
-    its global sinogram bin, for the message."""
+    """y / ybar, 0 where ybar = 0; a bin with counts but ybar = 0 raises
+    NumericalAbort, since the likelihood is -inf there.  bins maps each
+    entry to its global sinogram bin, for the message."""
     if np.all(ybar > 0):
         return y / ybar
     bad = (ybar == 0) & (y > 0)
     if np.any(bad):
-        raise ZeroDivisionError(f"expected counts vanish at bin "
-                                f"{int(bins[np.argmax(bad)])} with observed counts")
+        raise NumericalAbort(f"expected counts vanish at bin "
+                             f"{int(bins[np.argmax(bad)])} with observed counts")
     return np.divide(y, ybar, out=np.zeros_like(ybar), where=ybar > 0)
 
 

@@ -17,6 +17,7 @@ Each test prints one `PASS criterion-N` line on success (visible with
 
 import csv
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -300,8 +301,14 @@ def _pipeline(root):
     best_rho = min(
         passing or sweep_rows,
         key=lambda r: max(float(r["primal_ratio"]), float(r["dual_ratio"])))
-    _run_cli(["reconstruct", "--config", cfg, "--checkpoint", jac,
-              "--rho", best_rho["rho"]], root)
+    # the reconstruct stage runs at that rho from its own copy of the config
+    recon_cfg = os.path.join(root, "recon.cfg")
+    with open(DEMO_CFG) as fh:
+        text, n = re.subn(r"(?m)^rho = .*$", f"rho = {best_rho['rho']}", fh.read())
+    assert n == 1
+    with open(recon_cfg, "w") as fh:
+        fh.write(text)
+    _run_cli(["reconstruct", "--config", recon_cfg, "--checkpoint", jac], root)
     return root
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pnprecon import admm, cli, config, net, prox, recon, sim, train
+from pnprecon import __version__, admm, cli, config, net, prox, recon, sim, train
 from pnprecon.config import (ConfigError, canonical_text, config_hash,
                              load_config, parse_config)
 from pnprecon.util import NumericalAbort, derive_seed, write_csv
@@ -237,16 +237,34 @@ def test_cli_config_error_exit_code(tmp_path):
 
 
 def test_cli_reconstruct_rho_override(workspace, tmp_path):
-    root, cfg_path = workspace
+    # a reconstruct at another rho and budget runs from its own config, so
+    # the config hash in its provenance pins both
+    root, _ = workspace
     ckpt = str(root / "runs" / "train" / "jac.ckpt")
+    cfg_path = tmp_path / "rho60.cfg"
+    cfg_path.write_text(_with_data(TINY_CFG.replace(
+        "rho = 30.0\niterations = 3", "rho = 60.0\niterations = 2"), root))
     out = tmp_path / "rho_override"
-    assert cli.main(["reconstruct", "--config", cfg_path, "--checkpoint", ckpt,
-                     "--rho", "60.0", "--iters", "2", "--out", str(out)]) == 0
+    assert cli.main(["reconstruct", "--config", str(cfg_path), "--checkpoint", ckpt,
+                     "--out", str(out)]) == 0
     summary = (out / "summary.csv").read_text().splitlines()
     admm_rows = [l for l in summary[1:] if ",admm," in l]
     assert all(l.endswith(",60") for l in admm_rows)
     name = next(p for p in out.iterdir() if "history" in p.name)
     assert len(name.read_text().splitlines()) - 1 == 2
+    assert (out / "provenance.txt").read_text().splitlines() == [
+        f"config_hash = {config_hash(load_config(str(cfg_path)))}",
+        "seed = 2024", f"version = pnprecon {__version__}",
+        "checkpoint = jac.ckpt"]
+
+
+def test_cli_reconstruct_has_no_rho_or_iters_flag(tmp_path):
+    # a child process, so argparse's usage line and exit reach its stderr
+    res = _run_python(["-m", "pnprecon.cli", "reconstruct", "--rho", "3",
+                       "--config", "tiny.cfg", "--checkpoint", "net.ckpt"],
+                      str(tmp_path))
+    assert res.returncode == 2
+    assert "unrecognized arguments: --rho" in res.stderr
 
 
 @pytest.mark.parametrize("line, bad, needle", [
@@ -262,6 +280,7 @@ def test_cli_reconstruct_rho_override(workspace, tmp_path):
     ("power_iters = 5", "power_iters = 5\nepsilon = 1.5", r"\[train\.jac\]"),
     ("rho = 30.0", "rho = -1", r"\[admm\] rho must be positive"),
     ("rho = 30.0", "rho = inf", r"\[admm\] rho must be positive and finite"),
+    ("rho = 30.0", "rho = nan", r"\[admm\] rho must be positive and finite"),
     ("rho = 30.0", "rho = 30.0\nprox_tol = nan", r"unknown key 'prox_tol'"),
     ("filter_sigmas = 0,1.0", "filter_sigmas = -1.0", r"\[admm\] .*filter sigma"),
     ("filter_sigmas = 0,1.0", "filter_sigmas = 0,nan", r"\[admm\] .*filter sigma"),
@@ -362,12 +381,9 @@ def test_aborted_commands_leave_no_output_directory(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in data.iterdir()} == before
 
 
+# an explicit id keeps this case's test history in one series
 @pytest.mark.parametrize("argv, flag", [
-    (["reconstruct", "--rho", "-1"], "--rho"),
-    (["reconstruct", "--iters", "0"], "--iters"),
-    (["certify", "--n-samples", "0"], "--n-samples"),
-    (["reconstruct", "--rho", "inf"], "--rho"),
-    (["reconstruct", "--rho", "nan"], "--rho"),
+    pytest.param(["certify", "--n-samples", "0"], "--n-samples", id="argv2---n-samples"),
 ])
 def test_cli_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     cfg_path = tmp_path / "tiny.cfg"
@@ -379,7 +395,7 @@ def test_cli_bad_flag_exit_code(tmp_path, capsys, argv, flag):
     assert err.startswith(f"config error: {flag}:")
 
 
-def _old_builders(cfg, rho=None, iters=None):
+def _old_builders(cfg):
     """The per-command construction that build_experiment replaced."""
     g, n, a, s = (cfg[sec] for sec in ("geometry", "net", "admm", "sweep"))
 
@@ -413,16 +429,14 @@ def _old_builders(cfg, rho=None, iters=None):
         arch=net.ArchConfig(n_layers=n["n_layers"], channels=n["channels"]),
         train={phase: train_config(phase) for phase in ("pre", "jac")},
         admm=admm.AdmmConfig(
-            rho if rho is not None else a["rho"],
-            n_iterations=iters if iters is not None else a["iterations"],
-            n_inner=a["prox_inner"]),
+            a["rho"], n_iterations=a["iterations"], n_inner=a["prox_inner"]),
         sweep_rhos=[float(tok) for tok in s["rhos"].split(",")],
         sweep=admm.AdmmConfig(
             a["rho"], n_iterations=s["iterations"], n_inner=a["prox_inner"]))
 
 
 @pytest.mark.parametrize("source", ["tiny", "demo"])
-@pytest.mark.parametrize("flags", [{}, {"rho": 60.0, "iters": 2, "n_samples": 5}])
+@pytest.mark.parametrize("flags", [{}, {"n_samples": 5}])
 def test_experiment_matches_old_builders(tmp_path, source, flags):
     if source == "tiny":
         cfg_path = tmp_path / "tiny.cfg"
@@ -431,7 +445,7 @@ def test_experiment_matches_old_builders(tmp_path, source, flags):
         cfg_path = DEMO_CFG
     cfg = load_config(str(cfg_path))
     exp = cli.build_experiment(cfg, flags)
-    want = _old_builders(cfg, flags.get("rho"), flags.get("iters"))
+    want = _old_builders(cfg)
     got = exp._asdict()
     assert got.pop("cfg") is cfg
     assert set(got) == set(want)
@@ -559,7 +573,7 @@ def test_cli_file_error_exit_code(tmp_path, capsys, case):
                 "checkpoint-relu": "net.ckpt: activation code 1 is not 0"}
     commands = [("certify", ["--n-samples", "2"], "certify")]
     if case == "checkpoint-relu":
-        commands.append(("reconstruct", ["--iters", "1"], "recon"))
+        commands.append(("reconstruct", [], "recon"))
     for command, extra, out in commands:
         capsys.readouterr()
         assert cli.main([command, *extra, "--config", str(cfg_path),
@@ -583,8 +597,7 @@ def fuzz_run(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("argv", [["train", "--phase", "pre"],
-                                  ["reconstruct", "--iters", "1"]])
+@pytest.mark.parametrize("argv", [["train", "--phase", "pre"], ["reconstruct"]])
 def test_commands_read_each_data_image_once(fuzz_run, tmp_path, monkeypatch, argv):
     reads = collections.Counter()
     original = sim.read_image
@@ -603,7 +616,7 @@ def test_commands_read_each_data_image_once(fuzz_run, tmp_path, monkeypatch, arg
 
 
 @pytest.mark.parametrize("argv", [["simulate"], ["train", "--phase", "pre"],
-                                  ["reconstruct", "--iters", "1"], ["sweep"],
+                                  ["reconstruct"], ["sweep"],
                                   ["certify", "--n-samples", "2"]])
 def test_out_naming_a_file_exits_2(fuzz_run, tmp_path, capsys, argv):
     # the file stands where the command would make its output directory
@@ -742,8 +755,8 @@ def test_cli_manifest_dose_exit_code(fuzz_run, tmp_path, capsys, dose, code):
     manifest.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     with np.errstate(all="ignore"):
-        rc = cli.main(["reconstruct", "--iters", "1", "--config",
-                       str(root / "tiny.cfg"), "--checkpoint", str(root / "net.ckpt")])
+        rc = cli.main(["reconstruct", "--config", str(root / "tiny.cfg"),
+                       "--checkpoint", str(root / "net.ckpt")])
     assert rc == code
     err = capsys.readouterr().err
     if code == 2:
@@ -781,7 +794,7 @@ def test_cli_exit_code_contract_on_corrupt_files(fuzz_run, name, command,
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(shutil.copytree(fuzz_run, pathlib.Path(tmp) / "run"))
         _corrupt(root / name, truncate, where, bit)
-        extra = ["--n-samples", "2"] if command == "certify" else ["--iters", "1"]
+        extra = ["--n-samples", "2"] if command == "certify" else []
         rc = cli.main([command, "--config", str(root / "tiny.cfg"), "--checkpoint",
                        str(root / "net.ckpt"), "--out", str(root / "out"), *extra])
     assert rc in (0, 2, 3)
@@ -928,13 +941,13 @@ def _huge_checkpoint(path, scale):
 @pytest.mark.parametrize("edit, argv, scale, abort", [
     (("rhos = 10.0,300.0", "rhos = 1e308"), ["sweep"], None,
      r"rho = 1e\+308: non-finite denoiser input at iteration 1"),
-    (None, ["reconstruct", "--rho", "1e308"], None,
+    (("rho = 30.0", "rho = 1e308"), ["reconstruct"], None,
      r"item \d{3}: non-finite denoiser input at iteration 1"),
     (("background_fraction = 0.2", "background_fraction = 1e308"), ["simulate"], None,
      r"phantom 0, dose [\d.]+: bin \d+, mean count inf: lam value too large"),
     (("rhos = 10.0,300.0", "rhos = 1e300"), ["sweep"], None,
      r"rho = 1e\+300: non-finite denoiser input at iteration 1"),
-    (None, ["reconstruct", "--rho", "1e300"], None,
+    (("rho = 30.0", "rho = 1e300"), ["reconstruct"], None,
      r"item \d{3}: non-finite denoiser input at iteration 1"),
     (("background_fraction = 0.2", "background_fraction = 0"), ["simulate"], None,
      r"phantom \d+, dose [\d.]+: expected counts vanish at bin \d+ "
@@ -947,11 +960,16 @@ def _huge_checkpoint(path, scale):
      r"rho = 10: non-finite primal_residual_norm at iteration \d+"),
     (None, ["certify", "--n-samples", "2"], 1e160, r"non-finite sigma at sample 0"),
     (None, ["reconstruct"], 1e160, r"item \d{3}: non-finite iterate at iteration 1"),
-    (None, ["sweep"], 1e160, r"rho = 10: non-finite iterate at iteration 1")],
+    (None, ["sweep"], 1e160, r"rho = 10: non-finite iterate at iteration 1"),
+    (("background_fraction = 0.2", "background_fraction = 0"), ["reconstruct"], None,
+     r"item \d{3}: expected counts vanish at bin \d+ with observed counts"),
+    (("background_fraction = 0.2", "background_fraction = 0"), ["sweep"], None,
+     r"rho = 10: expected counts vanish at bin \d+ with observed counts")],
     ids=["sweep-rhos", "reconstruct-rho", "background-fraction", "sweep-rhos-1e300",
          "reconstruct-rho-1e300", "background-fraction-0", "train-loss-lr-1e300",
          "reconstruct-net-1e50", "sweep-net-1e50", "certify-net-1e160",
-         "reconstruct-net-1e160", "sweep-net-1e160"])
+         "reconstruct-net-1e160", "sweep-net-1e160", "reconstruct-background-fraction-0",
+         "sweep-background-fraction-0"])
 def test_huge_value_abort_leaves_one_stderr_line(fuzz_run, tmp_path, edit, argv,
                                                  scale, abort):
     # finite values whose products overflow, and a zero background that
@@ -1127,7 +1145,7 @@ def test_reconstruct_postfilter_abort_names_its_item(tmp_path, capsys, monkeypat
     monkeypatch.setattr(recon, "gaussian_postfilter_sweep", patched)
     out = tmp_path / "out"
     capsys.readouterr()
-    rc = cli.main(["reconstruct", "--iters", "1", "--config", str(cfg_path),
+    rc = cli.main(["reconstruct", "--config", str(cfg_path),
                    "--checkpoint", str(tmp_path / "net.ckpt"), "--out", str(out)])
     assert rc == 3
     assert capsys.readouterr().err == (
